@@ -2,6 +2,11 @@
 speedup theorem and the main dichotomy theorem, and a spectral simulation of
 the one-step algorithm with speedup accounting in bits.
 
+Every pipeline takes a `context.Analysis`: the H_Z table, the ground space
+and the parity block come from it, and so does every spectrum (H_1 in the
+block and in the full space, QH_1Q, mainconst's H_{5/2}), solved once per
+analysis and shared between the pipelines and `bwpt`.
+
 Asymptotic statements (B = omega(log N), the (1 - o(1)) exponent corrections)
 are reported as measured ratios, never converted into pass/fail on a single N.
 """
@@ -9,24 +14,15 @@ are reported as measured ratios, never converted into pass/fail on a single N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bounds, bwpt, eigensolve
+from . import bounds
 from .bounds import TheoremConstants
-from .hilbert import (
-    DiagonalTable,
-    GroundSpaceInfo,
-    HsParams,
-    MatrixFreeOperator,
-    OperatorSpec,
-    evaluate_hz,
-    ground_space,
-    make_state,
-    psi_plus_overlap,
-)
-from .instances import Instance
+from .context import Analysis
+from .hilbert import OperatorSpec, make_state
+from .hilbert import evaluate_hz  # noqa: F401  (stays importable from analyze)
 
 TOL = 1e-9
 _CLUSTER_TOL = 1e-8  # eigenvalues closer than this are one eigenspace
@@ -84,44 +80,18 @@ def _min_p0_overlap(vectors: np.ndarray, values: np.ndarray,
     return worst
 
 
-def spectral_report(instance: Instance, params: HsParams,
-                    parity_choice: str | None = None,
-                    table: DiagonalTable | None = None,
-                    ground: GroundSpaceInfo | None = None) -> SpectralReport:
+def spectral_report(analysis: Analysis) -> SpectralReport:
     """Band structure of H_1: the n0 lowest eigenvalues, the next one, the
     excited-restricted E^Q_{0,1}, the psi_+ overlap mass P_ov, and the worst
     ground-projector overlap over the band."""
-    if table is None:
-        table = evaluate_hz(instance)
-    if ground is None:
-        ground = ground_space(table)
-    block = bwpt.choose_parity_block(ground, params.k, parity_choice)
-    idx = bwpt._block_ground_indices(ground, table.n_qubits, block)
-    n0_eff = int(idx.size)
-
-    hs = MatrixFreeOperator(
-        OperatorSpec("HS", s=params.s, big_b=params.big_b, k=params.k,
-                     parity_block=block),
-        table,
-    )
-    free_dim = hs.dim if hs.parity_mask is None else int(hs.parity_mask.sum())
-    how_many = min(n0_eff + 1, free_dim)
-    eig = eigensolve.extreme_eigs(hs, how_many)
+    table, ground, block = analysis.table, analysis.ground, analysis.block
+    n0_eff = int(analysis.block_ground_indices.size)
+    how_many = min(n0_eff + 1, analysis.block_dim)
+    eig = analysis.lowest(analysis.hs_spec, how_many)
     band = eig.eigenvalues[:n0_eff]
     band_vectors = eig.eigenvectors[:, :n0_eff]
     next_ev = float(eig.eigenvalues[n0_eff]) if how_many > n0_eff else None
-
-    if free_dim - n0_eff == 0:
-        # the ground space fills the whole block; there are no Q states
-        eq01 = math.inf
-    else:
-        qhsq = MatrixFreeOperator(
-            OperatorSpec("QHSQ", s=params.s, big_b=params.big_b, k=params.k,
-                         parity_block=block),
-            table, ground,
-        )
-        eq01 = float(eigensolve.extreme_eigs(
-            qhsq, 1, deflate_indices=ground.ground_indices).eigenvalues[0])
+    eq01 = analysis.eq01
 
     psi_p = make_state("psi_plus", table.n_qubits).amplitudes
     p_ov = float(np.sum((band_vectors.T @ psi_p) ** 2))
@@ -167,18 +137,17 @@ def _psi01_from_band(report: SpectralReport, psi_p: np.ndarray) -> np.ndarray:
     return comp / nrm
 
 
-def qgood_verify(instance: Instance, params: HsParams,
-                 constants: TheoremConstants = TheoremConstants(),
-                 parity_choice: str | None = None) -> TheoremReport:
+def qgood_verify(analysis: Analysis,
+                 constants: TheoremConstants = TheoremConstants()) -> TheoremReport:
     """Check the speedup theorem: preconditions E^Q_{0,1} >= E0 + 1/2 and
     B * ||P (X/N)^K|| <= 1/4; conclusions are the band location, the ground
     overlap of band states, and the psi_+ overlap against its analytic bound.
 
     Failures are recorded in the report, never raised.
     """
-    table = evaluate_hz(instance)
-    ground = ground_space(table)
-    spec_rep = spectral_report(instance, params, parity_choice, table, ground)
+    instance, table, ground, params = (
+        analysis.instance, analysis.table, analysis.ground, analysis.params)
+    spec_rep = spectral_report(analysis)
     e0 = table.e0
     n = instance.n_qubits
 
@@ -235,15 +204,14 @@ def qgood_verify(instance: Instance, params: HsParams,
     return report
 
 
-def mainconst_decide(instance: Instance, params: HsParams,
-                     constants: TheoremConstants = TheoremConstants(),
-                     parity_choice: str | None = None) -> TheoremReport:
+def mainconst_decide(analysis: Analysis,
+                     constants: TheoremConstants = TheoremConstants()) -> TheoremReport:
     """The dichotomy theorem's branch decision.  Guard: the K-bound inequality.
     Branch 1 (speedup) when E^Q_{0,1} >= E0 + 1/2; otherwise branch 2, which
     must produce a density-of-states witness and the H_{5/2} eigenvector fact.
     """
-    table = evaluate_hz(instance)
-    ground = ground_space(table)
+    instance, table, ground, params = (
+        analysis.instance, analysis.table, analysis.ground, analysis.params)
     e0 = table.e0
     n = instance.n_qubits
 
@@ -258,7 +226,7 @@ def mainconst_decide(instance: Instance, params: HsParams,
         report.details["note"] = "K-bound guard failed; no branch is declared"
         return report
 
-    spec_rep = spectral_report(instance, params, parity_choice, table, ground)
+    spec_rep = spectral_report(analysis)
     report.details["spectral"] = spec_rep
     if spec_rep.eq01 >= e0 + 0.5 - TOL:
         report.branch = 1
@@ -280,15 +248,10 @@ def mainconst_decide(instance: Instance, params: HsParams,
 
     # H_{5/2} = H_Z - (5/2) B (X/N)^K; its ground state must dip below
     # E0 - 1/4 and carry at least 1/4 of B(X/N)^K expectation
-    h52 = MatrixFreeOperator(
-        OperatorSpec("HS", s=1.0, big_b=2.5 * params.big_b, k=params.k,
-                     parity_block=spec_rep.block),
-        table,
-    )
-    eig = eigensolve.extreme_eigs(h52, 1)
+    eig = analysis.lowest(replace(analysis.hs_spec, s=1.0, big_b=2.5 * params.big_b), 1)
     lam = float(eig.eigenvalues[0])
     psi = eig.eigenvectors[:, 0]
-    xk = MatrixFreeOperator(OperatorSpec("XK", k=params.k), table)
+    xk = analysis.operator(OperatorSpec("XK", k=params.k))
     x_exp = params.big_b * float(psi @ xk.apply(psi))
     report.conclusions.append(
         ("h52_below_quarter", bool(lam < e0 - 0.25 + TOL), float((e0 - 0.25) - lam)))
@@ -313,7 +276,7 @@ class SimulationResult:
     threshold_ambiguous: bool
 
 
-def simulate_algorithm1(instance: Instance, params: HsParams) -> SimulationResult:
+def simulate_algorithm1(analysis: Analysis) -> SimulationResult:
     """Phase-estimate psi_+ under H_1 (exact eigenspace projection), accept
     eigenvalues at or below E0 + 1/4, then measure in the computational basis.
 
@@ -322,19 +285,19 @@ def simulate_algorithm1(instance: Instance, params: HsParams) -> SimulationResul
     in the forbidden zone (E0 + 1/4, E0 + 1/2) only flag the report; the
     cutoff stays at E0 + 1/4.
     """
-    table = evaluate_hz(instance)
-    ground = ground_space(table)
+    table, ground = analysis.table, analysis.ground
     e0 = table.e0
     n = table.n_qubits
-    hs = MatrixFreeOperator(
-        OperatorSpec("HS", s=params.s, big_b=params.big_b, k=params.k), table)
+    dim = 1 << n
+    # psi_+ is phase-estimated in the full space, not in the parity block
+    hs = replace(analysis.hs_spec, parity_block=None)
     cutoff = e0 + 0.25 + _CLUSTER_TOL
 
-    how_many = min(ground.n0 + 1, hs.dim)
-    eig = eigensolve.extreme_eigs(hs, how_many)
-    while eig.eigenvalues[-1] <= cutoff and how_many < hs.dim:
-        how_many = min(2 * how_many, hs.dim)
-        eig = eigensolve.extreme_eigs(hs, how_many)
+    how_many = min(ground.n0 + 1, dim)
+    eig = analysis.lowest(hs, how_many)
+    while eig.eigenvalues[-1] <= cutoff and how_many < dim:
+        how_many = min(2 * how_many, dim)
+        eig = analysis.lowest(hs, how_many)
 
     vals, vecs = eig.eigenvalues, eig.eigenvectors
     accepted = vals <= cutoff

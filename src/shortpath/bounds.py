@@ -128,19 +128,6 @@ def tau_inverse(t: float) -> float:
     return binary_entropy((1.0 - math.sqrt(max(0.0, 1.0 - t * t))) / 2.0)
 
 
-def entropy_and_tau(value: float, what: str, consts: TauConstants = TauConstants()) -> float:
-    """Dispatcher over {S, S_inv, tau, tau_inv}."""
-    if what == "S":
-        return binary_entropy(value)
-    if what == "S_inv":
-        return binary_entropy_inverse(value, consts)
-    if what == "tau":
-        return tau(value, consts)
-    if what == "tau_inv":
-        return tau_inverse(value)
-    raise BoundsError(f"unknown function {what!r}")
-
-
 def _tau_clamped(arg: float, consts: TauConstants = TauConstants()) -> float:
     # tau saturates at 1; arguments above 1 arise from small-N slack terms
     return 1.0 if arg >= 1.0 else tau(max(0.0, arg), consts)

@@ -5,6 +5,12 @@ geometric series is resummed into one excited-subspace linear solve per ground
 index.  The eigenvector series phi uses the shifted reference J_0 = H_Z +
 zeta*P, which removes the excited-space projector from the series and lets the
 series be re-expressed as a random walk with strictly positive weights.
+
+Every function takes a `context.Analysis`, which supplies the table, the
+ground space, the parity block and the spectra: omega = E_{0,1}, psi_{0,1}
+and E^Q_{0,1} are the Analysis's memoized solves, shared with `analyze`.  The
+one eigen-solve made here is the lowest eigenvalue of J_0 + sV, whose
+diagonal is shifted by zeta and so is not a problem of the Analysis.
 """
 
 from __future__ import annotations
@@ -15,17 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolve
+from .context import Analysis
+from .context import choose_parity_block  # noqa: F401  (stays importable from bwpt)
 from .hilbert import (
     DiagonalTable,
-    GroundSpaceInfo,
-    HsParams,
     MatrixFreeOperator,
     OperatorSpec,
     StateVector,
-    parity_masks,
     psi_plus_overlap,
 )
-from .instances import Instance
 
 DEFAULT_ZETA = 0.5
 
@@ -38,10 +42,8 @@ class BwptError(RuntimeError):
 class BwContext:
     """Self-consistent effective-Hamiltonian data at s = 1.
 
-    `block` is 'even'/'odd' for even K (the irreducible block containing a
-    ground state) and None for odd K.  `ground_block_indices` are the ground
-    basis indices inside that block; xi0 is the positive unit ground vector of
-    h(omega, 1) over those indices.
+    xi0 is the positive unit ground vector of h(omega, 1) over the Analysis's
+    block ground indices.
     """
 
     zeta: float
@@ -50,8 +52,6 @@ class BwContext:
     xi0: np.ndarray
     h_matrix: np.ndarray
     fixed_point_residual: float
-    block: str | None
-    ground_block_indices: np.ndarray
 
 
 @dataclass
@@ -73,130 +73,61 @@ class WalkEstimate:
     seed: int
 
 
-def choose_parity_block(ground: GroundSpaceInfo, k: int,
-                        parity_choice: str | None = None) -> str | None:
-    """For even K pick the irreducible parity block holding a ground state;
-    odd K needs no block."""
-    if k % 2 == 1:
-        return None
-    parities = np.array([int(u).bit_count() & 1 for u in ground.ground_indices])
-    has_even = bool(np.any(parities == 0))
-    has_odd = bool(np.any(parities == 1))
-    if parity_choice is not None:
-        want_odd = parity_choice == "odd"
-        if (want_odd and not has_odd) or (not want_odd and not has_even):
-            raise BwptError(f"no ground state of H_Z lies in the {parity_choice} block")
-        return parity_choice
-    return "even" if has_even else "odd"
-
-
-def _block_ground_indices(ground: GroundSpaceInfo, n_qubits: int,
-                          block: str | None) -> np.ndarray:
-    if block is None:
-        return ground.ground_indices
-    even, _odd = parity_masks(n_qubits)
-    keep = even[ground.ground_indices] if block == "even" else ~even[ground.ground_indices]
-    idx = ground.ground_indices[keep]
-    if idx.size == 0:
-        raise BwptError(f"no ground state in the {block} block")
-    return idx
-
-
-def _q_block_dim(table: DiagonalTable, n_block_ground: int,
-                 block: str | None) -> int:
-    """Number of excited basis states inside the chosen parity block."""
-    if block is None:
-        size = 1 << table.n_qubits
-    else:
-        even, odd = parity_masks(table.n_qubits)
-        size = int((even if block == "even" else odd).sum())
-    return size - n_block_ground
-
-
-def _v_apply(table: DiagonalTable, params: HsParams, amps: np.ndarray) -> np.ndarray:
-    """V = -B (X/N)^K applied to an amplitude array."""
-    xk = MatrixFreeOperator(OperatorSpec("XK", k=params.k), table)
-    return -params.big_b * xk.apply(amps)
-
-
-def effective_hamiltonian(table: DiagonalTable, ground: GroundSpaceInfo,
-                          params: HsParams, omega: float,
-                          block: str | None = None,
-                          eq0: float | None = None) -> np.ndarray:
-    """h(omega, s) over the (block) ground indices, geometric series resummed:
+def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
+    """h(omega, s) over the block ground indices, geometric series resummed:
     h = E0*I + s*M1 + s^2*M2 with M2 from one Q-subspace solve per column.
 
-    `eq0`, when given, is the lowest eigenvalue of Q H_s Q (computed if absent)
-    and omega must lie strictly below it.
+    omega must lie strictly below E^Q_{0,1}, the lowest eigenvalue of Q H_s Q.
     """
-    idx = _block_ground_indices(ground, table.n_qubits, block)
-    qhsq = MatrixFreeOperator(
-        OperatorSpec("QHSQ", s=params.s, big_b=params.big_b, k=params.k,
-                     parity_block=block),
-        table, ground,
-    )
-    if eq0 is None:
-        if _q_block_dim(table, idx.size, block) == 0:
-            eq0 = math.inf  # no excited states in the block
-        else:
-            eq0 = float(eigensolve.extreme_eigs(
-                qhsq, 1, deflate_indices=ground.ground_indices).eigenvalues[0])
+    table, ground, params = analysis.table, analysis.ground, analysis.params
+    eq0 = analysis.eq01
     if not omega < eq0:
         raise BwptError(
             f"omega={omega} is not below the Q-restricted spectrum (E^Q={eq0})"
         )
+    idx = analysis.block_ground_indices
     n = idx.size
     h = table.e0 * np.eye(n)
     if params.big_b == 0.0 or params.s == 0.0:
         return h
+    qhsq = analysis.operator(analysis.qhsq_spec)
+    xk = analysis.operator(OperatorSpec("XK", k=params.k))
+
+    def v_apply(amps: np.ndarray) -> np.ndarray:
+        """V = -B (X/N)^K applied to an amplitude array."""
+        return -params.big_b * xk.apply(amps)
+
     dim = 1 << table.n_qubits
     ground_mask_idx = ground.ground_indices
     for col, u in enumerate(idx):
         e_u = np.zeros(dim)
         e_u[u] = 1.0
-        v_u = _v_apply(table, params, e_u)
+        v_u = v_apply(e_u)
         h[:, col] += params.s * v_u[idx]
         qv = v_u.copy()
         qv[ground_mask_idx] = 0.0
         x_u = eigensolve.solve_shifted(qhsq, omega, qv,
                                        deflate_indices=ground_mask_idx)
-        h[:, col] += params.s**2 * _v_apply(table, params, x_u)[idx]
+        h[:, col] += params.s**2 * v_apply(x_u)[idx]
     asym = np.max(np.abs(h - h.T), initial=0.0)
     if asym > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise BwptError(f"effective Hamiltonian asymmetry {asym:.3e} exceeds tolerance")
     return 0.5 * (h + h.T)
 
 
-def solve_self_consistent(table: DiagonalTable, ground: GroundSpaceInfo,
-                          params: HsParams, zeta: float = DEFAULT_ZETA,
-                          parity_choice: str | None = None) -> BwContext:
+def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwContext:
     """Set omega = E_{0,1} (lowest eigenvalue of H_1, block-restricted for even
     K), build h(omega, 1), and extract the positive ground vector xi0."""
-    block = choose_parity_block(ground, params.k, parity_choice)
-    idx = _block_ground_indices(ground, table.n_qubits, block)
-    hs = MatrixFreeOperator(
-        OperatorSpec("HS", s=params.s, big_b=params.big_b, k=params.k,
-                     parity_block=block),
-        table,
-    )
-    qhsq = MatrixFreeOperator(
-        OperatorSpec("QHSQ", s=params.s, big_b=params.big_b, k=params.k,
-                     parity_block=block),
-        table, ground,
-    )
-    omega = float(eigensolve.extreme_eigs(hs, 1).eigenvalues[0])
-    if _q_block_dim(table, idx.size, block) == 0:
-        eq0 = math.inf  # the ground space fills the whole block
-    else:
-        eq0 = float(eigensolve.extreme_eigs(
-            qhsq, 1, deflate_indices=ground.ground_indices).eigenvalues[0])
-    h = effective_hamiltonian(table, ground, params, omega, block=block, eq0=eq0)
+    table = analysis.table
+    n0_eff = analysis.block_ground_indices.size
+    omega = float(analysis.lowest(analysis.hs_spec, 1).eigenvalues[0])
+    h = effective_hamiltonian(analysis, omega)
 
     scale = max(1.0, abs(table.e0))
-    if np.max(np.abs(h - table.e0 * np.eye(idx.size))) <= 1e-12 * scale:
+    if np.max(np.abs(h - table.e0 * np.eye(n0_eff))) <= 1e-12 * scale:
         # V contributes nothing (B = 0): any positive unit vector is a valid
         # ground vector of h; tie-break to the uniform one.
-        xi0 = np.full(idx.size, idx.size**-0.5)
+        xi0 = np.full(n0_eff, n0_eff**-0.5)
         lam = table.e0
     else:
         vals, vecs = np.linalg.eigh(h)
@@ -212,40 +143,34 @@ def solve_self_consistent(table: DiagonalTable, ground: GroundSpaceInfo,
         xi0 = np.clip(xi0, 0.0, None)
         xi0 /= np.linalg.norm(xi0)
     return BwContext(
-        zeta=zeta, omega=omega, eq0=eq0, xi0=xi0, h_matrix=h,
-        fixed_point_residual=abs(lam - omega), block=block,
-        ground_block_indices=idx,
+        zeta=zeta, omega=omega, eq0=analysis.eq01, xi0=xi0, h_matrix=h,
+        fixed_point_residual=abs(lam - omega),
     )
 
 
-def _j0_plus_v_operator(table: DiagonalTable, ground: GroundSpaceInfo,
-                        params: HsParams, zeta: float,
-                        block: str | None) -> MatrixFreeOperator:
+def _j0_plus_v_operator(analysis: Analysis, zeta: float) -> MatrixFreeOperator:
     """J0 + sV as an HS operator over the zeta-shifted diagonal."""
+    table = analysis.table
     energies = table.energies.copy()
-    energies[ground.ground_indices] += zeta
+    energies[analysis.ground.ground_indices] += zeta
     shifted = DiagonalTable(
         n_qubits=table.n_qubits, energies=energies,
         e0=float(energies.min()), gap=None,
     )
-    return MatrixFreeOperator(
-        OperatorSpec("HS", s=params.s, big_b=params.big_b, k=params.k,
-                     parity_block=block),
-        shifted,
-    )
+    return MatrixFreeOperator(analysis.hs_spec, shifted)
 
 
-def phi_exact(ctx: BwContext, instance: Instance, table: DiagonalTable,
-              ground: GroundSpaceInfo, params: HsParams) -> tuple[StateVector, OverlapReport]:
+def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[StateVector, OverlapReport]:
     """Resum the phi series exactly: solve (omega - J0 - sV) x = (omega - J0) xi0.
 
     The right-hand side is ground-supported, so (omega - J0) xi0 collapses to
     (omega - E0 - zeta) * xi0.  Verifies that x is the H_s eigenvector at omega
     and fills the overlap report.
     """
+    table, params = analysis.table, analysis.params
     n = table.n_qubits
     dim = 1 << n
-    op = _j0_plus_v_operator(table, ground, params, ctx.zeta, ctx.block)
+    op = _j0_plus_v_operator(analysis, ctx.zeta)
     lam_min = float(eigensolve.extreme_eigs(op, 1).eigenvalues[0])
     if not ctx.omega < lam_min - 1e-12:
         raise BwptError(
@@ -253,14 +178,10 @@ def phi_exact(ctx: BwContext, instance: Instance, table: DiagonalTable,
             f"(lambda_min={lam_min}); the series does not converge"
         )
     rhs = np.zeros(dim)
-    rhs[ctx.ground_block_indices] = (ctx.omega - table.e0 - ctx.zeta) * ctx.xi0
+    rhs[analysis.block_ground_indices] = (ctx.omega - table.e0 - ctx.zeta) * ctx.xi0
     phi = eigensolve.solve_shifted(op, ctx.omega, rhs)
 
-    hs = MatrixFreeOperator(
-        OperatorSpec("HS", s=params.s, big_b=params.big_b, k=params.k,
-                     parity_block=ctx.block),
-        table,
-    )
+    hs = analysis.operator(analysis.hs_spec)
     phi_norm = float(np.linalg.norm(phi))
     eig_residual = float(np.linalg.norm(hs.apply(phi) - ctx.omega * phi))
     if eig_residual > 1e-8 * phi_norm:
@@ -268,8 +189,7 @@ def phi_exact(ctx: BwContext, instance: Instance, table: DiagonalTable,
             f"phi is not an H_s eigenvector: residual {eig_residual:.3e} "
             f"exceeds 1e-8 * |phi|"
         )
-    gs = eigensolve.extreme_eigs(hs, 1)
-    psi01 = gs.eigenvectors[:, 0]
+    psi01 = analysis.lowest(analysis.hs_spec, 1).eigenvectors[:, 0]
     if psi01.sum() < 0:
         psi01 = -psi01
     align = float(phi @ psi01) / phi_norm
@@ -278,7 +198,7 @@ def phi_exact(ctx: BwContext, instance: Instance, table: DiagonalTable,
 
     inner_phi = psi_plus_overlap(StateVector(n, phi))
     inner_gs = psi_plus_overlap(StateVector(n, psi01))
-    d = instance.degree
+    d = analysis.instance.degree
     report = OverlapReport(
         inner_psi_plus_phi=inner_phi,
         inner_psi_plus_gs=inner_gs,
@@ -306,8 +226,7 @@ def analytic_lower_bound(n_qubits: int, degree: int, k: int, big_b: float,
     return math.exp(exponent), exponent / math.log(2.0)
 
 
-def walk_estimate(ctx: BwContext, instance: Instance, table: DiagonalTable,
-                  ground: GroundSpaceInfo, params: HsParams, samples: int,
+def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
                   seed: int, cutoff: float = 1e-16) -> WalkEstimate:
     """Monte-Carlo estimate of the walk series sum_t B^t E[prod 1/(E'_u - E_{0,1})].
 
@@ -318,6 +237,7 @@ def walk_estimate(ctx: BwContext, instance: Instance, table: DiagonalTable,
     """
     if samples < 1:
         raise BwptError("samples must be >= 1")
+    instance, table, params = analysis.instance, analysis.table, analysis.params
     if params.big_b == 0.0:
         return WalkEstimate(series_estimate=1.0, std_error=0.0, t_truncation=0,
                             samples=samples, seed=seed)
@@ -329,8 +249,9 @@ def walk_estimate(ctx: BwContext, instance: Instance, table: DiagonalTable,
 
     rng = np.random.default_rng(seed)
     probs = ctx.xi0 / ctx.xi0.sum()
-    states = rng.choice(ctx.ground_block_indices, size=samples, p=probs).astype(np.int64)
-    is_ground = ground.mask(n)
+    states = rng.choice(analysis.block_ground_indices, size=samples,
+                        p=probs).astype(np.int64)
+    is_ground = analysis.ground.mask(n)
     energies = table.energies
 
     partial = np.ones(samples)

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import analyze, bounds, bwpt, eigensolve, hilbert, instances
+from .context import Analysis
 
 SCHEMA_VERSION = 1
 MAX_QUBITS_ENV = "SHORTPATH_MAX_QUBITS"
@@ -99,17 +100,17 @@ def _load_instance(args) -> instances.Instance:
     return inst
 
 
-def _analysis_context(args):
-    """Instance, diagonal table, ground space, and resolved HsParams."""
+def _analysis_context(args) -> Analysis:
+    """The command's Analysis: its instance tabulated under the command's
+    dense budget, B resolved, and the --parity choice attached."""
     inst = _load_instance(args)
     table = hilbert.evaluate_hz(inst, max_qubits=_max_qubits(args))
-    ground = hilbert.ground_space(table)
     if args.big_b is not None:
         big_b = args.big_b
     else:
         big_b = analyze.resolve_big_b(args.b, table.e0)
     params = hilbert.HsParams(big_b=big_b, k=args.k, s=args.s)
-    return inst, table, ground, params
+    return Analysis(inst, table, params, args.parity)
 
 
 def _constants(args) -> bounds.TheoremConstants:
@@ -133,7 +134,8 @@ def _config_record(args, params=None) -> dict:
     return rec
 
 
-def _instance_record(inst: instances.Instance, table, ground) -> dict:
+def _instance_record(analysis: Analysis) -> dict:
+    inst, table, ground = analysis.instance, analysis.table, analysis.ground
     return {
         "n_qubits": inst.n_qubits,
         "degree": inst.degree,
@@ -167,14 +169,14 @@ def _spectral_tree(rep: analyze.SpectralReport) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    inst, table, ground, params = _analysis_context(args)
-    rep = analyze.spectral_report(inst, params, args.parity, table, ground)
+    a = _analysis_context(args)
+    rep = analyze.spectral_report(a)
     if args.csv:
         eigenvalues_csv(np.append(rep.band, rep.next_eigenvalue)
                         if rep.next_eigenvalue is not None else rep.band, args.csv)
     write_report({
-        "config": _config_record(args, params),
-        "instance": _instance_record(inst, table, ground),
+        "config": _config_record(args, a.params),
+        "instance": _instance_record(a),
         "spectrum": _spectral_tree(rep),
     }, args.out)
     return 0
@@ -203,56 +205,54 @@ def _theorem_tree(rep: analyze.TheoremReport) -> dict:
 
 
 def cmd_qgood(args) -> int:
-    inst, table, ground, params = _analysis_context(args)
-    rep = analyze.qgood_verify(inst, params, _constants(args), args.parity)
+    a = _analysis_context(args)
+    rep = analyze.qgood_verify(a, _constants(args))
     write_report({
-        "config": _config_record(args, params),
-        "instance": _instance_record(inst, table, ground),
+        "config": _config_record(args, a.params),
+        "instance": _instance_record(a),
         "qgood": _theorem_tree(rep),
     }, args.out)
     return 0
 
 
 def cmd_mainconst(args) -> int:
-    inst, table, ground, params = _analysis_context(args)
-    rep = analyze.mainconst_decide(inst, params, _constants(args), args.parity)
+    a = _analysis_context(args)
+    rep = analyze.mainconst_decide(a, _constants(args))
     write_report({
-        "config": _config_record(args, params),
-        "instance": _instance_record(inst, table, ground),
+        "config": _config_record(args, a.params),
+        "instance": _instance_record(a),
         "mainconst": _theorem_tree(rep),
     }, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    inst, table, ground, params = _analysis_context(args)
-    rep = analyze.simulate_algorithm1(inst, params)
+    a = _analysis_context(args)
+    rep = analyze.simulate_algorithm1(a)
     write_report({
-        "config": _config_record(args, params),
-        "instance": _instance_record(inst, table, ground),
+        "config": _config_record(args, a.params),
+        "instance": _instance_record(a),
         "simulate": rep,
     }, args.out)
     return 0
 
 
-def _walk_tree(inst, table, ground, params, args) -> dict:
-    ctx = bwpt.solve_self_consistent(table, ground, params,
-                                     zeta=args.zeta, parity_choice=args.parity)
-    est = bwpt.walk_estimate(ctx, inst, table, ground, params,
-                             samples=args.samples, seed=args.seed)
+def _walk_tree(a: Analysis, args) -> dict:
+    ctx = bwpt.solve_self_consistent(a, zeta=args.zeta)
+    est = bwpt.walk_estimate(ctx, a, samples=args.samples, seed=args.seed)
     tree = {
         "omega": ctx.omega,
         "eq0": ctx.eq0,
-        "block": ctx.block,
+        "block": a.block,
         "fixed_point_residual": ctx.fixed_point_residual,
         "xi0_l1": float(ctx.xi0.sum()),
         "walk": est,
     }
     try:
-        phi, overlap = bwpt.phi_exact(ctx, inst, table, ground, params)
+        phi, overlap = bwpt.phi_exact(ctx, a)
         tree["overlap"] = overlap
         tree["series_exact"] = (
-            2.0 ** (inst.n_qubits / 2.0) * overlap.inner_psi_plus_phi
+            2.0 ** (a.instance.n_qubits / 2.0) * overlap.inner_psi_plus_phi
             / float(ctx.xi0.sum())
         )
     except bwpt.BwptError as exc:
@@ -261,11 +261,11 @@ def _walk_tree(inst, table, ground, params, args) -> dict:
 
 
 def cmd_walk(args) -> int:
-    inst, table, ground, params = _analysis_context(args)
+    a = _analysis_context(args)
     write_report({
-        "config": _config_record(args, params),
-        "instance": _instance_record(inst, table, ground),
-        "bw": _walk_tree(inst, table, ground, params, args),
+        "config": _config_record(args, a.params),
+        "instance": _instance_record(a),
+        "bw": _walk_tree(a, args),
     }, args.out)
     return 0
 
@@ -310,35 +310,33 @@ def cmd_baseline(args) -> int:
 
 def cmd_report(args) -> int:
     """All-in-one: every module's record for a single instance."""
-    inst, table, ground, params = _analysis_context(args)
+    a = _analysis_context(args)
+    inst = a.instance
     consts = _constants(args)
     tree = {
-        "config": _config_record(args, params),
-        "instance": _instance_record(inst, table, ground),
+        "config": _config_record(args, a.params),
+        "instance": _instance_record(a),
     }
     log.info("spectrum")
-    tree["spectrum"] = _spectral_tree(
-        analyze.spectral_report(inst, params, args.parity, table, ground))
+    tree["spectrum"] = _spectral_tree(analyze.spectral_report(a))
     log.info("qgood")
-    tree["qgood"] = _theorem_tree(
-        analyze.qgood_verify(inst, params, consts, args.parity))
+    tree["qgood"] = _theorem_tree(analyze.qgood_verify(a, consts))
     log.info("mainconst")
-    tree["mainconst"] = _theorem_tree(
-        analyze.mainconst_decide(inst, params, consts, args.parity))
+    tree["mainconst"] = _theorem_tree(analyze.mainconst_decide(a, consts))
     log.info("simulate")
-    tree["simulate"] = analyze.simulate_algorithm1(inst, params)
+    tree["simulate"] = analyze.simulate_algorithm1(a)
     log.info("bw series and walk")
     try:
-        tree["bw"] = _walk_tree(inst, table, ground, params, args)
+        tree["bw"] = _walk_tree(a, args)
     except (bwpt.BwptError, eigensolve.EigensolveError) as exc:
         tree["bw"] = {"error": str(exc)}
     log.info("dos")
-    hist = bounds.dos_histogram(table)
+    hist = bounds.dos_histogram(a.table)
     tree["dos"] = {"e0": hist.e0, "counts": [int(c) for c in hist.counts],
                    "total": hist.total}
     if inst.degree == 2:
         log.info("classical baseline")
-        tree["baseline"] = bounds.classical_baseline(inst, table)
+        tree["baseline"] = bounds.classical_baseline(inst, a.table)
     write_report(tree, args.out)
     return 0
 

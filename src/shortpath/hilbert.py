@@ -296,20 +296,9 @@ class MatrixFreeOperator:
         return e + abs(self.spec.s * self.spec.big_b) + 1.0
 
 
-def apply_operator(spec: OperatorSpec, instance_or_table, ground: GroundSpaceInfo | None,
-                   state: StateVector) -> StateVector:
-    """Apply a named operator to a state.  Accepts an Instance or a prebuilt
-    DiagonalTable (HZ/HS/QHSQ need the diagonal; X/XK do not)."""
-    table = instance_or_table
-    if isinstance(table, Instance):
-        if spec.kind in ("HZ", "HS", "QHSQ"):
-            table = evaluate_hz(table)
-        else:
-            table = DiagonalTable(
-                n_qubits=table.n_qubits,
-                energies=np.zeros(1 << table.n_qubits),
-                e0=0.0, gap=None,
-            )
+def apply_operator(spec: OperatorSpec, table: DiagonalTable,
+                   ground: GroundSpaceInfo | None, state: StateVector) -> StateVector:
+    """Apply a named operator to a state."""
     op = MatrixFreeOperator(spec, table, ground)
     return StateVector(state.n_qubits, op.apply(state.amplitudes))
 

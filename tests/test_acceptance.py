@@ -13,6 +13,7 @@ import pytest
 import conftest
 
 from shortpath import analyze, bounds, bwpt, eigensolve, hilbert, instances
+from shortpath.context import Analysis
 from shortpath.eigensolve import BlockMatrixInput, block_lemma_check
 from shortpath.hilbert import HsParams, MatrixFreeOperator, OperatorSpec
 
@@ -50,7 +51,7 @@ def qgood_sweep(prepared_corpus):
     for label, inst, table, ground in prepared_corpus:
         for b in B_GRID:
             for k in K_GRID:
-                rep = analyze.qgood_verify(inst, _params(table, b, k))
+                rep = analyze.qgood_verify(Analysis(inst, table, _params(table, b, k)))
                 sweep[(label, b, k)] = rep
     return sweep
 
@@ -88,19 +89,19 @@ def test_criterion_2_bw_consistency(prepared_corpus, qgood_sweep):
             rep = qgood_sweep[(label, 0.1, k)]
             if not rep.preconditions_pass:
                 continue
-            params = _params(table, 0.1, k)
-            ctx = bwpt.solve_self_consistent(table, ground, params)
+            a = Analysis(inst, table, _params(table, 0.1, k))
+            ctx = bwpt.solve_self_consistent(a)
             assert ctx.fixed_point_residual <= 1e-8, (label, k)
             worst_fp = max(worst_fp, ctx.fixed_point_residual)
             # phi_exact enforces the eigenvector residual (1e-8 relative) and
             # the >= 1 - 1e-8 alignment internally; it raises on violation
-            phi, _rep = bwpt.phi_exact(ctx, inst, table, ground, params)
+            phi, _rep = bwpt.phi_exact(ctx, a)
             checked += 1
             if inst.n_qubits <= 6 and k == 1:
                 rays = []
                 for zeta in (0.25, 0.5, 0.75):
-                    c2 = bwpt.solve_self_consistent(table, ground, params, zeta=zeta)
-                    p2, _ = bwpt.phi_exact(c2, inst, table, ground, params)
+                    c2 = bwpt.solve_self_consistent(a, zeta=zeta)
+                    p2, _ = bwpt.phi_exact(c2, a)
                     rays.append(p2.amplitudes / p2.norm())
                 for other in rays[1:]:
                     align = abs(float(rays[0] @ other))
@@ -118,13 +119,12 @@ def test_criterion_3_walk_series_agreement(prepared_corpus):
     for label, inst, table, ground in prepared_corpus:
         if inst.n_qubits > 8:
             continue
-        params = _params(table, 0.1, 1)
-        ctx = bwpt.solve_self_consistent(table, ground, params)
-        phi, rep = bwpt.phi_exact(ctx, inst, table, ground, params)
+        a = Analysis(inst, table, _params(table, 0.1, 1))
+        ctx = bwpt.solve_self_consistent(a)
+        phi, rep = bwpt.phi_exact(ctx, a)
         exact = (2.0 ** (inst.n_qubits / 2.0) * rep.inner_psi_plus_phi
                  / rep.xi0_l1)
-        est = bwpt.walk_estimate(ctx, inst, table, ground, params,
-                                 samples=100000, seed=20240915)
+        est = bwpt.walk_estimate(ctx, a, samples=100000, seed=20240915)
         # 3-standard-error band, with a rounding floor for the cases where the
         # walk is deterministic and the sample variance underflows
         tol = max(3.0 * est.std_error, 1e-12 * max(1.0, abs(exact)))
@@ -133,10 +133,9 @@ def test_criterion_3_walk_series_agreement(prepared_corpus):
                           if est.std_error > 1e-13 * abs(exact) else 0.0)
         assert err <= tol, (label, exact, est.series_estimate, est.std_error)
         # B = 0 returns exactly 1
-        zero_params = HsParams(big_b=0.0, k=1)
-        zero_ctx = bwpt.solve_self_consistent(table, ground, zero_params)
-        zero = bwpt.walk_estimate(zero_ctx, inst, table, ground, zero_params,
-                                  samples=100, seed=1)
+        zero_a = Analysis(inst, table, HsParams(big_b=0.0, k=1))
+        zero_ctx = bwpt.solve_self_consistent(zero_a)
+        zero = bwpt.walk_estimate(zero_ctx, zero_a, samples=100, seed=1)
         assert zero.series_estimate == 1.0 and zero.std_error == 0.0, label
         checked += 1
     elapsed = time.monotonic() - t0
@@ -271,7 +270,7 @@ def test_criterion_9_speedup_accounting(prepared_corpus):
     for label, inst, table, ground in prepared_corpus:
         if inst.n_qubits > 8:
             continue
-        sim = analyze.simulate_algorithm1(inst, HsParams(big_b=0.0, k=1))
+        sim = analyze.simulate_algorithm1(Analysis(inst, table, HsParams(big_b=0.0, k=1)))
         expect = ground.n0 * 2.0 ** (-inst.n_qubits)
         worst = max(worst, abs(sim.success_prob - expect))
         assert abs(sim.success_prob - expect) <= 1e-12, label
@@ -286,13 +285,14 @@ def test_criterion_9_speedup_accounting(prepared_corpus):
         table = hilbert.evaluate_hz(inst)
         ground = hilbert.ground_space(table)
         params = _params(table, 0.1, 2)
-        spec_rep = analyze.spectral_report(inst, params, table=table, ground=ground)
+        a = Analysis(inst, table, params)
+        spec_rep = analyze.spectral_report(a)
         if spec_rep.eq01 < table.e0 + 0.5:
             continue
         pnorm = bounds.p_xk_norm(table, ground, 2).value
         if params.big_b * pnorm > 0.25:
             guard_fails += 1
-        sim = analyze.simulate_algorithm1(inst, params)
+        sim = analyze.simulate_algorithm1(a)
         assert sim.speedup_bits > 0, (seed, sim.speedup_bits)
         speedups.append(sim.speedup_bits)
         psi_p = hilbert.make_state("psi_plus", 10).amplitudes

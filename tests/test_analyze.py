@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shortpath import analyze, bounds, eigensolve, hilbert, instances
+from shortpath.context import Analysis
 from shortpath.hilbert import HsParams, MatrixFreeOperator, OperatorSpec
 
 from conftest import hand_single_term, hand_triangle, disjoint_pairs
@@ -12,6 +13,10 @@ from conftest import hand_single_term, hand_triangle, disjoint_pairs
 def _params_for(inst, b, k):
     table = hilbert.evaluate_hz(inst)
     return table, HsParams(big_b=analyze.resolve_big_b(b, table.e0), k=k)
+
+
+def _analysis(inst, params):
+    return Analysis(inst, hilbert.evaluate_hz(inst), params)
 
 
 def test_resolve_big_b():
@@ -23,7 +28,7 @@ def test_resolve_big_b():
 def test_spectral_report_b_zero_closed_form():
     inst = hand_triangle()
     table, _ = _params_for(inst, 0.0, 1)
-    rep = analyze.spectral_report(inst, HsParams(big_b=0.0, k=1))
+    rep = analyze.spectral_report(_analysis(inst, HsParams(big_b=0.0, k=1)))
     assert np.allclose(rep.band, table.e0)
     assert rep.next_eigenvalue == pytest.approx(table.e0 + table.gap, abs=1e-9)
     assert rep.eq01 == pytest.approx(table.e0 + table.gap, abs=1e-9)
@@ -35,7 +40,7 @@ def test_spectral_report_matches_dense_oracle():
     inst = hand_single_term()
     table, params = _params_for(inst, 0.0, 1)
     params = HsParams(big_b=1.0, k=1)
-    rep = analyze.spectral_report(inst, params)
+    rep = analyze.spectral_report(_analysis(inst, params))
     hs = MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=1.0, k=1), table)
     dense = eigensolve.dense_spectrum(hs)
     assert np.allclose(np.append(rep.band, rep.next_eigenvalue),
@@ -48,7 +53,7 @@ def test_spectral_report_matches_dense_oracle():
 def test_spectral_report_even_k_uses_odd_block():
     # both ground states of the N=2 single-term instance have odd parity
     inst = hand_single_term()
-    rep = analyze.spectral_report(inst, HsParams(big_b=0.5, k=2))
+    rep = analyze.spectral_report(_analysis(inst, HsParams(big_b=0.5, k=2)))
     assert rep.block == "odd"
     assert rep.n0_eff == 2
     # the odd block is 2-dimensional, so there is no next eigenvalue
@@ -58,7 +63,7 @@ def test_spectral_report_even_k_uses_odd_block():
 def test_qgood_on_sk_instance():
     inst = instances.generate("sk_pm", 8, seed=5)
     _table, params = _params_for(inst, 0.1, 3)
-    rep = analyze.qgood_verify(inst, params)
+    rep = analyze.qgood_verify(_analysis(inst, params))
     assert rep.preconditions_pass
     names = [n for n, _p, _m in rep.conclusions]
     assert names == ["band_location", "ground_overlap_3_4", "psi_plus_overlap_unit"]
@@ -71,7 +76,7 @@ def test_qgood_on_sk_instance():
 def test_qgood_precondition_failure_skips_conclusions():
     # B far above the norm guard: b_pnorm precondition must fail
     inst = hand_single_term()
-    rep = analyze.qgood_verify(inst, HsParams(big_b=3.0, k=1))
+    rep = analyze.qgood_verify(_analysis(inst, HsParams(big_b=3.0, k=1)))
     assert not rep.preconditions_pass
     assert rep.conclusions == []
     assert "note" in rep.details
@@ -80,10 +85,10 @@ def test_qgood_precondition_failure_skips_conclusions():
 def test_mainconst_branch1_and_guard():
     # small absolute B keeps the K-bound guard alive even at desk scale
     inst = hand_single_term()
-    rep = analyze.mainconst_decide(inst, HsParams(big_b=0.2, k=1))
+    rep = analyze.mainconst_decide(_analysis(inst, HsParams(big_b=0.2, k=1)))
     assert rep.applicable and rep.branch == 1
     assert rep.details["query_exponent_bits"] < inst.n_qubits / 2.0
-    guard = analyze.mainconst_decide(inst, HsParams(big_b=3.0, k=1))
+    guard = analyze.mainconst_decide(_analysis(inst, HsParams(big_b=3.0, k=1)))
     assert not guard.applicable and guard.branch is None
 
 
@@ -106,7 +111,7 @@ def test_simulate_b_zero_grover_baseline(corpus):
             continue
         table = hilbert.evaluate_hz(inst)
         ground = hilbert.ground_space(table)
-        sim = analyze.simulate_algorithm1(inst, HsParams(big_b=0.0, k=1))
+        sim = analyze.simulate_algorithm1(_analysis(inst, HsParams(big_b=0.0, k=1)))
         expect = ground.n0 * 2.0 ** (-inst.n_qubits)
         assert sim.success_prob == pytest.approx(expect, abs=1e-12), label
         assert sim.speedup_bits == pytest.approx(0.5 * np.log2(ground.n0), abs=1e-9)
@@ -115,7 +120,7 @@ def test_simulate_b_zero_grover_baseline(corpus):
 def test_simulate_success_bracketed_by_pov():
     inst = instances.generate("sk_pm", 8, seed=5)
     _table, params = _params_for(inst, 0.1, 3)
-    sim = analyze.simulate_algorithm1(inst, params)
+    sim = analyze.simulate_algorithm1(_analysis(inst, params))
     assert sim.success_prob <= sim.p_ov + 1e-12
     assert sim.success_prob >= sim.p_ov * sim.min_band_p0 - 1e-12
     assert sim.speedup_bits > 0
@@ -126,7 +131,7 @@ def test_simulate_positive_overlap_floor():
     # whenever qgood preconditions pass, speedup_bits >= 0 by positivity
     inst = instances.generate("sk_pm", 6, seed=4)
     _table, params = _params_for(inst, 0.1, 1)
-    qrep = analyze.qgood_verify(inst, params)
+    qrep = analyze.qgood_verify(_analysis(inst, params))
     if qrep.preconditions_pass:
-        sim = analyze.simulate_algorithm1(inst, params)
+        sim = analyze.simulate_algorithm1(_analysis(inst, params))
         assert sim.speedup_bits >= -1e-9

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from shortpath import bwpt, eigensolve, hilbert, instances
+from shortpath import bwpt, context, eigensolve, hilbert, instances
 from shortpath.bwpt import BwptError
+from shortpath.context import Analysis
 from shortpath.hilbert import HsParams, MatrixFreeOperator, OperatorSpec
 
 from conftest import hand_single_term, disjoint_pairs
@@ -12,18 +13,16 @@ from conftest import hand_single_term, disjoint_pairs
 
 def _setup(inst, b=0.1, k=1):
     table = hilbert.evaluate_hz(inst)
-    ground = hilbert.ground_space(table)
-    params = HsParams(big_b=b * abs(table.e0), k=k)
-    return table, ground, params
+    return Analysis(inst, table, HsParams(big_b=b * abs(table.e0), k=k))
 
 
 def test_parity_block_rules():
     inst = hand_single_term()  # ground {01, 10}, both odd parity
-    _table, ground, _params = _setup(inst)
-    assert bwpt.choose_parity_block(ground, 1) is None
-    assert bwpt.choose_parity_block(ground, 2) == "odd"
-    with pytest.raises(BwptError, match="even"):
-        bwpt.choose_parity_block(ground, 2, parity_choice="even")
+    ground = _setup(inst).ground
+    assert context.choose_parity_block(ground, 1) is None
+    assert context.choose_parity_block(ground, 2) == "odd"
+    with pytest.raises(ValueError, match="even"):
+        context.choose_parity_block(ground, 2, parity_choice="even")
 
 
 def test_effective_hamiltonian_unique_ground_by_hand():
@@ -35,7 +34,7 @@ def test_effective_hamiltonian_unique_ground_by_hand():
     assert ground.n0 == 1 and ground.ground_indices[0] == 3
     params = HsParams(big_b=0.4, k=1)
     omega = -2.1
-    h = bwpt.effective_hamiltonian(table, ground, params, omega)
+    h = bwpt.effective_hamiltonian(Analysis(inst, table, params), omega)
     assert h.shape == (1, 1)
     # dense check: h = E0 + s^2 v^T (omega - QHQ)^{-1} v over the excited block
     hs = eigensolve.operator_matrix(
@@ -49,19 +48,19 @@ def test_effective_hamiltonian_unique_ground_by_hand():
 
 def test_effective_hamiltonian_rejects_omega_above_q_spectrum():
     inst = hand_single_term()
-    table, ground, params = _setup(inst, b=0.1, k=1)
+    a = _setup(inst, b=0.1, k=1)
     with pytest.raises(BwptError, match="not below"):
-        bwpt.effective_hamiltonian(table, ground, params, omega=10.0)
+        bwpt.effective_hamiltonian(a, omega=10.0)
 
 
 def test_self_consistency_at_s_one():
     # lambda_min(h(E01, 1)) must reproduce E01 itself
     inst = instances.generate("sk_pm", 6, seed=1)
-    table, ground, params = _setup(inst, b=0.1, k=3)
-    ctx = bwpt.solve_self_consistent(table, ground, params)
+    a = _setup(inst, b=0.1, k=3)
+    ctx = bwpt.solve_self_consistent(a)
     assert ctx.fixed_point_residual < 1e-8
     hs = MatrixFreeOperator(
-        OperatorSpec("HS", s=1.0, big_b=params.big_b, k=params.k), table)
+        OperatorSpec("HS", s=1.0, big_b=a.params.big_b, k=a.params.k), a.table)
     e01 = eigensolve.extreme_eigs(hs, 1).eigenvalues[0]
     assert ctx.omega == pytest.approx(e01, abs=1e-10)
     assert np.all(ctx.xi0 >= 0)
@@ -70,21 +69,20 @@ def test_self_consistency_at_s_one():
 
 def test_b_zero_gives_uniform_xi0_and_unit_walk():
     inst = instances.generate("sk_pm", 6, seed=2)
-    table, ground, _ = _setup(inst)
-    params = HsParams(big_b=0.0, k=1)
-    ctx = bwpt.solve_self_consistent(table, ground, params)
+    a = Analysis(inst, hilbert.evaluate_hz(inst), HsParams(big_b=0.0, k=1))
+    ctx = bwpt.solve_self_consistent(a)
     assert np.allclose(ctx.xi0, ctx.xi0[0])
-    est = bwpt.walk_estimate(ctx, inst, table, ground, params, samples=10, seed=0)
+    est = bwpt.walk_estimate(ctx, a, samples=10, seed=0)
     assert est.series_estimate == 1.0 and est.std_error == 0.0
 
 
 def test_phi_is_hs_ground_state_and_zeta_independent():
     inst = instances.generate("sk_pm", 6, seed=3)
-    table, ground, params = _setup(inst, b=0.1, k=1)
+    a = _setup(inst, b=0.1, k=1)
     rays = []
     for zeta in (0.25, 0.5, 0.75):
-        ctx = bwpt.solve_self_consistent(table, ground, params, zeta=zeta)
-        phi, report = bwpt.phi_exact(ctx, inst, table, ground, params)
+        ctx = bwpt.solve_self_consistent(a, zeta=zeta)
+        phi, report = bwpt.phi_exact(ctx, a)
         unit = phi.amplitudes / phi.norm()
         rays.append(unit)
         assert report.inner_psi_plus_phi > 0
@@ -96,9 +94,10 @@ def test_phi_proportional_to_bw_series_sum():
     # cross-check: phi matches the truncated operator series
     # sum_k (s (omega - J0)^{-1} V)^k xi0 summed densely
     inst = instances.generate("sk_pm", 5, seed=6)
-    table, ground, params = _setup(inst, b=0.08, k=1)
-    ctx = bwpt.solve_self_consistent(table, ground, params)
-    phi, _ = bwpt.phi_exact(ctx, inst, table, ground, params)
+    a = _setup(inst, b=0.08, k=1)
+    table, ground, params = a.table, a.ground, a.params
+    ctx = bwpt.solve_self_consistent(a)
+    phi, _ = bwpt.phi_exact(ctx, a)
     dim = 1 << 5
     energies = table.energies.copy()
     energies[ground.ground_indices] += ctx.zeta
@@ -107,7 +106,7 @@ def test_phi_proportional_to_bw_series_sum():
     v = -params.big_b * xk
     resolvent = np.diag(1.0 / (ctx.omega - energies))
     xi_full = np.zeros(dim)
-    xi_full[ctx.ground_block_indices] = ctx.xi0
+    xi_full[a.block_ground_indices] = ctx.xi0
     series = np.zeros(dim)
     term = (ctx.omega - table.e0 - ctx.zeta) * (resolvent @ xi_full)
     for _ in range(400):
@@ -118,22 +117,21 @@ def test_phi_proportional_to_bw_series_sum():
 
 def test_walk_matches_exact_series_small_instance():
     inst = instances.generate("sk_pm", 6, seed=1)
-    table, ground, params = _setup(inst, b=0.1, k=2)
-    ctx = bwpt.solve_self_consistent(table, ground, params)
-    phi, report = bwpt.phi_exact(ctx, inst, table, ground, params)
+    a = _setup(inst, b=0.1, k=2)
+    ctx = bwpt.solve_self_consistent(a)
+    phi, report = bwpt.phi_exact(ctx, a)
     exact = 2.0 ** (inst.n_qubits / 2.0) * report.inner_psi_plus_phi / report.xi0_l1
-    est = bwpt.walk_estimate(ctx, inst, table, ground, params,
-                             samples=40000, seed=11)
+    est = bwpt.walk_estimate(ctx, a, samples=40000, seed=11)
     assert abs(est.series_estimate - exact) < 3.0 * est.std_error
     assert est.t_truncation >= 1
 
 
 def test_walk_is_seed_deterministic():
     inst = disjoint_pairs(6)
-    table, ground, params = _setup(inst, b=0.1, k=1)
-    ctx = bwpt.solve_self_consistent(table, ground, params)
-    a = bwpt.walk_estimate(ctx, inst, table, ground, params, samples=500, seed=3)
-    b = bwpt.walk_estimate(ctx, inst, table, ground, params, samples=500, seed=3)
+    an = _setup(inst, b=0.1, k=1)
+    ctx = bwpt.solve_self_consistent(an)
+    a = bwpt.walk_estimate(ctx, an, samples=500, seed=3)
+    b = bwpt.walk_estimate(ctx, an, samples=500, seed=3)
     assert a.series_estimate == b.series_estimate
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from shortpath import cli, instances
+from shortpath import cli, hilbert, instances
 
 
 def run_cli(argv):
@@ -160,3 +160,56 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["parameter_choice"]["regime"] == "low"
+
+
+def test_max_qubits_reaches_every_pipeline(tmp_path, monkeypatch):
+    # the library default budget is lowered below N; each command must use
+    # the table built under its own --max-qubits instead of tabulating again
+    monkeypatch.setattr(hilbert.evaluate_hz, "__defaults__", (4,))
+    inst = _gen(tmp_path, n=6)
+    for verb in ("qgood", "mainconst", "simulate", "report"):
+        args = [verb, "--in", inst, "--b", 0.1, "--K", 2, "--max-qubits", 6,
+                "--out", tmp_path / f"{verb}.json"]
+        if verb == "report":
+            args += ["--samples", 100]
+        assert run_cli(args) == 0, verb
+
+
+@pytest.fixture(scope="module")
+def sk8_report(tmp_path_factory):
+    """(instance path, report document) for sk_pm N=8 at a given K; each K's
+    report runs once per module.  At B=0.2 the qgood preconditions pass and
+    mainconst passes its guard (branch 1), so neither section stops early."""
+    inst = tmp_path_factory.mktemp("sk8") / "inst.txt"
+    run_cli(["gen", "--model", "sk_pm", "--n", 8, "--seed", 2, "--out", inst])
+    reports = {}
+
+    def get(k):
+        if k not in reports:
+            out = inst.parent / f"report-K{k}.json"
+            assert run_cli(["report", "--in", inst, "--B", 0.2, "--K", k,
+                            "--samples", 300, "--seed", 5, "--out", out]) == 0
+            reports[k] = _load(out)
+        return inst, reports[k]
+    return get
+
+
+@pytest.mark.parametrize("verb,section", [
+    ("spectrum", "spectrum"), ("qgood", "qgood"), ("mainconst", "mainconst"),
+    ("simulate", "simulate"), ("walk", "bw"), ("dos", "dos"),
+    ("baseline", "baseline"),
+])
+@pytest.mark.parametrize("k", [1, 2])  # K=2 solves in a parity block
+def test_report_sections_equal_standalone_commands(tmp_path, sk8_report,
+                                                   k, verb, section):
+    inst, report = sk8_report(k)
+    out = tmp_path / f"{verb}.json"
+    args = [verb, "--in", inst, "--out", out]
+    if verb not in ("dos", "baseline"):
+        args += ["--B", 0.2, "--K", k]
+    if verb == "walk":
+        args += ["--samples", 300, "--seed", 5]
+    assert run_cli(args) == 0
+    standalone = _load(out)[section]
+    assert (json.dumps(standalone, sort_keys=True)
+            == json.dumps(report[section], sort_keys=True))

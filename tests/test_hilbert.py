@@ -108,8 +108,8 @@ def test_x_operator_matches_dense_matrix():
 def test_psi_plus_is_top_x_eigenvector():
     n = 5
     psi = make_state("psi_plus", n)
-    xpsi = apply_operator(OperatorSpec("X"), instances.build_instance(n, 1, [((0,), 1.0)]),
-                          None, psi)
+    table = evaluate_hz(instances.build_instance(n, 1, [((0,), 1.0)]))
+    xpsi = apply_operator(OperatorSpec("X"), table, None, psi)
     assert np.allclose(xpsi.amplitudes, n * psi.amplitudes, atol=1e-12)
 
 
