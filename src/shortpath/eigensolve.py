@@ -1,10 +1,12 @@
 """Eigenpairs and shifted linear solves for the matrix-free operators.
 
-The iterative path is a Lanczos iteration with full reorthogonalization and
-explicit deflation; degenerate bands are resolved by finding eigenpairs one at
-a time and deflating each converged vector.  dense_spectrum is the independent
-oracle used by the property tests.  block_lemma_check verifies the three
-block-matrix eigenvalue/overlap facts used by the theorem pipelines.
+Both solvers work on the compressed free subspace: the operator's parity block
+minus the deflated basis indices, reached by gather/scatter around op.apply.
+extreme_eigs runs ARPACK (scipy's eigsh) for one eigenpair at a time and lifts
+each converged vector out of the way before the next run, so every copy of a
+degenerate level is found.  dense_spectrum is the independent oracle used by
+the property tests.  block_lemma_check verifies the three block-matrix
+eigenvalue/overlap facts used by the theorem pipelines.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
 
 from .hilbert import MatrixFreeOperator
 
 DENSE_DIM_CAP = 1 << 13
-_LANCZOS_SEED = 0x5EED
+_START_SEED = 0x5EED
+_SHIFTED_REL_TOL = 1e-10
 
 
 class EigensolveError(RuntimeError):
@@ -36,45 +38,29 @@ class EigenResult:
     residuals: np.ndarray
 
 
-class _Deflator:
-    """Orthogonal projector onto the complement of basis indices plus vectors."""
+def _compressed(op: MatrixFreeOperator, deflate_indices=None):
+    """The kept basis indices (op's parity block minus the deflated indices)
+    and op restricted to them as a LinearOperator."""
+    keep = np.ones(op.dim, dtype=bool) if op.parity_mask is None else op.parity_mask.copy()
+    if deflate_indices is not None:
+        keep[np.asarray(deflate_indices, dtype=np.int64)] = False
+    kept = np.flatnonzero(keep)
 
-    def __init__(self, dim: int, indices=None, vectors=None):
-        self.dim = dim
-        self.indices = (
-            np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
-            if indices is not None and len(indices) else None
-        )
-        basis = None
-        if vectors is not None and len(vectors):
-            cols = np.column_stack([np.asarray(v, dtype=np.float64) for v in vectors])
-            if self.indices is not None:
-                cols[self.indices, :] = 0.0
-            q, r = np.linalg.qr(cols)
-            keep = np.abs(np.diag(r)) > 1e-12
-            basis = q[:, keep] if keep.any() else None
-        self.basis = basis
+    def matvec(y):
+        x = np.zeros(op.dim)
+        x[kept] = y.ravel()
+        return op.apply(x)[kept]
 
-    @property
-    def rank(self) -> int:
-        n = 0 if self.indices is None else self.indices.size
-        return n + (0 if self.basis is None else self.basis.shape[1])
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        y = x.copy()
-        if self.indices is not None:
-            y[self.indices] = 0.0
-        if self.basis is not None:
-            y -= self.basis @ (self.basis.T @ y)
-        return y
-
-    def with_vectors(self, extra: list[np.ndarray]) -> "_Deflator":
-        vecs = [] if self.basis is None else [self.basis[:, j] for j in range(self.basis.shape[1])]
-        return _Deflator(self.dim, self.indices, vecs + extra)
+    return kept, LinearOperator((kept.size, kept.size), matvec=matvec, dtype=np.float64)
 
 
 def operator_matrix(op: MatrixFreeOperator) -> np.ndarray:
     """Materialize the dense symmetric matrix of a matrix-free operator."""
+    if op.dim > DENSE_DIM_CAP:
+        raise EigensolveError(
+            f"dimension {op.dim} exceeds the dense cap {DENSE_DIM_CAP}; "
+            "use extreme_eigs for the low spectrum"
+        )
     return op.apply(np.eye(op.dim))
 
 
@@ -83,17 +69,13 @@ def dense_spectrum(op_or_matrix, dim_cap: int = DENSE_DIM_CAP,
     """Full dense spectrum (oracle path).  Accepts a MatrixFreeOperator or an
     explicit symmetric matrix."""
     if isinstance(op_or_matrix, MatrixFreeOperator):
-        if op_or_matrix.dim > dim_cap:
-            raise EigensolveError(
-                f"dimension {op_or_matrix.dim} exceeds the dense cap {dim_cap}"
-            )
         mat = operator_matrix(op_or_matrix)
     else:
         mat = np.asarray(op_or_matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise EigensolveError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] > dim_cap:
-            raise EigensolveError(f"dimension {mat.shape[0]} exceeds the dense cap {dim_cap}")
+    if mat.shape[0] > dim_cap:
+        raise EigensolveError(f"dimension {mat.shape[0]} exceeds the dense cap {dim_cap}")
     if not want_vectors:
         vals = np.linalg.eigvalsh(mat)
         return EigenResult(vals, None, np.zeros_like(vals))
@@ -102,137 +84,93 @@ def dense_spectrum(op_or_matrix, dim_cap: int = DENSE_DIM_CAP,
     return EigenResult(vals, vecs, res)
 
 
-def _lanczos_lowest(op: MatrixFreeOperator, deflator: _Deflator, tol: float,
-                    rng: np.random.Generator, max_krylov: int, max_restarts: int):
-    """One lowest eigenpair of op restricted to the deflator's complement."""
-    dim = op.dim
-    scale = op.norm_bound()
-    v = None
-    for _ in range(8):
-        cand = rng.standard_normal(dim)
-        if op.parity_mask is not None:
-            cand[~op.parity_mask] = 0.0
-        cand = deflator.project(cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-8:
-            v = cand / nrm
-            break
-    if v is None:
-        raise EigensolveError("deflated subspace exhausted: no start vector available")
+def extreme_eigs(op: MatrixFreeOperator, how_many: int,
+                 deflate_indices=None) -> EigenResult:
+    """The `how_many` lowest eigenpairs of op restricted to its parity block
+    minus the deflated basis indices.
 
-    best_residual = np.inf
-    for _restart in range(max_restarts):
-        basis = [v]
-        alphas: list[float] = []
-        betas: list[float] = []
-        for _j in range(max_krylov):
-            w = deflator.project(op.apply(basis[-1]))
-            alphas.append(float(basis[-1] @ w))
-            w -= alphas[-1] * basis[-1]
-            if len(basis) > 1:
-                w -= betas[-1] * basis[-2]
-            vmat = np.column_stack(basis)
-            for _ in range(2):  # full reorthogonalization, twice
-                w -= vmat @ (vmat.T @ w)
-            w = deflator.project(w)
-            beta = float(np.linalg.norm(w))
-            if beta < 1e-13 * max(scale, 1.0):
-                break  # invariant subspace reached
-            betas.append(beta)
-            basis.append(w / beta)
-        if betas and len(betas) == len(alphas):
-            betas = betas[:-1]
-            basis = basis[:-1]
-        theta, y = eigh_tridiagonal(
-            np.asarray(alphas), np.asarray(betas), select="i", select_range=(0, 0)
-        )
-        ritz = np.column_stack(basis) @ y[:, 0]
-        ritz /= np.linalg.norm(ritz)
-        lam = float(theta[0])
-        residual = float(np.linalg.norm(deflator.project(op.apply(ritz)) - lam * ritz))
-        if residual <= tol * max(scale, 1.0):
-            return lam, ritz, residual
-        best_residual = min(best_residual, residual)
-        v = ritz
-    raise EigensolveError(
-        f"Lanczos failed to converge after {max_restarts} restarts; "
-        f"best residual {best_residual:.3e}"
-    )
-
-
-def extreme_eigs(op: MatrixFreeOperator, how_many: int, deflate_indices=None,
-                 deflate_vectors=None, tol: float = 1e-11, max_krylov: int = 120,
-                 max_restarts: int = 60, seed: int = _LANCZOS_SEED) -> EigenResult:
-    """The `how_many` lowest eigenpairs of op restricted to the orthogonal
-    complement of the deflation set.  Degenerate copies are recovered by
-    deflating each converged eigenvector and re-running."""
+    Each eigenpair is one ARPACK run for the lowest eigenvalue.  Before each
+    run the vectors V found so far are lifted by 2*|op|*V V^T, above the rest
+    of the spectrum, so the run converges to the next eigenpair, including
+    another copy of a degenerate eigenvalue."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
-    base = _Deflator(op.dim, deflate_indices, deflate_vectors)
-    free_dim = op.dim - base.rank
-    if op.parity_mask is not None:
-        free_dim = min(free_dim, int(op.parity_mask.sum()))
+    kept, a = _compressed(op, deflate_indices)
+    free_dim = kept.size
     if how_many > free_dim:
         raise EigensolveError(
             f"requested {how_many} eigenpairs but the deflated subspace has "
             f"dimension {free_dim}"
         )
-    rng = np.random.default_rng(seed)
-    vals: list[float] = []
-    vecs: list[np.ndarray] = []
-    res: list[float] = []
-    deflator = base
-    for _ in range(how_many):
-        lam, v, r = _lanczos_lowest(op, deflator, tol, rng, max_krylov, max_restarts)
-        vals.append(lam)
-        vecs.append(v)
-        res.append(r)
-        deflator = deflator.with_vectors([v])
+    if free_dim < 2:  # ARPACK needs k < n; here how_many == free_dim == 1
+        vals, ys = np.linalg.eigh(a.matmat(np.eye(1)))
+    else:
+        rng = np.random.default_rng(_START_SEED)
+        lift = 2.0 * op.norm_bound()
+        ys = np.zeros((free_dim, 0))
+        vals = np.zeros(0)
+        # reads ys at call time, so each run sees every vector found before it
+        lifted = LinearOperator(a.shape, dtype=np.float64,
+                                matvec=lambda y: a.matvec(y) + lift * (ys @ (ys.T @ y)))
+        for _ in range(how_many):
+            try:
+                lam, y = eigsh(lifted, k=1, which="SA", tol=0,
+                               v0=rng.standard_normal(free_dim))
+            except ArpackNoConvergence as exc:
+                best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
+                            for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
+                           default=np.inf)
+                raise EigensolveError(
+                    f"ARPACK failed to converge on eigenpair {vals.size + 1} of "
+                    f"{how_many}; best residual {best:.3e}; dense_spectrum "
+                    f"covers dimensions up to {DENSE_DIM_CAP}") from exc
+            vals = np.append(vals, lam)
+            ys = np.column_stack([ys, y])
     order = np.argsort(vals, kind="stable")
-    return EigenResult(
-        eigenvalues=np.asarray(vals)[order],
-        eigenvectors=np.column_stack(vecs)[:, order],
-        residuals=np.asarray(res)[order],
-    )
+    vals, ys = vals[order], ys[:, order]
+    vecs = np.zeros((op.dim, how_many))
+    vecs[kept] = ys
+    residuals = np.linalg.norm(a.matmat(ys) - ys * vals, axis=0)
+    return EigenResult(eigenvalues=vals, eigenvectors=vecs, residuals=residuals)
 
 
 def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray,
-                  deflate_indices=None, deflate_vectors=None,
-                  rel_tol: float = 1e-10) -> np.ndarray:
-    """Solve (shift - op) x = rhs on the complement of the deflation set.
+                  deflate_indices=None) -> np.ndarray:
+    """Solve (shift - op) x = rhs on op's parity block minus the deflated
+    basis indices.
 
-    Minimum-residual Krylov solve; the returned x is orthogonal to the
-    deflation set and satisfies ||(shift - op)x - rhs|| <= rel_tol * ||rhs||.
+    Minimum-residual Krylov solve; the returned x is zero outside that
+    subspace and satisfies ||(shift - op)x - rhs|| <= 1e-10 * ||rhs|| on it.
     """
-    deflator = _Deflator(op.dim, deflate_indices, deflate_vectors)
-    b = deflator.project(np.asarray(rhs, dtype=np.float64))
+    kept, a = _compressed(op, deflate_indices)
+    b = np.asarray(rhs, dtype=np.float64)[kept]
+    out = np.zeros(op.dim)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros_like(b)
+        return out
 
-    def matvec(x):
-        xp = deflator.project(x)
-        return deflator.project(shift * xp - op.apply(xp))
-
-    lin = LinearOperator((op.dim, op.dim), matvec=matvec, dtype=np.float64)
+    lin = LinearOperator(a.shape, matvec=lambda y: shift * y - a.matvec(y),
+                         dtype=np.float64)
     x = np.zeros_like(b)
-    maxiter = max(4 * op.dim, 200)
+    maxiter = max(4 * b.size, 200)
     for _attempt in range(3):
-        r = b - matvec(x)
-        if np.linalg.norm(r) <= rel_tol * bnorm:
-            return deflator.project(x)
+        r = b - lin.matvec(x)
+        if np.linalg.norm(r) <= _SHIFTED_REL_TOL * bnorm:
+            break
         dx, _info = minres(lin, r, rtol=1e-13, maxiter=maxiter)
-        x = deflator.project(x + dx)
-    r = b - matvec(x)
-    if np.linalg.norm(r) <= rel_tol * bnorm:
-        return x
-    xn = np.linalg.norm(x)
-    gap_estimate = np.linalg.norm(matvec(x / xn)) if xn > 0 else 0.0
-    raise NearSingularShift(
-        f"shifted solve stagnated at relative residual "
-        f"{np.linalg.norm(r) / bnorm:.3e}; estimated distance from the shift "
-        f"to the deflated spectrum ~ {gap_estimate:.3e}"
-    )
+        x = x + dx
+    else:
+        r = b - lin.matvec(x)
+        if np.linalg.norm(r) > _SHIFTED_REL_TOL * bnorm:
+            xn = np.linalg.norm(x)
+            gap_estimate = np.linalg.norm(lin.matvec(x / xn)) if xn > 0 else 0.0
+            raise NearSingularShift(
+                f"shifted solve stagnated at relative residual "
+                f"{np.linalg.norm(r) / bnorm:.3e}; estimated distance from the "
+                f"shift to the deflated spectrum ~ {gap_estimate:.3e}"
+            )
+    out[kept] = x
+    return out
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from shortpath import eigensolve, hilbert, instances
+from shortpath import cli, eigensolve, hilbert, instances
 from shortpath.eigensolve import (
     BlockMatrixInput,
     EigensolveError,
@@ -16,7 +17,7 @@ from shortpath.eigensolve import (
 )
 from shortpath.hilbert import MatrixFreeOperator, OperatorSpec
 
-from conftest import hand_single_term, hand_triangle
+from conftest import disjoint_pairs, field_unique_ground, hand_single_term, hand_triangle
 
 
 def _hs_op(inst, big_b, k, block=None):
@@ -39,16 +40,47 @@ def test_dense_cap_enforced():
         dense_spectrum(np.eye(4), dim_cap=2)
 
 
-def test_extreme_eigs_matches_dense_with_degeneracy():
-    # triangle ground space is 6-fold degenerate: the iterative path must
-    # recover all copies via deflation
-    op = _hs_op(hand_triangle(), 0.0, 1)
-    it = extreme_eigs(op, 7)
-    de = dense_spectrum(op)
-    assert np.allclose(it.eigenvalues, de.eigenvalues[:7], atol=1e-9)
+def test_operator_matrix_enforces_dense_cap(monkeypatch):
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 8)
+    op = _hs_op(field_unique_ground(4), 1.0, 1)
+    with pytest.raises(EigensolveError, match="dense cap"):
+        operator_matrix(op)
+
+
+@pytest.mark.parametrize("make, rel_b, k, block, want", [
+    # triangle ground space is 6-fold degenerate
+    pytest.param(hand_triangle, 0.0, 1, None, 7, id="triangle"),
+    # even block of 5 ferromagnetic pairs: levels of multiplicity 1, 5 and 10
+    pytest.param(lambda: disjoint_pairs(10), 0.1, 2, "even", 17, id="pairs10-even"),
+])
+def test_extreme_eigs_matches_dense_with_degeneracy(make, rel_b, k, block, want):
+    # the iterative path must recover every copy of a degenerate level
+    inst = make()
+    e0 = hilbert.evaluate_hz(inst).e0
+    op = _hs_op(inst, rel_b * abs(e0), k, block)
+    it = extreme_eigs(op, want)
+    mat = operator_matrix(op)
+    keep = np.ones(op.dim, dtype=bool) if block is None else op.parity_mask
+    expect = np.linalg.eigvalsh(mat[np.ix_(keep, keep)])[:want]
+    assert np.allclose(it.eigenvalues, expect, atol=1e-9)
     # recovered vectors are orthonormal
     g = it.eigenvectors.T @ it.eigenvectors
-    assert np.allclose(g, np.eye(7), atol=1e-8)
+    assert np.allclose(g, np.eye(want), atol=1e-8)
+
+
+def test_extreme_eigs_no_convergence_is_typed(monkeypatch, tmp_path, caplog):
+    def stalled(a, **kwargs):
+        vec = np.ones((a.shape[0], 1)) / np.sqrt(a.shape[0])
+        raise ArpackNoConvergence("no convergence", np.array([0.0]), vec)
+
+    monkeypatch.setattr(eigensolve, "eigsh", stalled)
+    with pytest.raises(EigensolveError, match="best residual"):
+        extreme_eigs(_hs_op(hand_triangle(), 1.0, 1), 1)
+    # the CLI reports it and exits 1 instead of raising
+    inst = tmp_path / "inst.txt"
+    instances.save_instance(instances.generate("sk_pm", 6, seed=1), str(inst))
+    assert cli.main(["spectrum", "--in", str(inst), "--b", "0.1", "--K", "1"]) == 1
+    assert "best residual" in caplog.text
 
 
 def test_extreme_eigs_small_full_spectrum():
