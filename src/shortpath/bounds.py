@@ -19,22 +19,18 @@ from .hilbert import (
     HsParams,
     StateVector,
     _apply_x,
+    _apply_xk_over_n,
     term_signs,
 )
 from .instances import Instance
 
 
+ENTROPY_TOL = 1e-12  # bisection width of binary_entropy_inverse
+BRUTE_LIMIT = 14     # classical_baseline counts by brute force up to this N
+
+
 class BoundsError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TauConstants:
-    entropy_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.entropy_tol > 0:
-            raise BoundsError("entropy_tol must be positive")
 
 
 @dataclass
@@ -92,8 +88,8 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def binary_entropy_inverse(sigma: float, consts: TauConstants = TauConstants()) -> float:
-    """The branch of S^-1 on [0, 1/2], by bisection to consts.entropy_tol.
+def binary_entropy_inverse(sigma: float) -> float:
+    """The branch of S^-1 on [0, 1/2], by bisection to ENTROPY_TOL.
 
     The branch choice does not affect tau, since x(1-x) is symmetric about 1/2.
     """
@@ -110,14 +106,14 @@ def binary_entropy_inverse(sigma: float, consts: TauConstants = TauConstants()) 
             lo = mid
         else:
             hi = mid
-        if hi - lo <= consts.entropy_tol:
+        if hi - lo <= ENTROPY_TOL:
             break
     return 0.5 * (lo + hi)
 
 
-def tau(sigma: float, consts: TauConstants = TauConstants()) -> float:
+def tau(sigma: float) -> float:
     """tau(sigma) = 2 sqrt(S^-1(sigma) (1 - S^-1(sigma)))."""
-    x = binary_entropy_inverse(sigma, consts)
+    x = binary_entropy_inverse(sigma)
     return 2.0 * math.sqrt(x * (1.0 - x))
 
 
@@ -128,9 +124,9 @@ def tau_inverse(t: float) -> float:
     return binary_entropy((1.0 - math.sqrt(max(0.0, 1.0 - t * t))) / 2.0)
 
 
-def _tau_clamped(arg: float, consts: TauConstants = TauConstants()) -> float:
+def _tau_clamped(arg: float) -> float:
     # tau saturates at 1; arguments above 1 arise from small-N slack terms
-    return 1.0 if arg >= 1.0 else tau(max(0.0, arg), consts)
+    return 1.0 if arg >= 1.0 else tau(max(0.0, arg))
 
 
 def shannon_entropy_bits(probabilities: np.ndarray) -> float:
@@ -154,8 +150,7 @@ class EntropyCheckReport:
     loose_ok: bool
 
 
-def state_entropy_checks(state: StateVector, k: int,
-                         consts: TauConstants = TauConstants()) -> EntropyCheckReport:
+def state_entropy_checks(state: StateVector, k: int) -> EntropyCheckReport:
     """Check the log-Sobolev bound on <X>/N and the product bounds on
     <(X/N)^2K> against the exact expectation values."""
     n = state.n_qubits
@@ -164,7 +159,7 @@ def state_entropy_checks(state: StateVector, k: int,
         raise BoundsError("state must be normalized")
     s_comp = shannon_entropy_bits(amps**2)
     x_exp = float(amps @ _apply_x(amps, n))
-    sx_ok = tau(min(1.0, s_comp / n), consts) >= x_exp / n - 1e-9
+    sx_ok = tau(min(1.0, s_comp / n)) >= x_exp / n - 1e-9
 
     entropies = [s_comp]
     cur = amps
@@ -179,11 +174,9 @@ def state_entropy_checks(state: StateVector, k: int,
     genineq_bound = 1.0
     for i in range(k):
         genineq_bound *= _tau_clamped(
-            ((entropies[i] + entropies[i + 1]) / 2.0 + 1.0) / n, consts) ** 2
+            ((entropies[i] + entropies[i + 1]) / 2.0 + 1.0) / n) ** 2
 
-    xk = amps.copy()
-    for _ in range(k):
-        xk = _apply_x(xk, n) / n
+    xk = _apply_xk_over_n(amps, n, k)
     exact_x2k = float(xk @ xk)
 
     support = int(np.count_nonzero(amps))
@@ -191,8 +184,8 @@ def state_entropy_checks(state: StateVector, k: int,
     log_n = math.log2(n)
     basis_bound = 1.0
     for i in range(k):
-        basis_bound *= _tau_clamped((log_n0 + (i + 0.5) * log_n + 1.0) / n, consts) ** 2
-    loose = _tau_clamped((log_n0 + (k + 0.5) * log_n + 1.0) / n, consts) ** (2 * k)
+        basis_bound *= _tau_clamped((log_n0 + (i + 0.5) * log_n + 1.0) / n) ** 2
+    loose = _tau_clamped((log_n0 + (k + 0.5) * log_n + 1.0) / n) ** (2 * k)
 
     return EntropyCheckReport(
         s_comp=s_comp, x_expectation=x_exp, sx_ok=bool(sx_ok),
@@ -222,22 +215,24 @@ def p_xk_norm(table: DiagonalTable, ground: GroundSpaceInfo, k: int,
     if not exact:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(idx, size=budget, replace=False))
-    dim = 1 << table.n_qubits
-    cols = np.zeros((dim, idx.size))
-    cols[idx, np.arange(idx.size)] = 1.0
-    for _ in range(k):
-        cols = _apply_x(cols, table.n_qubits) / table.n_qubits
+    # the unit columns of idx are passed unnamed, so on CPython 3.11+ they do
+    # not outlive the first application: the peak is three (2^N, n0) arrays
+    cols = _apply_xk_over_n(
+        (np.arange(1 << table.n_qubits)[:, None] == idx).astype(np.float64),
+        table.n_qubits, k)
     gram = cols.T @ cols
     lam_max = float(np.linalg.eigvalsh(gram)[-1])
     return PxkNorm(value=math.sqrt(max(0.0, lam_max)), exact=exact)
 
 
-def pbound_value(n0: int, n_qubits: int, k: int,
-                 consts: TauConstants = TauConstants()) -> float:
+def _pbound_arg(n0: int, n_qubits: int, k: int) -> float:
+    return (math.log2(n0) + (k + 0.5) * math.log2(n_qubits) + 1.0) / n_qubits
+
+
+def pbound_value(n0: int, n_qubits: int, k: int) -> float:
     """The entropy upper bound on ||P (X/N)^K||:
     tau(log(n0)/N + ((K+1/2)log(N)+1)/N)^K."""
-    arg = (math.log2(n0) + (k + 0.5) * math.log2(n_qubits) + 1.0) / n_qubits
-    return _tau_clamped(arg, consts) ** k
+    return _tau_clamped(_pbound_arg(n0, n_qubits, k)) ** k
 
 
 @dataclass
@@ -247,15 +242,13 @@ class KboundReport:
     saturated: bool  # tau argument reached 1, so lhs collapsed to B
 
 
-def kbound_check(n0: int, n_qubits: int, k: int, big_b: float,
-                 consts: TauConstants = TauConstants()) -> KboundReport:
-    """B * tau(log(n0)/N + ((K+1/2)log(N)+1)/N)^K <= 1/4."""
+def kbound_check(n0: int, n_qubits: int, k: int, big_b: float) -> KboundReport:
+    """B * pbound_value(n0, N, K) <= 1/4."""
     if min(n0, n_qubits, k) < 1 or big_b < 0:
         raise BoundsError("n0, N, K must be >= 1 and B >= 0")
-    arg = (math.log2(n0) + (k + 0.5) * math.log2(n_qubits) + 1.0) / n_qubits
-    saturated = arg >= 1.0
-    lhs = big_b * _tau_clamped(arg, consts) ** k
-    return KboundReport(lhs=lhs, passes=bool(lhs <= 0.25), saturated=saturated)
+    lhs = big_b * pbound_value(n0, n_qubits, k)
+    return KboundReport(lhs=lhs, passes=bool(lhs <= 0.25),
+                        saturated=_pbound_arg(n0, n_qubits, k) >= 1.0)
 
 
 @dataclass
@@ -320,8 +313,7 @@ def x_min_of(n_qubits: int, big_b: float, k: int) -> float:
 
 
 def theorem1_item2_check(hist: DosHistogram, instance: Instance, params: HsParams,
-                         consts: TheoremConstants = TheoremConstants(),
-                         tau_consts: TauConstants = TauConstants()) -> Item2Report:
+                         consts: TheoremConstants = TheoremConstants()) -> Item2Report:
     """Scan integer offsets E = E0 + k for log2 W(E) >= F^-1(E) - c_log*log2(N),
     with F(S) = E0 + c_err*J_tot K^2 D^2/X_min^2 + (5/2) c_tau B tau(S/N)^K."""
     n = instance.n_qubits
@@ -441,8 +433,7 @@ def _log2_binomial(m: int, j: int) -> float:
     return (math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)) / math.log(2)
 
 
-def classical_baseline(instance: Instance, table: DiagonalTable,
-                       brute_limit: int = 14) -> BaselineReport:
+def classical_baseline(instance: Instance, table: DiagonalTable) -> BaselineReport:
     """D=2 baseline counting: per-spin fields F_i at a ground state, the spin
     with the largest |F_i|, and the count of assignments of the other N-1
     spins with F_i above the 2|E0|/N threshold.
@@ -487,7 +478,7 @@ def classical_baseline(instance: Instance, table: DiagonalTable,
             n_choice_log2 = float("-inf")
 
     brute = None
-    if n <= brute_limit:
+    if n <= BRUTE_LIMIT:
         f_all = np.zeros(1 << n)
         for j in neighbors:
             f_all += coupling[best_i, j] * term_signs(n, 1 << j)

@@ -79,7 +79,7 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
 
     omega must lie strictly below E^Q_{0,1}, the lowest eigenvalue of Q H_s Q.
     """
-    table, ground, params = analysis.table, analysis.ground, analysis.params
+    table, params = analysis.table, analysis.params
     eq0 = analysis.eq01
     if not omega < eq0:
         raise BwptError(
@@ -98,16 +98,13 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
         return -params.big_b * xk.apply(amps)
 
     dim = 1 << table.n_qubits
-    ground_mask_idx = ground.ground_indices
     for col, u in enumerate(idx):
         e_u = np.zeros(dim)
         e_u[u] = 1.0
         v_u = v_apply(e_u)
         h[:, col] += params.s * v_u[idx]
-        qv = v_u.copy()
-        qv[ground_mask_idx] = 0.0
-        x_u = eigensolve.solve_shifted(qhsq, omega, qv,
-                                       deflate_indices=ground_mask_idx)
+        # the solve reads v_u on qhsq's support only, so Q v_u is implied
+        x_u = eigensolve.solve_shifted(qhsq, omega, v_u)
         h[:, col] += params.s**2 * v_apply(x_u)[idx]
     asym = np.max(np.abs(h - h.T), initial=0.0)
     if asym > 1e-10 * max(1.0, np.max(np.abs(h))):

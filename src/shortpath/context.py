@@ -95,17 +95,12 @@ class Analysis:
         return MatrixFreeOperator(spec, self.table, self.ground)
 
     def lowest(self, spec: OperatorSpec, how_many: int) -> eigensolve.EigenResult:
-        """The `how_many` lowest eigenpairs of `spec`, solved once per analysis.
-
-        QHSQ is solved with the ground indices deflated and every other kind
-        with no deflation, so (spec, how_many) are the solve's exact
-        arguments.  The returned arrays are shared between callers and
-        read-only."""
+        """The `how_many` lowest eigenpairs of `spec` on its operator's
+        support, solved once per analysis.  The returned arrays are shared
+        between callers and read-only."""
         key = (spec, how_many)
         if key not in self._solved:
-            deflate = self.ground.ground_indices if spec.kind == "QHSQ" else None
-            eig = eigensolve.extreme_eigs(self.operator(spec), how_many,
-                                          deflate_indices=deflate)
+            eig = eigensolve.extreme_eigs(self.operator(spec), how_many)
             for arr in (eig.eigenvalues, eig.eigenvectors, eig.residuals):
                 arr.flags.writeable = False
             self._solved[key] = eig

@@ -1,7 +1,7 @@
 """Eigenpairs and shifted linear solves for the matrix-free operators.
 
-Both solvers work on the compressed free subspace: the operator's parity block
-minus the deflated basis indices, reached by gather/scatter around op.apply.
+Both solvers work on the compressed free subspace op.support, the basis
+indices the operator acts on, reached by gather/scatter around op.apply.
 extreme_eigs runs ARPACK (scipy's eigsh) for one eigenpair at a time and lifts
 each converged vector out of the way before the next run, so every copy of a
 degenerate level is found.  dense_spectrum is the independent oracle used by
@@ -28,7 +28,7 @@ class EigensolveError(RuntimeError):
 
 
 class NearSingularShift(EigensolveError):
-    """Shift is too close to the (deflated) spectrum for a stable solve."""
+    """Shift is too close to the spectrum on op.support for a stable solve."""
 
 
 @dataclass
@@ -38,20 +38,16 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def _compressed(op: MatrixFreeOperator, deflate_indices=None):
-    """The kept basis indices (op's parity block minus the deflated indices)
-    and op restricted to them as a LinearOperator."""
-    keep = np.ones(op.dim, dtype=bool) if op.parity_mask is None else op.parity_mask.copy()
-    if deflate_indices is not None:
-        keep[np.asarray(deflate_indices, dtype=np.int64)] = False
-    kept = np.flatnonzero(keep)
+def _compressed(op: MatrixFreeOperator) -> LinearOperator:
+    """op restricted to op.support as a LinearOperator."""
+    kept = op.support
 
     def matvec(y):
         x = np.zeros(op.dim)
         x[kept] = y.ravel()
         return op.apply(x)[kept]
 
-    return kept, LinearOperator((kept.size, kept.size), matvec=matvec, dtype=np.float64)
+    return LinearOperator((kept.size, kept.size), matvec=matvec, dtype=np.float64)
 
 
 def operator_matrix(op: MatrixFreeOperator) -> np.ndarray:
@@ -64,8 +60,7 @@ def operator_matrix(op: MatrixFreeOperator) -> np.ndarray:
     return op.apply(np.eye(op.dim))
 
 
-def dense_spectrum(op_or_matrix, dim_cap: int = DENSE_DIM_CAP,
-                   want_vectors: bool = True) -> EigenResult:
+def dense_spectrum(op_or_matrix, want_vectors: bool = True) -> EigenResult:
     """Full dense spectrum (oracle path).  Accepts a MatrixFreeOperator or an
     explicit symmetric matrix."""
     if isinstance(op_or_matrix, MatrixFreeOperator):
@@ -74,8 +69,9 @@ def dense_spectrum(op_or_matrix, dim_cap: int = DENSE_DIM_CAP,
         mat = np.asarray(op_or_matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise EigensolveError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] > dim_cap:
-        raise EigensolveError(f"dimension {mat.shape[0]} exceeds the dense cap {dim_cap}")
+    if mat.shape[0] > DENSE_DIM_CAP:
+        raise EigensolveError(
+            f"dimension {mat.shape[0]} exceeds the dense cap {DENSE_DIM_CAP}")
     if not want_vectors:
         vals = np.linalg.eigvalsh(mat)
         return EigenResult(vals, None, np.zeros_like(vals))
@@ -84,10 +80,8 @@ def dense_spectrum(op_or_matrix, dim_cap: int = DENSE_DIM_CAP,
     return EigenResult(vals, vecs, res)
 
 
-def extreme_eigs(op: MatrixFreeOperator, how_many: int,
-                 deflate_indices=None) -> EigenResult:
-    """The `how_many` lowest eigenpairs of op restricted to its parity block
-    minus the deflated basis indices.
+def extreme_eigs(op: MatrixFreeOperator, how_many: int) -> EigenResult:
+    """The `how_many` lowest eigenpairs of op restricted to op.support.
 
     Each eigenpair is one ARPACK run for the lowest eigenvalue.  Before each
     run the vectors V found so far are lifted by 2*|op|*V V^T, above the rest
@@ -95,8 +89,8 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     another copy of a degenerate eigenvalue."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
-    kept, a = _compressed(op, deflate_indices)
-    free_dim = kept.size
+    a = _compressed(op)
+    free_dim = op.support.size
     if how_many > free_dim:
         raise EigensolveError(
             f"requested {how_many} eigenpairs but the deflated subspace has "
@@ -129,21 +123,20 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     order = np.argsort(vals, kind="stable")
     vals, ys = vals[order], ys[:, order]
     vecs = np.zeros((op.dim, how_many))
-    vecs[kept] = ys
+    vecs[op.support] = ys
     residuals = np.linalg.norm(a.matmat(ys) - ys * vals, axis=0)
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, residuals=residuals)
 
 
-def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray,
-                  deflate_indices=None) -> np.ndarray:
-    """Solve (shift - op) x = rhs on op's parity block minus the deflated
-    basis indices.
+def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (shift - op) x = rhs on op.support; rhs entries outside the
+    support are ignored.
 
-    Minimum-residual Krylov solve; the returned x is zero outside that
-    subspace and satisfies ||(shift - op)x - rhs|| <= 1e-10 * ||rhs|| on it.
+    Minimum-residual Krylov solve; the returned x is zero outside the
+    support and satisfies ||(shift - op)x - rhs|| <= 1e-10 * ||rhs|| on it.
     """
-    kept, a = _compressed(op, deflate_indices)
-    b = np.asarray(rhs, dtype=np.float64)[kept]
+    a = _compressed(op)
+    b = np.asarray(rhs, dtype=np.float64)[op.support]
     out = np.zeros(op.dim)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -169,7 +162,7 @@ def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray,
                 f"{np.linalg.norm(r) / bnorm:.3e}; estimated distance from the "
                 f"shift to the deflated spectrum ~ {gap_estimate:.3e}"
             )
-    out[kept] = x
+    out[op.support] = x
     return out
 
 

@@ -8,7 +8,7 @@ real-symmetric in this basis, so amplitudes are binary64 reals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -98,12 +98,12 @@ class HsParams:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One of the named operators: HZ, X, XK, HS, QHSQ.
+    """One of the named operators: X, XK, HS, QHSQ.
 
-    HS(s, B, K) is H_Z - sB(X/N)^K; QHSQ is the same conjugated by the
-    excited-space projector Q.  `parity_block` restricts to even or odd
-    Hamming-weight basis states (meaningful for even K, where HS is block
-    diagonal).
+    XK is (X/N)^K; HS(s, B, K) is H_Z - sB(X/N)^K (H_Z itself at sB = 0);
+    QHSQ is HS conjugated by the excited-space projector Q.  `parity_block`
+    restricts to even or odd Hamming-weight basis states (meaningful for even
+    K, where HS is block diagonal).
     """
 
     kind: str
@@ -113,7 +113,7 @@ class OperatorSpec:
     parity_block: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("HZ", "X", "XK", "HS", "QHSQ"):
+        if self.kind not in ("X", "XK", "HS", "QHSQ"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s={self.s} outside [0, 1]")
@@ -157,14 +157,14 @@ def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> Dia
     return DiagonalTable(n_qubits=n, energies=energies, e0=e0, gap=gap)
 
 
-def ground_space(table: DiagonalTable, degeneracy_tol: float = DEGENERACY_TOL) -> GroundSpaceInfo:
-    """List all basis indices within `degeneracy_tol` of e0 and certify the gap.
+def ground_space(table: DiagonalTable) -> GroundSpaceInfo:
+    """List all basis indices within DEGENERACY_TOL of e0 and certify the gap.
 
     gap_certified means every excluded energy is at least e0 + 1 - 1e-9, the
     unit-gap promise the theorem checks rely on.  A smaller gap is recorded,
     not rejected.
     """
-    in_band = table.energies <= table.e0 + degeneracy_tol
+    in_band = table.energies <= table.e0 + DEGENERACY_TOL
     ground = np.flatnonzero(in_band)
     excluded = table.energies[~in_band]
     certified = bool(excluded.size == 0 or excluded.min() >= table.e0 + 1 - 1e-9)
@@ -222,19 +222,20 @@ def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
 
 
 def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
-    """(X/N)^K as K successive applications of X/N."""
-    cur = amps
+    """(X/N)^K as K successive applications of X/N.  Each step rebinds `amps`,
+    so an input the caller passes without holding it is freed after step 1."""
     for _ in range(k):
-        cur = _apply_x(cur, n_qubits) / n_qubits
-    return cur
+        amps = _apply_x(amps, n_qubits) / n_qubits
+    return amps
 
 
 class MatrixFreeOperator:
     """Bound operator: an OperatorSpec attached to an instance's diagonal table.
 
-    apply() maps amplitude arrays to amplitude arrays; the class is the single
-    implementation behind apply_operator, the eigensolvers, and the shifted
-    linear solves.
+    `support` holds the sorted basis indices the operator acts on: its parity
+    block, minus the ground indices for QHSQ.  apply() zeroes every amplitude
+    outside the support on the way in and on the way out; the eigensolvers
+    and the shifted linear solves work on the support alone.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
@@ -245,45 +246,33 @@ class MatrixFreeOperator:
         self.dim = 1 << table.n_qubits
         if spec.kind == "QHSQ" and ground is None:
             raise ValueError("QHSQ requires ground-space info")
-        self.ground = ground
-        self._ground_idx = None if ground is None else ground.ground_indices
-        if spec.parity_block is None:
-            self._parity_mask = None
-        else:
+        keep = np.ones(self.dim, dtype=bool)
+        if spec.parity_block is not None:
             even, odd = parity_masks(table.n_qubits)
-            self._parity_mask = even if spec.parity_block == "even" else odd
-
-    @property
-    def parity_mask(self) -> np.ndarray | None:
-        return self._parity_mask
+            keep = even if spec.parity_block == "even" else odd
+        if spec.kind == "QHSQ":
+            keep[ground.ground_indices] = False
+        self.support = np.flatnonzero(keep)
+        self._outside = None if self.support.size == self.dim else ~keep
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Apply to an amplitude vector or a (2^N, m) batch of columns."""
         spec = self.spec
-        diag = self.table.energies if amps.ndim == 1 else self.table.energies[:, None]
         x = amps
-        if self._parity_mask is not None:
+        if self._outside is not None:
             x = x.copy()
-            x[~self._parity_mask] = 0.0
-        if spec.kind == "HZ":
-            out = diag * x
-        elif spec.kind == "X":
+            x[self._outside] = 0.0
+        if spec.kind == "X":
             out = _apply_x(x, self.n_qubits)
         elif spec.kind == "XK":
             out = _apply_xk_over_n(x, self.n_qubits, spec.k)
-        elif spec.kind in ("HS", "QHSQ"):
-            if spec.kind == "QHSQ":
-                x = x.copy()
-                x[self._ground_idx] = 0.0
+        else:  # HS and QHSQ differ only in their support
+            diag = self.table.energies if x.ndim == 1 else self.table.energies[:, None]
             out = diag * x
             if spec.s != 0.0 and spec.big_b != 0.0:
                 out -= spec.s * spec.big_b * _apply_xk_over_n(x, self.n_qubits, spec.k)
-            if spec.kind == "QHSQ":
-                out[self._ground_idx] = 0.0
-        else:  # pragma: no cover
-            raise AssertionError(spec.kind)
-        if self._parity_mask is not None:
-            out[~self._parity_mask] = 0.0
+        if self._outside is not None:
+            out[self._outside] = 0.0
         return out
 
     def norm_bound(self) -> float:
@@ -294,13 +283,6 @@ class MatrixFreeOperator:
         if self.spec.kind == "XK":
             return 1.0
         return e + abs(self.spec.s * self.spec.big_b) + 1.0
-
-
-def apply_operator(spec: OperatorSpec, table: DiagonalTable,
-                   ground: GroundSpaceInfo | None, state: StateVector) -> StateVector:
-    """Apply a named operator to a state."""
-    op = MatrixFreeOperator(spec, table, ground)
-    return StateVector(state.n_qubits, op.apply(state.amplitudes))
 
 
 def project(state: StateVector, subspace: str, ground: GroundSpaceInfo | None = None) -> StateVector:

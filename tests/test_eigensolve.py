@@ -35,9 +35,10 @@ def test_dense_spectrum_of_hand_instance():
     assert np.all(res.residuals < 1e-10)
 
 
-def test_dense_cap_enforced():
+def test_dense_cap_enforced(monkeypatch):
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 2)
     with pytest.raises(EigensolveError, match="dense cap"):
-        dense_spectrum(np.eye(4), dim_cap=2)
+        dense_spectrum(np.eye(4))
 
 
 def test_operator_matrix_enforces_dense_cap(monkeypatch):
@@ -60,8 +61,7 @@ def test_extreme_eigs_matches_dense_with_degeneracy(make, rel_b, k, block, want)
     op = _hs_op(inst, rel_b * abs(e0), k, block)
     it = extreme_eigs(op, want)
     mat = operator_matrix(op)
-    keep = np.ones(op.dim, dtype=bool) if block is None else op.parity_mask
-    expect = np.linalg.eigvalsh(mat[np.ix_(keep, keep)])[:want]
+    expect = np.linalg.eigvalsh(mat[np.ix_(op.support, op.support)])[:want]
     assert np.allclose(it.eigenvalues, expect, atol=1e-9)
     # recovered vectors are orthonormal
     g = it.eigenvectors.T @ it.eigenvectors
@@ -91,17 +91,23 @@ def test_extreme_eigs_small_full_spectrum():
     assert np.allclose(it.eigenvalues, de.eigenvalues, atol=1e-9)
 
 
-def test_extreme_eigs_with_index_deflation():
-    inst = instances.generate("sk_pm", 6, seed=1)
-    table = hilbert.evaluate_hz(inst)
+@pytest.mark.parametrize("make, big_b, k, block", [
+    pytest.param(lambda: instances.generate("sk_pm", 6, seed=1), 0.5, 2, "even",
+                 id="sk_pm6-even"),
+    # Q block diag(1, 1): a solver that keeps the zeroed ground rows returns 0
+    pytest.param(hand_single_term, 1.0, 1, None, id="single-term"),
+])
+def test_extreme_eigs_with_index_deflation(make, big_b, k, block):
+    table = hilbert.evaluate_hz(make())
     ground = hilbert.ground_space(table)
     op = MatrixFreeOperator(
-        OperatorSpec("QHSQ", s=1.0, big_b=0.5, k=2, parity_block="even"),
+        OperatorSpec("QHSQ", s=1.0, big_b=big_b, k=k, parity_block=block),
         table, ground)
-    it = extreme_eigs(op, 1, deflate_indices=ground.ground_indices)
+    it = extreme_eigs(op, 1)
     mat = operator_matrix(op)
-    even, _ = hilbert.parity_masks(6)
-    keep = even.copy()
+    keep = np.ones(op.dim, dtype=bool)
+    if block == "even":
+        keep, _ = hilbert.parity_masks(table.n_qubits)
     keep[ground.ground_indices] = False
     sub = mat[np.ix_(keep, keep)]
     assert it.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(sub)[0], abs=1e-9)
@@ -123,7 +129,11 @@ def test_solve_shifted_against_dense_inverse():
     rhs = rng.standard_normal(64)
     rhs[ground.ground_indices] = 0.0
     shift = table.e0 - 0.5  # safely below the Q spectrum
-    x = solve_shifted(op, shift, rhs, deflate_indices=ground.ground_indices)
+    x = solve_shifted(op, shift, rhs)
+    # entries of rhs on the ground indices lie outside the support: ignored
+    noisy = rhs.copy()
+    noisy[ground.ground_indices] = 1.0
+    assert np.array_equal(solve_shifted(op, shift, noisy), x)
     mat = operator_matrix(op)
     keep = np.ones(64, dtype=bool)
     keep[ground.ground_indices] = False

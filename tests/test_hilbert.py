@@ -9,7 +9,6 @@ from shortpath.hilbert import (
     HsParams,
     MatrixFreeOperator,
     OperatorSpec,
-    apply_operator,
     energy_of,
     evaluate_hz,
     ground_space,
@@ -109,8 +108,8 @@ def test_psi_plus_is_top_x_eigenvector():
     n = 5
     psi = make_state("psi_plus", n)
     table = evaluate_hz(instances.build_instance(n, 1, [((0,), 1.0)]))
-    xpsi = apply_operator(OperatorSpec("X"), table, None, psi)
-    assert np.allclose(xpsi.amplitudes, n * psi.amplitudes, atol=1e-12)
+    xpsi = MatrixFreeOperator(OperatorSpec("X"), table).apply(psi.amplitudes)
+    assert np.allclose(xpsi, n * psi.amplitudes, atol=1e-12)
 
 
 def test_hs_operator_example_by_hand():
@@ -118,8 +117,8 @@ def test_hs_operator_example_by_hand():
     inst = hand_single_term()
     table = evaluate_hz(inst)
     spec = OperatorSpec("HS", s=1.0, big_b=1.0, k=1)
-    out = apply_operator(spec, table, None, make_state("basis", 2, u=0))
-    assert np.allclose(out.amplitudes, [1.0, -0.5, -0.5, 0.0], atol=1e-15)
+    out = MatrixFreeOperator(spec, table).apply(make_state("basis", 2, u=0).amplitudes)
+    assert np.allclose(out, [1.0, -0.5, -0.5, 0.0], atol=1e-15)
 
 
 def test_qhsq_zeroes_ground_rows_and_columns():
@@ -127,6 +126,7 @@ def test_qhsq_zeroes_ground_rows_and_columns():
     table = evaluate_hz(inst)
     ground = ground_space(table)
     op = MatrixFreeOperator(OperatorSpec("QHSQ", s=1.0, big_b=1.0, k=1), table, ground)
+    assert np.array_equal(op.support, [0, 3])
     mat = op.apply(np.eye(4))
     assert np.allclose(mat[ground.ground_indices, :], 0.0)
     assert np.allclose(mat[:, ground.ground_indices], 0.0)
@@ -152,6 +152,8 @@ def test_parity_restricted_operator_is_projection_conjugate():
     blocked = MatrixFreeOperator(
         OperatorSpec("HS", s=1.0, big_b=0.5, k=2, parity_block="even"), table)
     even, _ = parity_masks(5)
+    assert np.array_equal(full.support, np.arange(32))
+    assert np.array_equal(blocked.support, np.flatnonzero(even))
     rng = np.random.default_rng(1)
     v = rng.standard_normal(32)
     ve = np.where(even, v, 0.0)
