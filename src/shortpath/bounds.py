@@ -20,7 +20,7 @@ from .hilbert import (
     StateVector,
     _apply_x,
     _apply_xk_over_n,
-    term_signs,
+    _walsh_hadamard,
 )
 from .instances import Instance
 
@@ -479,9 +479,10 @@ def classical_baseline(instance: Instance, table: DiagonalTable) -> BaselineRepo
 
     brute = None
     if n <= BRUTE_LIMIT:
+        # F_i(u) = sum_j J_ij (-1)^u_j is the transform of c[1 << j] = J_ij
         f_all = np.zeros(1 << n)
-        for j in neighbors:
-            f_all += coupling[best_i, j] * term_signs(n, 1 << j)
+        f_all[1 << neighbors] = coupling[best_i, neighbors]
+        _walsh_hadamard(f_all, n)
         free_of_i = (np.arange(1 << n) >> best_i) & 1 == 0
         brute = int(np.count_nonzero(free_of_i & (f_all >= threshold - 1e-12)))
 

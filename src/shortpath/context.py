@@ -22,7 +22,6 @@ from .hilbert import (
     MatrixFreeOperator,
     OperatorSpec,
     ground_space,
-    parity_masks,
 )
 from .instances import Instance
 
@@ -66,18 +65,23 @@ class Analysis:
         return choose_parity_block(self.ground, self.params.k, self.parity_choice)
 
     @cached_property
+    def _block_extent(self) -> tuple[np.ndarray, int]:
+        """(ground indices inside the block, block dimension), both read from
+        the support of the H_s operator, so the block is decided in one place.
+        The support itself is not kept: it is a 2^N index array."""
+        support = self.operator(self.hs_spec).support
+        inside = np.intersect1d(self.ground.ground_indices, support, assume_unique=True)
+        return inside, int(support.size)
+
+    @property
     def block_ground_indices(self) -> np.ndarray:
         """Ground basis indices inside the block (all of them for odd K)."""
-        idx = self.ground.ground_indices
-        if self.block is None:
-            return idx
-        even, _odd = parity_masks(self.table.n_qubits)
-        return idx[even[idx] if self.block == "even" else ~even[idx]]
+        return self._block_extent[0]
 
     @property
     def block_dim(self) -> int:
         """Number of basis states in the block (2^N for odd K)."""
-        return (1 << self.table.n_qubits) >> (self.block is not None)
+        return self._block_extent[1]
 
     @property
     def hs_spec(self) -> OperatorSpec:

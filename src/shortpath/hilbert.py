@@ -56,8 +56,8 @@ class StateVector:
 class DiagonalTable:
     """Energies <u|H_Z|u> for every basis state, with E_0 and the exact gap.
 
-    `gap` is the distance from e0 to the second distinct energy, or None when
-    all energies coincide.
+    `gap` is the distance from e0 to the lowest energy outside the degeneracy
+    band (above e0 + DEGENERACY_TOL), or None when every energy lies in it.
     """
 
     n_qubits: int
@@ -125,11 +125,21 @@ class OperatorSpec:
             raise ValueError(f"parity_block must be 'even' or 'odd', got {self.parity_block!r}")
 
 
-def term_signs(n_qubits: int, mask: int) -> np.ndarray:
-    """(-1)^popcount(u & mask) for all u, as +-1 floats."""
-    u = np.arange(1 << n_qubits, dtype=np.uint64)
-    parity = np.bitwise_count(u & np.uint64(mask)) & 1
-    return 1.0 - 2.0 * parity.astype(np.float64)
+def _walsh_hadamard(c: np.ndarray, n_qubits: int) -> None:
+    """Unnormalised Walsh-Hadamard transform of a 2^N vector, in place:
+    c[u] <- sum_m c[m] (-1)^popcount(u & m).
+
+    Level i runs the butterfly (a, b) -> (a + b, a - b) on the middle axis of
+    the (2^(N-1-i), 2, 2^i) view: the fast transform of Fino and Algazi (IEEE
+    Trans. Computers, 1976), O(N 2^N) with one half-length scratch vector."""
+    scratch = np.empty(c.size // 2)
+    for i in range(n_qubits):
+        v = c.reshape(-1, 2, 1 << i)
+        a, b = v[:, 0, :], v[:, 1, :]
+        diff = scratch.reshape(a.shape)
+        np.subtract(a, b, out=diff)
+        a += b
+        b[...] = diff
 
 
 def energy_of(instance: Instance, u: int) -> float:
@@ -141,7 +151,13 @@ def energy_of(instance: Instance, u: int) -> float:
 
 
 def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> DiagonalTable:
-    """Tabulate H_Z over all 2^N basis states."""
+    """Tabulate H_Z over all 2^N basis states.
+
+    <u|Z^m|u> = (-1)^popcount(u & m), so the diagonal of H_Z = sum_t w_t
+    Z^{mask_t} is the Walsh-Hadamard transform of c[mask_t] = w_t, for any
+    degree and term count.  Non-integer weights are summed in butterfly order
+    and can differ from energy_of() in the last bits.
+    """
     n = instance.n_qubits
     if n > max_qubits:
         raise BudgetError(
@@ -149,11 +165,13 @@ def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> Dia
             "use energy_of() for streaming per-index evaluation"
         )
     energies = np.zeros(1 << n, dtype=np.float64)
-    for t in instance.terms:
-        energies += t.weight * term_signs(n, t.mask)
+    masks = np.array([t.mask for t in instance.terms], dtype=np.int64)
+    np.add.at(energies, masks, instance.weights())
+    _walsh_hadamard(energies, n)
     e0 = float(energies.min())
-    above = energies[energies > e0]
-    gap = float(above.min() - e0) if above.size else None
+    first_above = float(np.min(energies, where=energies > e0 + DEGENERACY_TOL,
+                               initial=np.inf))
+    gap = first_above - e0 if first_above < np.inf else None
     return DiagonalTable(n_qubits=n, energies=energies, e0=e0, gap=gap)
 
 
@@ -213,11 +231,12 @@ def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     """X = sum_i of the bit-i flip; flipping bit i reverses the middle axis of
     the (2^(N-1-i), 2, 2^i) view.  Accepts a vector or a (2^N, m) batch (the
     trailing columns merge into the low-bit axis under row-major order)."""
-    out = np.zeros_like(amps)
+    out = np.zeros(amps.shape)  # C order, so every reshape below is a view
     cols = 1 if amps.ndim == 1 else amps.shape[1]
     for i in range(n_qubits):
         v = amps.reshape(-1, 2, (1 << i) * cols)
-        out += v[:, ::-1, :].reshape(amps.shape)
+        acc = out.reshape(v.shape)
+        acc += v[:, ::-1, :]
     return out
 
 

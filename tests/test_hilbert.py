@@ -1,5 +1,8 @@
 """Diagonal tables, ground spaces, matrix-free operators, named states."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,96 @@ def test_energy_of_matches_table_streaming():
     table = evaluate_hz(inst)
     for u in (0, 1, 100, 255):
         assert energy_of(inst, u) == pytest.approx(table.energies[u], abs=1e-12)
+
+
+def _hand_d3():
+    """N=6, four D=3 terms with integer weights."""
+    terms = [((0, 1, 2), 1.0), ((1, 3, 5), -2.0), ((2, 4, 5), 3.0), ((0, 3, 4), -1.0)]
+    return instances.build_instance(6, 3, terms)
+
+
+def _gaussian_instance(n, degree, n_terms, seed):
+    rng = np.random.default_rng(seed)
+    subsets = list(itertools.combinations(range(n), degree))
+    picks = rng.choice(len(subsets), size=n_terms, replace=False)
+    return instances.build_instance(
+        n, degree, [(subsets[i], float(rng.standard_normal())) for i in picks])
+
+
+def _integer_cases():
+    cases = [pytest.param(instances.generate("sk_pm", 10, seed=seed),
+                          id=f"sk_pm N=10 seed={seed}") for seed in (1, 2)]
+    cases += [pytest.param(inst, id=label) for label, inst, _n0 in degeneracy_ladder()]
+    cases.append(pytest.param(_hand_d3(), id="hand D=3"))
+    return cases
+
+
+@pytest.mark.parametrize("inst", _integer_cases())
+def test_table_equals_energy_of_bitwise_for_integer_weights(inst):
+    # energy_of sums the terms one by one, in the order the old per-term loop did
+    energies = evaluate_hz(inst).energies
+    expected = [energy_of(inst, u) for u in range(energies.size)]
+    assert np.array_equal(energies, expected)
+
+
+@pytest.mark.parametrize("inst", [
+    instances.generate("sk_gaussian", 10, seed=4),
+    _gaussian_instance(9, 3, 40, seed=7),
+], ids=["sk_gaussian", "gaussian-d3"])
+def test_table_matches_energy_of_for_gaussian_weights(inst):
+    energies = evaluate_hz(inst).energies
+    expected = np.array([energy_of(inst, u) for u in range(energies.size)])
+    assert np.max(np.abs(energies - expected)) <= 1e-12 * inst.j_tot
+
+
+def test_walsh_hadamard_matches_dense_hadamard():
+    n = 5
+    signs = np.array([[(-1.0) ** (u & m).bit_count() for m in range(1 << n)]
+                      for u in range(1 << n)])
+    c = np.random.default_rng(3).standard_normal(1 << n)
+    expected = signs @ c
+    hilbert._walsh_hadamard(c, n)
+    assert np.allclose(c, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("inst", [
+    instances.generate("sk_gaussian", 12, seed=5),
+    _gaussian_instance(10, 4, 60, seed=2),
+], ids=["sk_gaussian-d2", "gaussian-d4"])
+def test_even_degree_energies_are_flip_symmetric_exactly(inst):
+    # ~u = (2^N - 1) - u, so reversing the table maps E(u) to E(~u)
+    energies = evaluate_hz(inst).energies
+    assert np.array_equal(energies, energies[::-1])
+
+
+def test_evaluate_hz_peak_memory_below_three_tables():
+    n = 16
+    inst = instances.generate("sk_gaussian", n, seed=1)
+    tracemalloc.start()
+    try:
+        evaluate_hz(inst)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (1 << n) * 8
+
+
+@pytest.mark.parametrize("terms", [
+    # ground band split by 2.2e-16 when the terms are summed one by one
+    [((0, 1), 0.2), ((0, 2), 0.7), ((0, 3), 0.1), ((0, 4), 0.2), ((1, 2), 0.7),
+     ((1, 3), 0.3), ((1, 4), 0.2), ((2, 3), 0.1), ((2, 4), 0.1), ((3, 4), 0.7)],
+    # split by 2.2e-16 both one by one and in butterfly order
+    [((0, 1), -0.1), ((0, 2), -0.3), ((0, 3), 0.3), ((0, 4), 0.1), ((1, 2), 0.2),
+     ((1, 3), 0.7), ((1, 4), -0.2), ((2, 3), 0.1), ((2, 4), -0.3), ((3, 4), -0.3)],
+], ids=["split-by-term-loop", "split-by-both-orders"])
+def test_gap_skips_energies_inside_the_degeneracy_band(terms):
+    # the gap is measured from the band edge, so it agrees with n0 = 4
+    table = evaluate_hz(instances.build_instance(5, 2, terms))
+    ground = ground_space(table)
+    assert ground.n0 == 4
+    outside = np.delete(table.energies, ground.ground_indices)
+    assert table.gap == outside.min() - table.e0
+    assert table.gap > 0.1
 
 
 def test_budget_error_mentions_streaming_alternative():
@@ -102,6 +195,9 @@ def test_x_operator_matches_dense_matrix():
         batch = rng.standard_normal((1 << n, 3))
         got_b = hilbert._apply_x(batch, n)
         assert np.allclose(got_b, xd @ batch, atol=1e-12)
+        # a column-major batch gives the same columns
+        got_f = hilbert._apply_x(np.asfortranarray(batch), n)
+        assert np.array_equal(got_f, got_b)
 
 
 def test_psi_plus_is_top_x_eigenvector():
