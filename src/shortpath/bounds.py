@@ -13,14 +13,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import eigensolve
 from .hilbert import (
     DiagonalTable,
     GroundSpaceInfo,
     HsParams,
-    StateVector,
     _apply_x,
     _apply_xk_over_n,
     _walsh_hadamard,
+    n_qubits_of,
 )
 from .instances import Instance
 
@@ -150,11 +151,11 @@ class EntropyCheckReport:
     loose_ok: bool
 
 
-def state_entropy_checks(state: StateVector, k: int) -> EntropyCheckReport:
+def state_entropy_checks(amps: np.ndarray, k: int) -> EntropyCheckReport:
     """Check the log-Sobolev bound on <X>/N and the product bounds on
-    <(X/N)^2K> against the exact expectation values."""
-    n = state.n_qubits
-    amps = state.amplitudes
+    <(X/N)^2K> against the exact expectation values for a 2^N amplitude
+    vector."""
+    n = n_qubits_of(amps)
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise BoundsError("state must be normalized")
     s_comp = shannon_entropy_bits(amps**2)
@@ -197,32 +198,42 @@ def state_entropy_checks(state: StateVector, k: int) -> EntropyCheckReport:
     )
 
 
-@dataclass
-class PxkNorm:
-    value: float
-    exact: bool  # False when the sampled lower-bound mode was used
+def _hypercube_walk_counts(n_qubits: int, steps: int) -> list[int]:
+    """w[d] = the number of length-`steps` walks on the N-cube between two
+    vertices at Hamming distance d, for d = 0..N, in exact integers.
+
+    A walk ending at v arrives from one of v's d neighbours at distance d - 1
+    or one of its N - d neighbours at distance d + 1, so
+    w_{t+1}(d) = d w_t(d-1) + (N-d) w_t(d+1), starting from w_0 = e_0.
+    """
+    n = n_qubits
+    w = [1] + [0] * n
+    for _ in range(steps):
+        w = [(d * w[d - 1] if d else 0) + ((n - d) * w[d + 1] if d < n else 0)
+             for d in range(n + 1)]
+    return w
 
 
-def p_xk_norm(table: DiagonalTable, ground: GroundSpaceInfo, k: int,
-              budget: int = 4096, seed: int = 0) -> PxkNorm:
-    """||P (X/N)^K|| via the Gram matrix of (X/N)^K over ground basis states.
+def p_xk_norm(table: DiagonalTable, ground: GroundSpaceInfo, k: int) -> float:
+    """||P (X/N)^K||, the square root of the top eigenvalue of the Gram
+    matrix P (X/N)^2K P over the ground basis states.
 
-    When n0 exceeds the budget, a random ground subset gives a flagged lower
-    bound instead.
+    X is the adjacency matrix of the N-cube, so <u|X^2K|v> is the walk count
+    w_2K(d(u, v)) and the Gram matrix is a lookup on Hamming distances
+    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, 1977).
+    Each entry w_2K(d) / N^2K is one correctly rounded integer division.
     """
     idx = ground.ground_indices
-    exact = idx.size <= budget
-    if not exact:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(idx, size=budget, replace=False))
-    # the unit columns of idx are passed unnamed, so on CPython 3.11+ they do
-    # not outlive the first application: the peak is three (2^N, n0) arrays
-    cols = _apply_xk_over_n(
-        (np.arange(1 << table.n_qubits)[:, None] == idx).astype(np.float64),
-        table.n_qubits, k)
-    gram = cols.T @ cols
+    if idx.size > eigensolve.DENSE_DIM_CAP:
+        raise BoundsError(
+            f"n0={idx.size} exceeds the dense cap {eigensolve.DENSE_DIM_CAP} of "
+            "the n0 x n0 Gram matrix; use the entropy upper bound pbound_value")
+    n = table.n_qubits
+    scale = n ** (2 * k)
+    weights = np.array([w / scale for w in _hypercube_walk_counts(n, 2 * k)])
+    gram = weights[np.bitwise_count(idx[:, None] ^ idx[None, :])]
     lam_max = float(np.linalg.eigvalsh(gram)[-1])
-    return PxkNorm(value=math.sqrt(max(0.0, lam_max)), exact=exact)
+    return math.sqrt(max(0.0, lam_max))
 
 
 def _pbound_arg(n0: int, n_qubits: int, k: int) -> float:

@@ -26,8 +26,7 @@ from .context import choose_parity_block  # noqa: F401  (stays importable from b
 from .hilbert import (
     DiagonalTable,
     MatrixFreeOperator,
-    OperatorSpec,
-    StateVector,
+    _apply_xk_over_n,
     psi_plus_overlap,
 )
 
@@ -91,11 +90,10 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
     if params.big_b == 0.0 or params.s == 0.0:
         return h
     qhsq = analysis.operator(analysis.qhsq_spec)
-    xk = analysis.operator(OperatorSpec("XK", k=params.k))
 
     def v_apply(amps: np.ndarray) -> np.ndarray:
         """V = -B (X/N)^K applied to an amplitude array."""
-        return -params.big_b * xk.apply(amps)
+        return -params.big_b * _apply_xk_over_n(amps, table.n_qubits, params.k)
 
     dim = 1 << table.n_qubits
     for col, u in enumerate(idx):
@@ -157,7 +155,7 @@ def _j0_plus_v_operator(analysis: Analysis, zeta: float) -> MatrixFreeOperator:
     return MatrixFreeOperator(analysis.hs_spec, shifted)
 
 
-def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[StateVector, OverlapReport]:
+def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapReport]:
     """Resum the phi series exactly: solve (omega - J0 - sV) x = (omega - J0) xi0.
 
     The right-hand side is ground-supported, so (omega - J0) xi0 collapses to
@@ -193,8 +191,8 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[StateVector, OverlapR
     if align < 1 - 1e-8:
         raise BwptError(f"phi does not align with the H_s ground state ({align})")
 
-    inner_phi = psi_plus_overlap(StateVector(n, phi))
-    inner_gs = psi_plus_overlap(StateVector(n, psi01))
+    inner_phi = psi_plus_overlap(phi)
+    inner_gs = psi_plus_overlap(psi01)
     d = analysis.instance.degree
     report = OverlapReport(
         inner_psi_plus_phi=inner_phi,
@@ -208,7 +206,7 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[StateVector, OverlapR
         ),
         log2_overlap_margin=math.log2(inner_phi) + n / 2.0 if inner_phi > 0 else float("-inf"),
     )
-    return StateVector(n, phi), report
+    return phi, report
 
 
 def analytic_lower_bound(n_qubits: int, degree: int, k: int, big_b: float,

@@ -1,9 +1,10 @@
-"""Computational-basis state vectors and matrix-free operators.
+"""Computational-basis states, diagonal tables and matrix-free operators.
 
 Basis convention: a basis state is an integer index u in [0, 2^N); bit i of u
 gives the Z_i eigenvalue with 0 -> +1 and 1 -> -1.  Every operator handled here
 (H_Z, X, (X/N)^K, H_s = H_Z - sB(X/N)^K, and the ground-space projections) is
-real-symmetric in this basis, so amplitudes are binary64 reals.
+real-symmetric in this basis, so a state is a float64 array of 2^N
+amplitudes.
 """
 
 from __future__ import annotations
@@ -24,32 +25,6 @@ class BudgetError(RuntimeError):
 
     Use energy_of() for streaming per-index energy evaluation instead.
     """
-
-
-@dataclass
-class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"amplitude array has length {self.amplitudes.size}, expected 2^{self.n_qubits}"
-            )
-
-    def norm(self) -> float:
-        """Euclidean norm."""
-        return float(np.linalg.norm(self.amplitudes))
-
-    def l1(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes)))
-
-    def inner(self, other: "StateVector") -> float:
-        return float(self.amplitudes @ other.amplitudes)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
 
 
 @dataclass(frozen=True)
@@ -98,10 +73,10 @@ class HsParams:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One of the named operators: X, XK, HS, QHSQ.
+    """One of the named operators: X, HS, QHSQ.
 
-    XK is (X/N)^K; HS(s, B, K) is H_Z - sB(X/N)^K (H_Z itself at sB = 0);
-    QHSQ is HS conjugated by the excited-space projector Q.  `parity_block`
+    HS(s, B, K) is H_Z - sB(X/N)^K (H_Z itself at sB = 0); QHSQ is HS
+    conjugated by the excited-space projector Q.  `parity_block`
     restricts to even or odd Hamming-weight basis states (meaningful for even
     K, where HS is block diagonal).
     """
@@ -113,7 +88,7 @@ class OperatorSpec:
     parity_block: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("X", "XK", "HS", "QHSQ"):
+        if self.kind not in ("X", "HS", "QHSQ"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s={self.s} outside [0, 1]")
@@ -178,14 +153,12 @@ def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> Dia
 def ground_space(table: DiagonalTable) -> GroundSpaceInfo:
     """List all basis indices within DEGENERACY_TOL of e0 and certify the gap.
 
-    gap_certified means every excluded energy is at least e0 + 1 - 1e-9, the
-    unit-gap promise the theorem checks rely on.  A smaller gap is recorded,
-    not rejected.
+    gap_certified means the table's gap to the first excluded energy is at
+    least 1 - 1e-9 (or nothing is excluded), the unit-gap promise the theorem
+    checks rely on.  A smaller gap is recorded, not rejected.
     """
-    in_band = table.energies <= table.e0 + DEGENERACY_TOL
-    ground = np.flatnonzero(in_band)
-    excluded = table.energies[~in_band]
-    certified = bool(excluded.size == 0 or excluded.min() >= table.e0 + 1 - 1e-9)
+    ground = np.flatnonzero(table.energies <= table.e0 + DEGENERACY_TOL)
+    certified = table.gap is None or table.gap >= 1 - 1e-9
     return GroundSpaceInfo(
         e0=table.e0, n0=int(ground.size), ground_indices=ground, gap_certified=certified
     )
@@ -199,8 +172,9 @@ def parity_masks(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_state(kind: str, n_qubits: int, u: int | None = None,
-               support: Iterable[int] | None = None, seed: int = 0) -> StateVector:
-    """Build a named state: psi_plus, basis(u), uniform_on(set), random_on(set)."""
+               support: Iterable[int] | None = None, seed: int = 0) -> np.ndarray:
+    """Amplitudes of a named state: psi_plus, basis(u), uniform_on(set),
+    random_on(set)."""
     dim = 1 << n_qubits
     amps = np.zeros(dim, dtype=np.float64)
     if kind == "psi_plus":
@@ -224,7 +198,7 @@ def make_state(kind: str, n_qubits: int, u: int | None = None,
             amps[idx] = vals / np.linalg.norm(vals)
     else:
         raise ValueError(f"unknown state kind {kind!r}")
-    return StateVector(n_qubits, amps)
+    return amps
 
 
 def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -241,8 +215,7 @@ def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
 
 
 def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
-    """(X/N)^K as K successive applications of X/N.  Each step rebinds `amps`,
-    so an input the caller passes without holding it is freed after step 1."""
+    """(X/N)^K as K successive applications of X/N."""
     for _ in range(k):
         amps = _apply_x(amps, n_qubits) / n_qubits
     return amps
@@ -283,8 +256,6 @@ class MatrixFreeOperator:
             x[self._outside] = 0.0
         if spec.kind == "X":
             out = _apply_x(x, self.n_qubits)
-        elif spec.kind == "XK":
-            out = _apply_xk_over_n(x, self.n_qubits, spec.k)
         else:  # HS and QHSQ differ only in their support
             diag = self.table.energies if x.ndim == 1 else self.table.energies[:, None]
             out = diag * x
@@ -299,28 +270,19 @@ class MatrixFreeOperator:
         e = float(np.max(np.abs(self.table.energies))) if self.table.energies.size else 0.0
         if self.spec.kind == "X":
             return float(self.n_qubits)
-        if self.spec.kind == "XK":
-            return 1.0
         return e + abs(self.spec.s * self.spec.big_b) + 1.0
 
 
-def project(state: StateVector, subspace: str, ground: GroundSpaceInfo | None = None) -> StateVector:
-    """Project onto P(ground), Q(ground), or a parity block.  Idempotent."""
-    amps = state.amplitudes.copy()
-    if subspace in ("P", "Q"):
-        if ground is None:
-            raise ValueError(f"{subspace} projection requires ground-space info")
-        mask = ground.mask(state.n_qubits)
-        amps = np.where(mask if subspace == "P" else ~mask, amps, 0.0)
-    elif subspace in ("even", "odd"):
-        even, odd = parity_masks(state.n_qubits)
-        amps = np.where(even if subspace == "even" else odd, amps, 0.0)
-    else:
-        raise ValueError(f"unknown subspace {subspace!r}")
-    return StateVector(state.n_qubits, amps)
+def n_qubits_of(amps: np.ndarray) -> int:
+    """N for an amplitude vector of length 2^N; anything else is rejected."""
+    size = amps.size
+    if amps.ndim != 1 or size == 0 or size & (size - 1):
+        raise ValueError(f"amplitude array of shape {amps.shape} is not a 2^N vector")
+    return size.bit_length() - 1
 
 
-def psi_plus_overlap(state: StateVector) -> float:
+def psi_plus_overlap(amps: np.ndarray) -> float:
     """<psi_+|state> = 2^(-N/2) * sum of amplitudes (the l1 identity for
     non-negative states)."""
-    return float(2.0 ** (-state.n_qubits / 2.0) * state.amplitudes.sum())
+    n = n_qubits_of(amps)
+    return float(2.0 ** (-n / 2.0) * amps.sum())

@@ -2,6 +2,7 @@
 Sherrington-Kirkpatrick draws, toy two-set models, and a degeneracy ladder
 n0 in {1, 2, 4, 2^(N/2)}."""
 
+import numpy as np
 import pytest
 
 from shortpath import instances
@@ -16,6 +17,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_VERDICTS):
             terminalreporter.write_line(line)
+
+
+def dense_x(n):
+    """The 0/1 matrix of X = sum_i X_i, built entry by entry."""
+    dim = 1 << n
+    x = np.zeros((dim, dim))
+    for u in range(dim):
+        for i in range(n):
+            x[u ^ (1 << i), u] += 1.0
+    return x
 
 
 def hand_single_term():

@@ -102,7 +102,7 @@ def test_criterion_2_bw_consistency(prepared_corpus, qgood_sweep):
                 for zeta in (0.25, 0.5, 0.75):
                     c2 = bwpt.solve_self_consistent(a, zeta=zeta)
                     p2, _ = bwpt.phi_exact(c2, a)
-                    rays.append(p2.amplitudes / p2.norm())
+                    rays.append(p2 / np.linalg.norm(p2))
                 for other in rays[1:]:
                     align = abs(float(rays[0] @ other))
                     worst_align = min(worst_align, align)
@@ -210,7 +210,7 @@ def test_criterion_6_entropy_suite(prepared_corpus):
     # ||P (X/N)^K|| never exceeds its entropy bound on the corpus
     for label, inst, table, ground in prepared_corpus:
         for k in K_GRID:
-            norm = bounds.p_xk_norm(table, ground, k).value
+            norm = bounds.p_xk_norm(table, ground, k)
             cap = bounds.pbound_value(ground.n0, inst.n_qubits, k)
             assert norm <= cap + 1e-12, (label, k, norm, cap)
     grid = np.linspace(0.0, 1.0, 10000)
@@ -289,13 +289,13 @@ def test_criterion_9_speedup_accounting(prepared_corpus):
         spec_rep = analyze.spectral_report(a)
         if spec_rep.eq01 < table.e0 + 0.5:
             continue
-        pnorm = bounds.p_xk_norm(table, ground, 2).value
+        pnorm = bounds.p_xk_norm(table, ground, 2)
         if params.big_b * pnorm > 0.25:
             guard_fails += 1
         sim = analyze.simulate_algorithm1(a)
         assert sim.speedup_bits > 0, (seed, sim.speedup_bits)
         speedups.append(sim.speedup_bits)
-        psi_p = hilbert.make_state("psi_plus", 10).amplitudes
+        psi_p = hilbert.make_state("psi_plus", 10)
         psi01 = analyze._psi01_from_band(spec_rep, psi_p)
         measured = math.log(float(psi_p @ psi01) * 2.0**5)
         leading = params.big_b * 10 / (2.0 * inst.degree * params.k * abs(table.e0))

@@ -2,11 +2,12 @@
 classical baseline counting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from shortpath import bounds, hilbert, instances
+from shortpath import bounds, cli, eigensolve, instances
 from shortpath.bounds import (
     BoundsError,
     TheoremConstants,
@@ -27,7 +28,7 @@ from shortpath.bounds import (
 )
 from shortpath.hilbert import HsParams, evaluate_hz, ground_space, make_state
 
-from conftest import hand_single_term, disjoint_pairs
+from conftest import dense_x, disjoint_pairs, hand_single_term, main_corpus
 
 
 def _bisect_entropy_inverse(sigma, tol=1e-14):
@@ -77,6 +78,8 @@ def test_entropy_domain_errors():
         binary_entropy(1.5)
     with pytest.raises(BoundsError):
         tau_inverse(-0.1)
+    with pytest.raises(ValueError, match="2\\^N"):
+        state_entropy_checks(np.full(3, 3**-0.5), k=1)
 
 
 def test_state_entropy_psi_plus_saturates_sx():
@@ -101,23 +104,60 @@ def test_p_xk_norm_single_flip_and_pair():
     inst = instances.build_instance(4, 1, [((i,), 1.0) for i in range(4)])
     table = evaluate_hz(inst)
     ground = ground_space(table)
-    res = p_xk_norm(table, ground, 1)
-    assert res.exact
-    assert res.value == pytest.approx(4.0**-0.5, abs=1e-12)
+    assert p_xk_norm(table, ground, 1) == pytest.approx(4.0**-0.5, abs=1e-12)
     # N=2 single term: ground {01, 10} are one flip apart, norm is 1
     table2 = evaluate_hz(hand_single_term())
-    res2 = p_xk_norm(table2, ground_space(table2), 1)
-    assert res2.value == pytest.approx(1.0, abs=1e-12)
+    assert p_xk_norm(table2, ground_space(table2), 1) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_p_xk_norm_sampled_mode_lower_bounds_exact():
-    inst = disjoint_pairs(8)  # n0 = 16
-    table = evaluate_hz(inst)
+def test_p_xk_norm_against_dense_x_power():
+    # oracle: the ground rows of X^K by dense products of the 0/1 matrix X;
+    # every entry is an integer below 2^53, so the rows are exact, and
+    # ||P (X/N)^K|| is their top singular value over N^K
+    corpus = main_corpus() + [("pairs N=8", disjoint_pairs(8)),
+                              ("pairs N=10", disjoint_pairs(10))]
+    checked = 0
+    for label, inst in corpus:
+        n = inst.n_qubits
+        table = evaluate_hz(inst)
+        ground = ground_space(table)
+        x = dense_x(n)
+        rows = x[ground.ground_indices]
+        for k in range(1, 9):
+            if k > 1:
+                rows = rows @ x
+            if k in (1, 2, 3, 8):
+                want = np.linalg.norm(rows, 2) / n**k
+                got = p_xk_norm(table, ground, k)
+                assert got == pytest.approx(want, rel=1e-14), (label, k)
+                checked += 1
+    assert checked == 4 * len(corpus)
+
+
+def test_p_xk_norm_peak_memory_is_n0_squared():
+    # n0 = 256 ground states of 2^16: the parent's (2^N, n0) batches
+    # peaked at 256 MiB; the distance lookup needs a few n0 x n0 arrays
+    table = evaluate_hz(disjoint_pairs(16))
     ground = ground_space(table)
-    exact = p_xk_norm(table, ground, 2)
-    sampled = p_xk_norm(table, ground, 2, budget=8, seed=1)
-    assert exact.exact and not sampled.exact
-    assert sampled.value <= exact.value + 1e-12
+    assert ground.n0 == 256
+    tracemalloc.start()
+    try:
+        p_xk_norm(table, ground, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_p_xk_norm_above_dense_cap_is_typed(monkeypatch, tmp_path):
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 4)
+    inst = disjoint_pairs(6)  # n0 = 8
+    table = evaluate_hz(inst)
+    with pytest.raises(BoundsError, match="pbound_value"):
+        p_xk_norm(table, ground_space(table), 1)
+    path = tmp_path / "inst.txt"
+    instances.save_instance(inst, str(path))
+    assert cli.main(["qgood", "--in", str(path), "--b", "0.1", "--K", "1"]) == 1
 
 
 def test_kbound_hand_example():

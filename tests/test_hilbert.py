@@ -17,20 +17,10 @@ from shortpath.hilbert import (
     ground_space,
     make_state,
     parity_masks,
-    project,
     psi_plus_overlap,
 )
 
-from conftest import hand_single_term, hand_triangle, degeneracy_ladder
-
-
-def _dense_x(n):
-    dim = 1 << n
-    x = np.zeros((dim, dim))
-    for u in range(dim):
-        for i in range(n):
-            x[u ^ (1 << i), u] += 1.0
-    return x
+from conftest import dense_x, hand_single_term, hand_triangle, degeneracy_ladder
 
 
 def test_single_term_energies_by_hand():
@@ -166,18 +156,32 @@ def test_gap_certification_boundary():
     assert not ground_space(evaluate_hz(small)).gap_certified
 
 
+def test_ground_space_reads_the_gap_from_the_table():
+    # gap_certified comes from table.gap, so the call holds one boolean mask
+    # and the ground indices, not a copy of the excluded energies
+    table = evaluate_hz(instances.generate("sk_gaussian", 16, seed=0))
+    tracemalloc.start()
+    try:
+        ground = ground_space(table)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * table.energies.nbytes
+    assert ground.gap_certified == (table.gap >= 1 - 1e-9)
+
+
 def test_make_state_variants():
     psi = make_state("psi_plus", 4)
-    assert psi.norm() == pytest.approx(1.0)
-    assert np.all(psi.amplitudes == 0.25)
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
+    assert np.all(psi == 0.25)
     basis = make_state("basis", 3, u=5)
-    assert basis.amplitudes[5] == 1.0 and basis.l1() == 1.0
+    assert basis[5] == 1.0 and np.abs(basis).sum() == 1.0
     uni = make_state("uniform_on", 3, support=[1, 2, 4, 7])
-    assert uni.norm() == pytest.approx(1.0)
-    assert np.count_nonzero(uni.amplitudes) == 4
+    assert np.linalg.norm(uni) == pytest.approx(1.0)
+    assert np.count_nonzero(uni) == 4
     rnd = make_state("random_on", 3, support=[1, 2], seed=9)
-    assert rnd.norm() == pytest.approx(1.0)
-    assert np.count_nonzero(rnd.amplitudes) == 2
+    assert np.linalg.norm(rnd) == pytest.approx(1.0)
+    assert np.count_nonzero(rnd) == 2
     with pytest.raises(ValueError):
         make_state("basis", 3, u=8)
     with pytest.raises(ValueError):
@@ -187,7 +191,7 @@ def test_make_state_variants():
 def test_x_operator_matches_dense_matrix():
     rng = np.random.default_rng(0)
     for n in (2, 3, 5):
-        xd = _dense_x(n)
+        xd = dense_x(n)
         v = rng.standard_normal(1 << n)
         got = hilbert._apply_x(v, n)
         assert np.allclose(got, xd @ v, atol=1e-12)
@@ -204,8 +208,8 @@ def test_psi_plus_is_top_x_eigenvector():
     n = 5
     psi = make_state("psi_plus", n)
     table = evaluate_hz(instances.build_instance(n, 1, [((0,), 1.0)]))
-    xpsi = MatrixFreeOperator(OperatorSpec("X"), table).apply(psi.amplitudes)
-    assert np.allclose(xpsi, n * psi.amplitudes, atol=1e-12)
+    xpsi = MatrixFreeOperator(OperatorSpec("X"), table).apply(psi)
+    assert np.allclose(xpsi, n * psi, atol=1e-12)
 
 
 def test_hs_operator_example_by_hand():
@@ -213,7 +217,7 @@ def test_hs_operator_example_by_hand():
     inst = hand_single_term()
     table = evaluate_hz(inst)
     spec = OperatorSpec("HS", s=1.0, big_b=1.0, k=1)
-    out = MatrixFreeOperator(spec, table).apply(make_state("basis", 2, u=0).amplitudes)
+    out = MatrixFreeOperator(spec, table).apply(make_state("basis", 2, u=0))
     assert np.allclose(out, [1.0, -0.5, -0.5, 0.0], atol=1e-15)
 
 
@@ -256,20 +260,11 @@ def test_parity_restricted_operator_is_projection_conjugate():
     assert np.allclose(blocked.apply(v), np.where(even, full.apply(ve), 0.0), atol=1e-12)
 
 
-def test_project_p_q_partition_and_idempotence():
-    inst = hand_triangle()
-    ground = ground_space(evaluate_hz(inst))
-    psi = make_state("psi_plus", 3)
-    p = project(psi, "P", ground)
-    q = project(psi, "Q", ground)
-    assert np.allclose(p.amplitudes + q.amplitudes, psi.amplitudes)
-    assert p.inner(q) == 0.0
-    assert np.array_equal(project(p, "P", ground).amplitudes, p.amplitudes)
-
-
 def test_psi_plus_overlap_is_l1_for_nonnegative_states():
     state = make_state("uniform_on", 4, support=[0, 3, 7])
-    assert psi_plus_overlap(state) == pytest.approx(2.0**-2 * state.l1())
+    assert psi_plus_overlap(state) == pytest.approx(2.0**-2 * np.abs(state).sum())
+    with pytest.raises(ValueError, match="2\\^N"):
+        psi_plus_overlap(np.ones(6))
 
 
 def test_hsparams_validation():
