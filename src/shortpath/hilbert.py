@@ -5,6 +5,11 @@ gives the Z_i eigenvalue with 0 -> +1 and 1 -> -1.  Every operator handled here
 (H_Z, X, (X/N)^K, H_s = H_Z - sB(X/N)^K, and the ground-space projections) is
 real-symmetric in this basis, so a state is a float64 array of 2^N
 amplitudes.
+
+H_Z is tabulated by one in-place Walsh-Hadamard transform of the term
+weights.  X = sum_i X_i applies its low min(N, 5) qubits as one matmul
+against the 32 x 32 hypercube adjacency matrix and each higher qubit as an
+in-place add of a reversed view; (X/N)^K chains K of those.
 """
 
 from __future__ import annotations
@@ -18,6 +23,13 @@ from .instances import Instance
 
 DEFAULT_MAX_QUBITS = 26  # dense-vector ceiling, 0.5 GiB per vector
 DEGENERACY_TOL = 1e-9
+
+# X on the low _BLOCK_BITS qubits is one matmul against the adjacency matrix
+# of the 5-cube, A[u, v] = 1 iff u ^ v is a single bit.  Its top-left
+# 2^b x 2^b block is the b-cube's, so the one table serves every N.
+_BLOCK_BITS = 5
+_CUBE_ADJACENCY = (np.bitwise_count(np.arange(1 << _BLOCK_BITS)[:, None]
+                                    ^ np.arange(1 << _BLOCK_BITS)) == 1).astype(np.float64)
 
 
 class BudgetError(RuntimeError):
@@ -202,22 +214,39 @@ def make_state(kind: str, n_qubits: int, u: int | None = None,
 
 
 def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """X = sum_i of the bit-i flip; flipping bit i reverses the middle axis of
-    the (2^(N-1-i), 2, 2^i) view.  Accepts a vector or a (2^N, m) batch (the
-    trailing columns merge into the low-bit axis under row-major order)."""
-    out = np.zeros(amps.shape)  # C order, so every reshape below is a view
-    cols = 1 if amps.ndim == 1 else amps.shape[1]
-    for i in range(n_qubits):
-        v = amps.reshape(-1, 2, (1 << i) * cols)
-        acc = out.reshape(v.shape)
-        acc += v[:, ::-1, :]
+    """X = sum_i of the bit-i flip.  Accepts a vector or a (2^N, m) batch.
+
+    The low b = min(N, 5) qubits go in one matmul against the b-cube's
+    adjacency matrix: a (2^(N-b), 2^b) view of a vector times it, or it times
+    each (2^b, m) slab of a (2^(N-b), 2^b, m) view of a batch (columns stay
+    their own axis instead of merging into the low-bit axis).  Each higher
+    bit i reverses the middle axis of the (2^(N-1-i), 2, 2^i, ...) view and is
+    added in place.  Sums are taken in matmul order, so non-integer
+    amplitudes can differ from a per-bit flip sum in the last bits."""
+    # BLAS sums in an order that depends on the strides; one layout keeps
+    # the bits independent of how the caller stores its batch
+    amps = np.ascontiguousarray(amps)
+    b = min(n_qubits, _BLOCK_BITS)
+    cube = _CUBE_ADJACENCY[:1 << b, :1 << b]
+    cols = amps.shape[1:]
+    if amps.ndim == 1:
+        out = amps.reshape(-1, 1 << b) @ cube  # cube is symmetric
+    else:
+        out = np.matmul(cube, amps.reshape((-1, 1 << b) + cols))
+    out = out.reshape(amps.shape)  # a C-order view, owned by the matmul result
+    for i in range(b, n_qubits):
+        shape = (-1, 2, 1 << i) + cols
+        acc = out.reshape(shape)
+        acc += amps.reshape(shape)[:, ::-1]
     return out
 
 
 def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
-    """(X/N)^K as K successive applications of X/N."""
+    """(X/N)^K as K successive applications of X/N, dividing in place so at
+    most the input and two iterates are alive."""
     for _ in range(k):
-        amps = _apply_x(amps, n_qubits) / n_qubits
+        amps = _apply_x(amps, n_qubits)
+        amps /= n_qubits
     return amps
 
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,10 +155,14 @@ def test_constants_file_flows_through(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child does not inherit pytest's pythonpath setting, so point it at
+    # this checkout's src for runs where shortpath is not installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "shortpath.cli", "thm3", "--alpha", "1.5",
          "--c", "1", "--n", "1000", "--C", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["parameter_choice"]["regime"] == "low"

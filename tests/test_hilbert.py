@@ -189,8 +189,10 @@ def test_make_state_variants():
 
 
 def test_x_operator_matches_dense_matrix():
+    # N = 1, 2, 3 use a corner of the low-bit block, N = 5 the whole block,
+    # and N = 6, 9 the block plus per-bit flips above it
     rng = np.random.default_rng(0)
-    for n in (2, 3, 5):
+    for n in (1, 2, 3, 5, 6, 9):
         xd = dense_x(n)
         v = rng.standard_normal(1 << n)
         got = hilbert._apply_x(v, n)
@@ -202,6 +204,36 @@ def test_x_operator_matches_dense_matrix():
         # a column-major batch gives the same columns
         got_f = hilbert._apply_x(np.asfortranarray(batch), n)
         assert np.array_equal(got_f, got_b)
+
+
+def test_x_operator_is_exact_on_small_integers():
+    # every partial sum is a small integer, so any summation order is exact
+    n = 12
+    rng = np.random.default_rng(1)
+    u = np.arange(1 << n)
+
+    def gathered(v):
+        return sum(v[u ^ (1 << i)] for i in range(n))
+
+    v = rng.integers(-4, 5, 1 << n).astype(np.float64)
+    assert np.array_equal(hilbert._apply_x(v, n), gathered(v))
+    batch = rng.integers(-4, 5, (1 << n, 3)).astype(np.float64)
+    assert np.array_equal(hilbert._apply_x(batch, n), gathered(batch))
+    assert np.array_equal(hilbert._apply_x(np.asfortranarray(batch), n), gathered(batch))
+
+
+def test_xk_chain_holds_at_most_two_iterates():
+    # (X/N)^K divides each iterate in place, so two 2^N iterates besides the
+    # input are the peak, whether _apply_x returns an owning array or a view
+    n = 16
+    amps = np.random.default_rng(2).standard_normal(1 << n)
+    tracemalloc.start()
+    try:
+        hilbert._apply_xk_over_n(amps, n, 8)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (1 << n) * 8
 
 
 def test_psi_plus_is_top_x_eigenvector():
