@@ -1,11 +1,12 @@
 """Eigenpairs and shifted linear solves for the matrix-free operators.
 
-Both solvers work on the compressed free subspace op.support, the basis
-indices the operator acts on, reached by gather/scatter around op.apply.
-extreme_eigs runs ARPACK (scipy's eigsh) for one eigenpair at a time and lifts
-each converged vector out of the way before the next run, so every copy of a
-degenerate level is found.  dense_spectrum is the independent oracle used by
-the property tests.  block_lemma_check verifies the three block-matrix
+Both solvers use the operator as the LinearOperator it is on op.support and
+speak 2^N vectors to their callers: eigenvectors are scattered back from the
+support, and a right-hand side is read on it.  extreme_eigs runs ARPACK
+(scipy's eigsh, seeded for its restarts too) for one eigenpair at a time and
+lifts each converged vector out of the way before the next run, so every copy
+of a degenerate level is found.  dense_spectrum is the independent oracle used
+by the property tests.  block_lemma_check verifies the three block-matrix
 eigenvalue/overlap facts used by the theorem pipelines.
 """
 
@@ -38,26 +39,14 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def _compressed(op: MatrixFreeOperator) -> LinearOperator:
-    """op restricted to op.support as a LinearOperator."""
-    kept = op.support
-
-    def matvec(y):
-        x = np.zeros(op.dim)
-        x[kept] = y.ravel()
-        return op.apply(x)[kept]
-
-    return LinearOperator((kept.size, kept.size), matvec=matvec, dtype=np.float64)
-
-
 def operator_matrix(op: MatrixFreeOperator) -> np.ndarray:
-    """Materialize the dense symmetric matrix of a matrix-free operator."""
-    if op.dim > DENSE_DIM_CAP:
+    """Materialize the dense symmetric matrix of a matrix-free operator on its support."""
+    if op.dim > DENSE_DIM_CAP:  # 2^N, the rows of the scatter buffer
         raise EigensolveError(
             f"dimension {op.dim} exceeds the dense cap {DENSE_DIM_CAP}; "
             "use extreme_eigs for the low spectrum"
         )
-    return op.apply(np.eye(op.dim))
+    return op.matmat(np.eye(op.shape[0]))
 
 
 def dense_spectrum(op_or_matrix, want_vectors: bool = True) -> EigenResult:
@@ -89,27 +78,26 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int) -> EigenResult:
     another copy of a degenerate eigenvalue."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
-    a = _compressed(op)
-    free_dim = op.support.size
+    free_dim = op.shape[0]
     if how_many > free_dim:
         raise EigensolveError(
             f"requested {how_many} eigenpairs but the deflated subspace has "
             f"dimension {free_dim}"
         )
     if free_dim < 2:  # ARPACK needs k < n; here how_many == free_dim == 1
-        vals, ys = np.linalg.eigh(a.matmat(np.eye(1)))
+        vals, ys = np.linalg.eigh(op.matmat(np.eye(1)))
     else:
         rng = np.random.default_rng(_START_SEED)
         lift = 2.0 * op.norm_bound()
         ys = np.zeros((free_dim, 0))
         vals = np.zeros(0)
         # reads ys at call time, so each run sees every vector found before it
-        lifted = LinearOperator(a.shape, dtype=np.float64,
-                                matvec=lambda y: a.matvec(y) + lift * (ys @ (ys.T @ y)))
+        lifted = LinearOperator(op.shape, dtype=np.float64,
+                                matvec=lambda y: op.matvec(y) + lift * (ys @ (ys.T @ y)))
         for _ in range(how_many):
             try:
                 lam, y = eigsh(lifted, k=1, which="SA", tol=0,
-                               v0=rng.standard_normal(free_dim))
+                               v0=rng.standard_normal(free_dim), rng=rng)
             except ArpackNoConvergence as exc:
                 best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
                             for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
@@ -124,7 +112,8 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int) -> EigenResult:
     vals, ys = vals[order], ys[:, order]
     vecs = np.zeros((op.dim, how_many))
     vecs[op.support] = ys
-    residuals = np.linalg.norm(a.matmat(ys) - ys * vals, axis=0)
+    applied = np.column_stack([op.matvec(y) for y in ys.T])  # one product per vector
+    residuals = np.linalg.norm(applied - ys * vals, axis=0)
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, residuals=residuals)
 
 
@@ -135,14 +124,13 @@ def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.n
     Minimum-residual Krylov solve; the returned x is zero outside the
     support and satisfies ||(shift - op)x - rhs|| <= 1e-10 * ||rhs|| on it.
     """
-    a = _compressed(op)
     b = np.asarray(rhs, dtype=np.float64)[op.support]
     out = np.zeros(op.dim)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return out
 
-    lin = LinearOperator(a.shape, matvec=lambda y: shift * y - a.matvec(y),
+    lin = LinearOperator(op.shape, matvec=lambda y: shift * y - op.matvec(y),
                          dtype=np.float64)
     x = np.zeros_like(b)
     maxiter = max(4 * b.size, 200)

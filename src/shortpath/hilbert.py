@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from .instances import Instance
 
@@ -250,13 +251,13 @@ def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
     return amps
 
 
-class MatrixFreeOperator:
+class MatrixFreeOperator(LinearOperator):
     """Bound operator: an OperatorSpec attached to an instance's diagonal table.
 
     `support` holds the sorted basis indices the operator acts on: its parity
-    block, minus the ground indices for QHSQ.  apply() zeroes every amplitude
-    outside the support on the way in and on the way out; the eigensolvers
-    and the shifted linear solves work on the support alone.
+    block, minus the ground indices for QHSQ.  The operator is the
+    LinearOperator of that block, of shape (|support|, |support|), which the
+    eigensolvers and the shifted linear solves use as it is.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
@@ -274,15 +275,17 @@ class MatrixFreeOperator:
         if spec.kind == "QHSQ":
             keep[ground.ground_indices] = False
         self.support = np.flatnonzero(keep)
-        self._outside = None if self.support.size == self.dim else ~keep
+        super().__init__(np.float64, (self.support.size, self.support.size))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """Apply to an amplitude vector or a (2^N, m) batch of columns."""
+        """Apply to amplitudes over `support` (a vector or a (|support|, m) batch),
+        through a zeroed 2^N buffer unless the support is the full space."""
         spec = self.spec
+        full = self.support.size == self.dim
         x = amps
-        if self._outside is not None:
-            x = x.copy()
-            x[self._outside] = 0.0
+        if not full:
+            x = np.zeros((self.dim,) + amps.shape[1:])
+            x[self.support] = amps
         if spec.kind == "X":
             out = _apply_x(x, self.n_qubits)
         else:  # HS and QHSQ differ only in their support
@@ -290,9 +293,17 @@ class MatrixFreeOperator:
             out = diag * x
             if spec.s != 0.0 and spec.big_b != 0.0:
                 out -= spec.s * spec.big_b * _apply_xk_over_n(x, self.n_qubits, spec.k)
-        if self._outside is not None:
-            out[self._outside] = 0.0
-        return out
+        return out if full else out[self.support]
+
+    # these call apply rather than alias it, so a wrapper of apply sees every product
+    def _matvec(self, y: np.ndarray) -> np.ndarray:
+        return self.apply(y.ravel())
+
+    def _matmat(self, ys: np.ndarray) -> np.ndarray:
+        return self.apply(ys)
+
+    def _adjoint(self) -> MatrixFreeOperator:
+        return self  # real symmetric
 
     def norm_bound(self) -> float:
         """Cheap upper bound on the spectral radius (|H_Z| <= J_tot, |(X/N)^K| <= 1)."""

@@ -61,11 +61,16 @@ def test_extreme_eigs_matches_dense_with_degeneracy(make, rel_b, k, block, want)
     op = _hs_op(inst, rel_b * abs(e0), k, block)
     it = extreme_eigs(op, want)
     mat = operator_matrix(op)
-    expect = np.linalg.eigvalsh(mat[np.ix_(op.support, op.support)])[:want]
+    expect = np.linalg.eigvalsh(mat)[:want]
     assert np.allclose(it.eigenvalues, expect, atol=1e-9)
     # recovered vectors are orthonormal
     g = it.eigenvectors.T @ it.eigenvectors
     assert np.allclose(g, np.eye(want), atol=1e-8)
+    # each residual is ||M y - lambda y|| of its vector on the support
+    ys = it.eigenvectors[op.support]
+    dense = np.linalg.norm(mat @ ys - ys * it.eigenvalues, axis=0)
+    assert np.allclose(it.residuals, dense, rtol=0, atol=1e-12)
+    assert np.all(it.residuals < 1e-8)
 
 
 def test_extreme_eigs_no_convergence_is_typed(monkeypatch, tmp_path, caplog):
@@ -96,6 +101,9 @@ def test_extreme_eigs_small_full_spectrum():
                  id="sk_pm6-even"),
     # Q block diag(1, 1): a solver that keeps the zeroed ground rows returns 0
     pytest.param(hand_single_term, 1.0, 1, None, id="single-term"),
+    # N=1, H_Z = Z: Q keeps basis state 0 alone, the dense eigh path, eigenvalue 1
+    pytest.param(lambda: instances.build_instance(1, 1, [((0,), 1.0)]), 1.0, 1, None,
+                 id="free-dim-1"),
 ])
 def test_extreme_eigs_with_index_deflation(make, big_b, k, block):
     table = hilbert.evaluate_hz(make())
@@ -104,12 +112,15 @@ def test_extreme_eigs_with_index_deflation(make, big_b, k, block):
         OperatorSpec("QHSQ", s=1.0, big_b=big_b, k=k, parity_block=block),
         table, ground)
     it = extreme_eigs(op, 1)
-    mat = operator_matrix(op)
     keep = np.ones(op.dim, dtype=bool)
     if block == "even":
         keep, _ = hilbert.parity_masks(table.n_qubits)
     keep[ground.ground_indices] = False
-    sub = mat[np.ix_(keep, keep)]
+    assert np.array_equal(op.support, np.flatnonzero(keep))
+    # H_s on the whole space, cut down to the kept indices
+    full = operator_matrix(
+        MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=big_b, k=k), table))
+    sub = full[np.ix_(keep, keep)]
     assert it.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(sub)[0], abs=1e-9)
 
 
@@ -137,7 +148,8 @@ def test_solve_shifted_against_dense_inverse():
     mat = operator_matrix(op)
     keep = np.ones(64, dtype=bool)
     keep[ground.ground_indices] = False
-    sub = shift * np.eye(keep.sum()) - mat[np.ix_(keep, keep)]
+    assert np.array_equal(op.support, np.flatnonzero(keep))
+    sub = shift * np.eye(keep.sum()) - mat
     expect = np.linalg.solve(sub, rhs[keep])
     assert np.allclose(x[keep], expect, atol=1e-7 * np.linalg.norm(expect))
     assert np.allclose(x[ground.ground_indices], 0.0)

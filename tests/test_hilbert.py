@@ -259,9 +259,9 @@ def test_qhsq_zeroes_ground_rows_and_columns():
     ground = ground_space(table)
     op = MatrixFreeOperator(OperatorSpec("QHSQ", s=1.0, big_b=1.0, k=1), table, ground)
     assert np.array_equal(op.support, [0, 3])
-    mat = op.apply(np.eye(4))
-    assert np.allclose(mat[ground.ground_indices, :], 0.0)
-    assert np.allclose(mat[:, ground.ground_indices], 0.0)
+    mat = op.apply(np.eye(2))
+    hs = MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=1.0, k=1), table).apply(np.eye(4))
+    assert np.allclose(mat, hs[np.ix_(op.support, op.support)], atol=1e-15)
     assert np.allclose(mat, mat.T, atol=1e-12)
 
 
@@ -289,7 +289,7 @@ def test_parity_restricted_operator_is_projection_conjugate():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(32)
     ve = np.where(even, v, 0.0)
-    assert np.allclose(blocked.apply(v), np.where(even, full.apply(ve), 0.0), atol=1e-12)
+    assert np.array_equal(blocked.apply(v[even]), full.apply(ve)[even])
 
 
 def test_psi_plus_overlap_is_l1_for_nonnegative_states():
