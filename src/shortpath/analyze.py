@@ -145,21 +145,21 @@ def qgood_verify(analysis: Analysis,
 
     Failures are recorded in the report, never raised.
     """
-    instance, table, ground, params = (
-        analysis.instance, analysis.table, analysis.ground, analysis.params)
+    instance, table, ground, spec = (
+        analysis.instance, analysis.table, analysis.ground, analysis.spec)
     spec_rep = spectral_report(analysis)
     e0 = table.e0
     n = instance.n_qubits
 
-    pnorm = bounds.p_xk_norm(table, ground, params.k)
+    pnorm = bounds.p_xk_norm(table, ground, spec.k)
     pre = [
         ("eq01_above_half", bool(spec_rep.eq01 >= e0 + 0.5 - TOL),
          float(spec_rep.eq01 - (e0 + 0.5))),
-        ("b_pnorm_quarter", bool(params.big_b * pnorm <= 0.25 + TOL),
-         float(0.25 - params.big_b * pnorm)),
+        ("b_pnorm_quarter", bool(spec.big_b * pnorm <= 0.25 + TOL),
+         float(0.25 - spec.big_b * pnorm)),
         # asymptotic: B = omega(log N) is reported as a ratio, not pass/fail
         ("b_over_log2n", None,
-         float(params.big_b / math.log2(n)) if n > 1 else float("inf")),
+         float(spec.big_b / math.log2(n)) if n > 1 else float("inf")),
     ]
     report = TheoremReport(theorem="qgood", preconditions=pre, conclusions=[],
                            branch=None, constants_used=constants,
@@ -194,7 +194,7 @@ def qgood_verify(analysis: Analysis,
     psi01 = _psi01_from_band(spec_rep, psi_p)
     ovl = float(psi_p @ psi01) * 2.0 ** (n / 2.0)
     predicted = (
-        params.big_b * n / (2.0 * instance.degree * params.k * abs(e0))
+        spec.big_b * n / (2.0 * instance.degree * spec.k * abs(e0))
         if e0 < 0 else 0.0
     )
     measured_log = math.log(ovl) if ovl > 0 else float("-inf")
@@ -212,12 +212,12 @@ def mainconst_decide(analysis: Analysis,
     Branch 1 (speedup) when E^Q_{0,1} >= E0 + 1/2; otherwise branch 2, which
     must produce a density-of-states witness and the H_{5/2} eigenvector fact.
     """
-    instance, table, ground, params = (
-        analysis.instance, analysis.table, analysis.ground, analysis.params)
+    instance, table, ground, spec = (
+        analysis.instance, analysis.table, analysis.ground, analysis.spec)
     e0 = table.e0
     n = instance.n_qubits
 
-    kb = bounds.kbound_check(ground.n0, n, params.k, params.big_b)
+    kb = bounds.kbound_check(ground.n0, n, spec.k, spec.big_b)
     report = TheoremReport(theorem="mainconst", preconditions=[
         ("kbound", kb.passes, float(0.25 - kb.lhs)),
         ("gap_certified", ground.gap_certified, 0.0),
@@ -232,16 +232,16 @@ def mainconst_decide(analysis: Analysis,
     report.details["spectral"] = spec_rep
     if spec_rep.eq01 >= e0 + 0.5 - TOL:
         report.branch = 1
-        b_small = params.big_b / abs(e0) if e0 < 0 else 0.0
+        b_small = spec.big_b / abs(e0) if e0 < 0 else 0.0
         # expected-time exponent N/2 - (b / 2DK) N log2(e), leading term only
-        gain_bits = (b_small / (2.0 * instance.degree * params.k)) * n * math.log2(math.e)
+        gain_bits = (b_small / (2.0 * instance.degree * spec.k)) * n * math.log2(math.e)
         report.conclusions.append(("speedup_exponent_bits", True, gain_bits))
         report.details["query_exponent_bits"] = n / 2.0 - gain_bits
         return report
 
     report.branch = 2
     hist = bounds.dos_histogram(table)
-    item2 = bounds.theorem1_item2_check(hist, instance, params, constants)
+    item2 = bounds.theorem1_item2_check(hist, instance, spec, constants)
     found = bool(item2.applicable and item2.witness_e is not None)
     report.conclusions.append(
         ("dos_witness", found,
@@ -250,10 +250,10 @@ def mainconst_decide(analysis: Analysis,
 
     # H_{5/2} = H_Z - (5/2) B (X/N)^K; its ground state must dip below
     # E0 - 1/4 and carry at least 1/4 of B(X/N)^K expectation
-    eig = analysis.lowest(replace(analysis.hs_spec, s=1.0, big_b=2.5 * params.big_b), 1)
+    eig = analysis.lowest(replace(analysis.hs_spec, s=1.0, big_b=2.5 * spec.big_b), 1)
     lam = float(eig.eigenvalues[0])
     psi = eig.eigenvectors[:, 0]
-    x_exp = params.big_b * float(psi @ _apply_xk_over_n(psi, n, params.k))
+    x_exp = spec.big_b * float(psi @ _apply_xk_over_n(psi, n, spec.k))
     report.conclusions.append(
         ("h52_below_quarter", bool(lam < e0 - 0.25 + TOL), float((e0 - 0.25) - lam)))
     report.conclusions.append(
@@ -291,7 +291,7 @@ def simulate_algorithm1(analysis: Analysis) -> SimulationResult:
     n = table.n_qubits
     dim = 1 << n
     # psi_+ is phase-estimated in the full space, not in the parity block
-    hs = replace(analysis.hs_spec, parity_block=None)
+    hs = analysis.spec
     cutoff = e0 + 0.25 + _CLUSTER_TOL
 
     how_many = min(ground.n0 + 1, dim)

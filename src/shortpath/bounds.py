@@ -17,7 +17,7 @@ from . import eigensolve
 from .hilbert import (
     DiagonalTable,
     GroundSpaceInfo,
-    HsParams,
+    OperatorSpec,
     _apply_x,
     _apply_xk_over_n,
     _walsh_hadamard,
@@ -323,12 +323,12 @@ def x_min_of(n_qubits: int, big_b: float, k: int) -> float:
     return n_qubits * (10.0 * big_b) ** (-1.0 / k)
 
 
-def theorem1_item2_check(hist: DosHistogram, instance: Instance, params: HsParams,
+def theorem1_item2_check(hist: DosHistogram, instance: Instance, spec: OperatorSpec,
                          consts: TheoremConstants = TheoremConstants()) -> Item2Report:
     """Scan integer offsets E = E0 + k for log2 W(E) >= F^-1(E) - c_log*log2(N),
     with F(S) = E0 + c_err*J_tot K^2 D^2/X_min^2 + (5/2) c_tau B tau(S/N)^K."""
     n = instance.n_qubits
-    big_b, k = params.big_b, params.k
+    big_b, k = spec.big_b, spec.k
     if big_b == 0.0:
         return Item2Report(applicable=False, witness_e=None, x_min=float("inf"),
                            err_term=0.0, rows=[],

@@ -78,7 +78,7 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
 
     omega must lie strictly below E^Q_{0,1}, the lowest eigenvalue of Q H_s Q.
     """
-    table, params = analysis.table, analysis.params
+    table, spec = analysis.table, analysis.spec
     eq0 = analysis.eq01
     if not omega < eq0:
         raise BwptError(
@@ -87,23 +87,23 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
     idx = analysis.block_ground_indices
     n = idx.size
     h = table.e0 * np.eye(n)
-    if params.big_b == 0.0 or params.s == 0.0:
+    if spec.big_b == 0.0 or spec.s == 0.0:
         return h
     qhsq = analysis.operator(analysis.qhsq_spec)
 
     def v_apply(amps: np.ndarray) -> np.ndarray:
         """V = -B (X/N)^K applied to an amplitude array."""
-        return -params.big_b * _apply_xk_over_n(amps, table.n_qubits, params.k)
+        return -spec.big_b * _apply_xk_over_n(amps, table.n_qubits, spec.k)
 
     dim = 1 << table.n_qubits
     for col, u in enumerate(idx):
         e_u = np.zeros(dim)
         e_u[u] = 1.0
         v_u = v_apply(e_u)
-        h[:, col] += params.s * v_u[idx]
+        h[:, col] += spec.s * v_u[idx]
         # the solve reads v_u on qhsq's support only, so Q v_u is implied
         x_u = eigensolve.solve_shifted(qhsq, omega, v_u)
-        h[:, col] += params.s**2 * v_apply(x_u)[idx]
+        h[:, col] += spec.s**2 * v_apply(x_u)[idx]
     asym = np.max(np.abs(h - h.T), initial=0.0)
     if asym > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise BwptError(f"effective Hamiltonian asymmetry {asym:.3e} exceeds tolerance")
@@ -162,7 +162,7 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
     (omega - E0 - zeta) * xi0.  Verifies that x is the H_s eigenvector at omega
     and fills the overlap report.
     """
-    table, params = analysis.table, analysis.params
+    table, spec = analysis.table, analysis.spec
     n = table.n_qubits
     dim = 1 << n
     op = _j0_plus_v_operator(analysis, ctx.zeta)
@@ -202,7 +202,7 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
         phi_norm=phi_norm,
         analytic_bound=(
             2.0 ** (-n / 2.0)
-            * analytic_lower_bound(n, d, params.k, params.big_b, table.e0)[0]
+            * analytic_lower_bound(n, d, spec.k, spec.big_b, table.e0)[0]
             if table.e0 < 0 else float("nan")
         ),
         log2_overlap_margin=math.log2(inner_phi) + n / 2.0 if inner_phi > 0 else float("-inf"),
@@ -233,15 +233,15 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
     """
     if samples < 1:
         raise BwptError("samples must be >= 1")
-    instance, table, params = analysis.instance, analysis.table, analysis.params
-    if params.big_b == 0.0:
+    instance, table, spec = analysis.instance, analysis.table, analysis.spec
+    if spec.big_b == 0.0:
         return WalkEstimate(series_estimate=1.0, std_error=0.0, t_truncation=0,
                             samples=samples, seed=seed)
     n = table.n_qubits
     e0 = table.e0
     if e0 >= 0:
         raise BwptError("walk truncation bound requires E0 < 0")
-    t_max = 10 * math.ceil(params.big_b * n / (2 * instance.degree * params.k * abs(e0))) + 100
+    t_max = 10 * math.ceil(spec.big_b * n / (2 * instance.degree * spec.k * abs(e0))) + 100
 
     rng = np.random.default_rng(seed)
     probs = ctx.xi0 / ctx.xi0.sum()
@@ -255,7 +255,7 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
     b_pow = 1.0
     t_used = 0
     for t in range(1, t_max + 1):
-        flips = rng.integers(0, n, size=(params.k, samples))
+        flips = rng.integers(0, n, size=(spec.k, samples))
         for row in flips:
             states ^= np.int64(1) << row
         denom = energies[states] + np.where(is_ground[states], ctx.zeta, 0.0) - ctx.omega
@@ -266,7 +266,7 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
                 "omega lies above E'_u for a visited state"
             )
         partial /= denom
-        b_pow *= params.big_b
+        b_pow *= spec.big_b
         totals += b_pow * partial
         t_used = t
         running = float(totals.mean())

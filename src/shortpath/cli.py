@@ -109,8 +109,8 @@ def _analysis_context(args) -> Analysis:
         big_b = args.big_b
     else:
         big_b = analyze.resolve_big_b(args.b, table.e0)
-    params = hilbert.HsParams(big_b=big_b, k=args.k, s=args.s)
-    return Analysis(inst, table, params, args.parity)
+    spec = hilbert.OperatorSpec("HS", s=args.s, big_b=big_b, k=args.k)
+    return Analysis(inst, table, spec, args.parity)
 
 
 def _constants(args) -> bounds.TheoremConstants:
@@ -119,7 +119,7 @@ def _constants(args) -> bounds.TheoremConstants:
     return bounds.TheoremConstants()
 
 
-def _config_record(args, params=None) -> dict:
+def _config_record(args, spec=None) -> dict:
     rec = {
         "command": args.command,
         "worker_count": 1,
@@ -129,8 +129,8 @@ def _config_record(args, params=None) -> dict:
                  "zeta", "alpha", "c", "n", "c_scale", "constants"):
         if hasattr(args, name):
             rec[name] = getattr(args, name)
-    if params is not None:
-        rec["resolved_big_b"] = params.big_b
+    if spec is not None:
+        rec["resolved_big_b"] = spec.big_b
     return rec
 
 
@@ -175,7 +175,7 @@ def cmd_spectrum(args) -> int:
         eigenvalues_csv(np.append(rep.band, rep.next_eigenvalue)
                         if rep.next_eigenvalue is not None else rep.band, args.csv)
     write_report({
-        "config": _config_record(args, a.params),
+        "config": _config_record(args, a.spec),
         "instance": _instance_record(a),
         "spectrum": _spectral_tree(rep),
     }, args.out)
@@ -208,7 +208,7 @@ def cmd_qgood(args) -> int:
     a = _analysis_context(args)
     rep = analyze.qgood_verify(a, _constants(args))
     write_report({
-        "config": _config_record(args, a.params),
+        "config": _config_record(args, a.spec),
         "instance": _instance_record(a),
         "qgood": _theorem_tree(rep),
     }, args.out)
@@ -219,7 +219,7 @@ def cmd_mainconst(args) -> int:
     a = _analysis_context(args)
     rep = analyze.mainconst_decide(a, _constants(args))
     write_report({
-        "config": _config_record(args, a.params),
+        "config": _config_record(args, a.spec),
         "instance": _instance_record(a),
         "mainconst": _theorem_tree(rep),
     }, args.out)
@@ -230,7 +230,7 @@ def cmd_simulate(args) -> int:
     a = _analysis_context(args)
     rep = analyze.simulate_algorithm1(a)
     write_report({
-        "config": _config_record(args, a.params),
+        "config": _config_record(args, a.spec),
         "instance": _instance_record(a),
         "simulate": rep,
     }, args.out)
@@ -263,7 +263,7 @@ def _walk_tree(a: Analysis, args) -> dict:
 def cmd_walk(args) -> int:
     a = _analysis_context(args)
     write_report({
-        "config": _config_record(args, a.params),
+        "config": _config_record(args, a.spec),
         "instance": _instance_record(a),
         "bw": _walk_tree(a, args),
     }, args.out)
@@ -314,7 +314,7 @@ def cmd_report(args) -> int:
     inst = a.instance
     consts = _constants(args)
     tree = {
-        "config": _config_record(args, a.params),
+        "config": _config_record(args, a.spec),
         "instance": _instance_record(a),
     }
     log.info("spectrum")

@@ -1,15 +1,17 @@
-"""One analysis of one instance at one (B, K): the H_Z table, its ground space,
-the parity block, and the eigen-solves the pipelines share.
+"""One analysis of one instance at one H_s = H_Z - sB(X/N)^K: the H_Z table,
+its ground space, the parity block, and the eigen-solves the pipelines share.
 
 The pipelines in `analyze` and `bwpt` take an Analysis rather than an
 instance, so H_Z is tabulated once and each spectrum is computed once per
-analysis: `lowest` memoizes extreme_eigs by its exact arguments.  The memo
-lives and dies with the Analysis object.
+analysis: `lowest` keeps one solve per operator spec and serves every request
+for its m lowest pairs from the largest solve made so far.  The memo lives and
+dies with the Analysis object.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +20,6 @@ from . import eigensolve
 from .hilbert import (
     DiagonalTable,
     GroundSpaceInfo,
-    HsParams,
     MatrixFreeOperator,
     OperatorSpec,
     ground_space,
@@ -44,25 +45,29 @@ def choose_parity_block(ground: GroundSpaceInfo, k: int,
 
 
 class Analysis:
-    """An instance, its H_Z table and ground space, HsParams, and the parity
-    block, with a memo of the eigen-solves run on them.
+    """An instance, its H_Z table and ground space, the full-space H_s spec,
+    and the parity block, with a memo of the eigen-solves run on them.
 
-    The block is resolved on first use, so a command that never restricts to
-    it (simulate works in the full space) does not reject a --parity choice.
+    `spec` is the HS operator with no parity block; the block-restricted
+    operators are derived from it.  The block is resolved on first use, so a
+    command that never restricts to it (simulate works in the full space)
+    does not reject a --parity choice.
     """
 
-    def __init__(self, instance: Instance, table: DiagonalTable, params: HsParams,
+    def __init__(self, instance: Instance, table: DiagonalTable, spec: OperatorSpec,
                  parity_choice: str | None = None):
+        if spec.kind != "HS" or spec.parity_block is not None:
+            raise ValueError(f"an Analysis takes a full-space HS spec, got {spec}")
         self.instance = instance
         self.table = table
         self.ground = ground_space(table)
-        self.params = params
+        self.spec = spec
         self.parity_choice = parity_choice
-        self._solved: dict[tuple[OperatorSpec, int], eigensolve.EigenResult] = {}
+        self._solved: dict[OperatorSpec, eigensolve.EigenResult] = {}
 
     @cached_property
     def block(self) -> str | None:
-        return choose_parity_block(self.ground, self.params.k, self.parity_choice)
+        return choose_parity_block(self.ground, self.spec.k, self.parity_choice)
 
     @cached_property
     def _block_extent(self) -> tuple[np.ndarray, int]:
@@ -86,29 +91,31 @@ class Analysis:
     @property
     def hs_spec(self) -> OperatorSpec:
         """H_s = H_Z - sB(X/N)^K restricted to the block."""
-        p = self.params
-        return OperatorSpec("HS", s=p.s, big_b=p.big_b, k=p.k, parity_block=self.block)
+        return replace(self.spec, parity_block=self.block)
 
     @property
     def qhsq_spec(self) -> OperatorSpec:
         """Q H_s Q restricted to the block."""
-        p = self.params
-        return OperatorSpec("QHSQ", s=p.s, big_b=p.big_b, k=p.k, parity_block=self.block)
+        return replace(self.spec, kind="QHSQ", parity_block=self.block)
 
     def operator(self, spec: OperatorSpec) -> MatrixFreeOperator:
         return MatrixFreeOperator(spec, self.table, self.ground)
 
     def lowest(self, spec: OperatorSpec, how_many: int) -> eigensolve.EigenResult:
         """The `how_many` lowest eigenpairs of `spec` on its operator's
-        support, solved once per analysis.  The returned arrays are shared
-        between callers and read-only."""
-        key = (spec, how_many)
-        if key not in self._solved:
+        support.  A spec is solved again only when more pairs are asked of it
+        than its last solve holds; otherwise the first `how_many` pairs of
+        that solve are returned.  The arrays are shared between callers and
+        read-only."""
+        eig = self._solved.get(spec)
+        if eig is None or eig.eigenvalues.size < how_many:
             eig = eigensolve.extreme_eigs(self.operator(spec), how_many)
             for arr in (eig.eigenvalues, eig.eigenvectors, eig.residuals):
                 arr.flags.writeable = False
-            self._solved[key] = eig
-        return self._solved[key]
+            self._solved[spec] = eig
+        return eigensolve.EigenResult(eig.eigenvalues[:how_many],
+                                      eig.eigenvectors[:, :how_many],
+                                      eig.residuals[:how_many])
 
     @property
     def eq01(self) -> float:

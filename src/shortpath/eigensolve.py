@@ -112,8 +112,9 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int) -> EigenResult:
     vals, ys = vals[order], ys[:, order]
     vecs = np.zeros((op.dim, how_many))
     vecs[op.support] = ys
-    applied = np.column_stack([op.matvec(y) for y in ys.T])  # one product per vector
-    residuals = np.linalg.norm(applied - ys * vals, axis=0)
+    # one norm per vector, so a pair's residual does not depend on how_many
+    residuals = np.array([np.linalg.norm(op.matvec(y) - lam * y)
+                          for lam, y in zip(vals, ys.T)])
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, residuals=residuals)
 
 

@@ -68,34 +68,17 @@ class GroundSpaceInfo:
 
 
 @dataclass(frozen=True)
-class HsParams:
-    """Parameters of the one-step Hamiltonian H_s = H_Z - sB(X/N)^K."""
-
-    big_b: float
-    k: int
-    s: float = 1.0
-
-    def __post_init__(self):
-        if self.big_b < 0:
-            raise ValueError(f"B={self.big_b} must be non-negative")
-        if self.k < 1:
-            raise ValueError(f"K={self.k} must be >= 1")
-        if not 0.0 <= self.s <= 1.0:
-            raise ValueError(f"s={self.s} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class OperatorSpec:
     """One of the named operators: X, HS, QHSQ.
 
-    HS(s, B, K) is H_Z - sB(X/N)^K (H_Z itself at sB = 0); QHSQ is HS
-    conjugated by the excited-space projector Q.  `parity_block`
-    restricts to even or odd Hamming-weight basis states (meaningful for even
-    K, where HS is block diagonal).
+    HS(s, B, K) is H_Z - sB(X/N)^K (H_Z itself at sB = 0), with s = 1 unless
+    given; QHSQ is HS conjugated by the excited-space projector Q.
+    `parity_block` restricts to even or odd Hamming-weight basis states
+    (meaningful for even K, where HS is block diagonal).
     """
 
     kind: str
-    s: float = 0.0
+    s: float = 1.0
     big_b: float = 0.0
     k: int = 1
     parity_block: str | None = None

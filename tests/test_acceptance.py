@@ -15,7 +15,7 @@ import conftest
 from shortpath import analyze, bounds, bwpt, eigensolve, hilbert, instances
 from shortpath.context import Analysis
 from shortpath.eigensolve import BlockMatrixInput, block_lemma_check
-from shortpath.hilbert import HsParams, MatrixFreeOperator, OperatorSpec
+from shortpath.hilbert import MatrixFreeOperator, OperatorSpec
 
 from conftest import degeneracy_ladder, disjoint_pairs, main_corpus
 
@@ -31,7 +31,7 @@ def verdict(number, ok, message):
 
 
 def _params(table, b, k):
-    return HsParams(big_b=b * abs(table.e0), k=k)
+    return OperatorSpec("HS", big_b=b * abs(table.e0), k=k)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ def test_criterion_3_walk_series_agreement(prepared_corpus):
                           if est.std_error > 1e-13 * abs(exact) else 0.0)
         assert err <= tol, (label, exact, est.series_estimate, est.std_error)
         # B = 0 returns exactly 1
-        zero_a = Analysis(inst, table, HsParams(big_b=0.0, k=1))
+        zero_a = Analysis(inst, table, OperatorSpec("HS", big_b=0.0, k=1))
         zero_ctx = bwpt.solve_self_consistent(zero_a)
         zero = bwpt.walk_estimate(zero_ctx, zero_a, samples=100, seed=1)
         assert zero.series_estimate == 1.0 and zero.std_error == 0.0, label
@@ -270,7 +270,7 @@ def test_criterion_9_speedup_accounting(prepared_corpus):
     for label, inst, table, ground in prepared_corpus:
         if inst.n_qubits > 8:
             continue
-        sim = analyze.simulate_algorithm1(Analysis(inst, table, HsParams(big_b=0.0, k=1)))
+        sim = analyze.simulate_algorithm1(Analysis(inst, table, OperatorSpec("HS", big_b=0.0, k=1)))
         expect = ground.n0 * 2.0 ** (-inst.n_qubits)
         worst = max(worst, abs(sim.success_prob - expect))
         assert abs(sim.success_prob - expect) <= 1e-12, label

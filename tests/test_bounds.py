@@ -26,7 +26,7 @@ from shortpath.bounds import (
     theorem1_item2_check,
     thm3_parameters,
 )
-from shortpath.hilbert import HsParams, evaluate_hz, ground_space, make_state
+from shortpath.hilbert import OperatorSpec, evaluate_hz, ground_space, make_state
 
 from conftest import dense_x, disjoint_pairs, hand_single_term, main_corpus
 
@@ -213,7 +213,7 @@ def test_theorem_constants_file_round_trip(tmp_path):
 def test_item2_check_b_zero_degenerates():
     inst = hand_single_term()
     hist = dos_histogram(evaluate_hz(inst))
-    rep = theorem1_item2_check(hist, inst, HsParams(big_b=0.0, k=1))
+    rep = theorem1_item2_check(hist, inst, OperatorSpec("HS", big_b=0.0, k=1))
     assert not rep.applicable
     assert "no witness" in rep.reason
 
@@ -224,7 +224,7 @@ def test_item2_witness_with_huge_degeneracy():
     inst = disjoint_pairs(14)
     table = evaluate_hz(inst)
     hist = dos_histogram(table)
-    rep = theorem1_item2_check(hist, inst, HsParams(big_b=1.0, k=1))
+    rep = theorem1_item2_check(hist, inst, OperatorSpec("HS", big_b=1.0, k=1))
     assert rep.applicable
     assert rep.witness_e is not None
     assert rep.witness_e == table.e0 + 2.0  # counts[2] = 7 * 2^7 is the witness

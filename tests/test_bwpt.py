@@ -6,14 +6,14 @@ import pytest
 from shortpath import bwpt, context, eigensolve, hilbert, instances
 from shortpath.bwpt import BwptError
 from shortpath.context import Analysis
-from shortpath.hilbert import HsParams, MatrixFreeOperator, OperatorSpec
+from shortpath.hilbert import MatrixFreeOperator, OperatorSpec
 
 from conftest import hand_single_term, disjoint_pairs
 
 
 def _setup(inst, b=0.1, k=1):
     table = hilbert.evaluate_hz(inst)
-    return Analysis(inst, table, HsParams(big_b=b * abs(table.e0), k=k))
+    return Analysis(inst, table, OperatorSpec("HS", big_b=b * abs(table.e0), k=k))
 
 
 def test_parity_block_rules():
@@ -32,9 +32,9 @@ def test_effective_hamiltonian_unique_ground_by_hand():
     table = hilbert.evaluate_hz(inst)
     ground = hilbert.ground_space(table)
     assert ground.n0 == 1 and ground.ground_indices[0] == 3
-    params = HsParams(big_b=0.4, k=1)
+    spec = OperatorSpec("HS", big_b=0.4, k=1)
     omega = -2.1
-    h = bwpt.effective_hamiltonian(Analysis(inst, table, params), omega)
+    h = bwpt.effective_hamiltonian(Analysis(inst, table, spec), omega)
     assert h.shape == (1, 1)
     # dense check: h = E0 + s^2 v^T (omega - QHQ)^{-1} v over the excited block
     hs = eigensolve.operator_matrix(
@@ -59,8 +59,7 @@ def test_self_consistency_at_s_one():
     a = _setup(inst, b=0.1, k=3)
     ctx = bwpt.solve_self_consistent(a)
     assert ctx.fixed_point_residual < 1e-8
-    hs = MatrixFreeOperator(
-        OperatorSpec("HS", s=1.0, big_b=a.params.big_b, k=a.params.k), a.table)
+    hs = MatrixFreeOperator(a.spec, a.table)
     e01 = eigensolve.extreme_eigs(hs, 1).eigenvalues[0]
     assert ctx.omega == pytest.approx(e01, abs=1e-10)
     assert np.all(ctx.xi0 >= 0)
@@ -69,7 +68,7 @@ def test_self_consistency_at_s_one():
 
 def test_b_zero_gives_uniform_xi0_and_unit_walk():
     inst = instances.generate("sk_pm", 6, seed=2)
-    a = Analysis(inst, hilbert.evaluate_hz(inst), HsParams(big_b=0.0, k=1))
+    a = Analysis(inst, hilbert.evaluate_hz(inst), OperatorSpec("HS", big_b=0.0, k=1))
     ctx = bwpt.solve_self_consistent(a)
     assert np.allclose(ctx.xi0, ctx.xi0[0])
     est = bwpt.walk_estimate(ctx, a, samples=10, seed=0)
@@ -95,14 +94,14 @@ def test_phi_proportional_to_bw_series_sum():
     # sum_k (s (omega - J0)^{-1} V)^k xi0 summed densely
     inst = instances.generate("sk_pm", 5, seed=6)
     a = _setup(inst, b=0.08, k=1)
-    table, ground, params = a.table, a.ground, a.params
+    table, ground, spec = a.table, a.ground, a.spec
     ctx = bwpt.solve_self_consistent(a)
     phi, _ = bwpt.phi_exact(ctx, a)
     dim = 1 << 5
     energies = table.energies.copy()
     energies[ground.ground_indices] += ctx.zeta
-    xk = hilbert._apply_xk_over_n(np.eye(dim), 5, params.k)
-    v = -params.big_b * xk
+    xk = hilbert._apply_xk_over_n(np.eye(dim), 5, spec.k)
+    v = -spec.big_b * xk
     resolvent = np.diag(1.0 / (ctx.omega - energies))
     xi_full = np.zeros(dim)
     xi_full[a.block_ground_indices] = ctx.xi0

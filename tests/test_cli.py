@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shortpath import cli, hilbert, instances
+from shortpath import cli, eigensolve, hilbert, instances
 
 
 def run_cli(argv):
@@ -229,3 +229,35 @@ def test_report_sections_equal_standalone_commands(tmp_path, sk8_report,
     standalone = _load(out)[section]
     assert (json.dumps(standalone, sort_keys=True)
             == json.dumps(report[section], sort_keys=True))
+
+
+def test_simulate_accepts_a_parity_block_it_does_not_use(tmp_path):
+    # sk_pm N=8 seed 2 has all four ground states in the odd block; simulate
+    # works in the full space, so --parity even changes nothing there
+    inst = _gen(tmp_path, n=8, seed=2)
+    args = ["--in", inst, "--B", 0.2, "--K", 2]
+    plain, even = tmp_path / "plain.json", tmp_path / "even.json"
+    assert run_cli(["simulate", *args, "--out", plain]) == 0
+    assert run_cli(["simulate", *args, "--parity", "even", "--out", even]) == 0
+    assert _load(even)["simulate"] == _load(plain)["simulate"]
+    # a command that does restrict to the block still rejects it
+    assert run_cli(["spectrum", *args, "--parity", "even",
+                    "--out", tmp_path / "spectrum.json"]) == 1
+
+
+@pytest.mark.parametrize("k,solves", [(1, 3), (2, 4), (3, 3)])
+def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
+    # H_s (in the block for even K, then in the full space for simulate),
+    # QH_sQ and bw's J0 + V; E_{0,1} is read from the H_s band solve
+    calls = []
+    solve = eigensolve.extreme_eigs
+
+    def counted(op, how_many):
+        calls.append((op.spec, how_many))
+        return solve(op, how_many)
+
+    monkeypatch.setattr(eigensolve, "extreme_eigs", counted)
+    inst = _gen(tmp_path, n=8, seed=2)
+    assert run_cli(["report", "--in", inst, "--B", 0.2, "--K", k,
+                    "--samples", 300, "--out", tmp_path / "report.json"]) == 0
+    assert len(calls) == solves, calls

@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from shortpath import cli, eigensolve, hilbert, instances
+from shortpath.context import Analysis
 from shortpath.eigensolve import (
     BlockMatrixInput,
     EigensolveError,
@@ -203,3 +204,20 @@ def test_block_lemma_random_sweep():
         rep = block_lemma_check(BlockMatrixInput(a, b, c))
         assert rep.applicable
         assert rep.all_pass, rep.items
+
+
+@pytest.mark.parametrize("model,n,seed,k", [
+    ("sk_pm", 10, 0, 1), ("sk_gaussian", 10, 1, 1), ("sk_pm", 8, 2, 2)])
+def test_memo_prefix_equals_a_fresh_solve(model, n, seed, k):
+    # the lowest pair served from a larger solve carries the same bits as a
+    # solve for that pair alone, residual included
+    inst = instances.generate(model, n, seed=seed)
+    table = hilbert.evaluate_hz(inst)
+    a = Analysis(inst, table, OperatorSpec("HS", big_b=0.1 * abs(table.e0), k=k))
+    big = a.lowest(a.hs_spec, a.block_ground_indices.size + 1)
+    one = a.lowest(a.hs_spec, 1)
+    assert np.shares_memory(one.eigenvectors, big.eigenvectors)
+    assert not one.eigenvalues.flags.writeable
+    fresh = extreme_eigs(a.operator(a.hs_spec), 1)
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(one, name), getattr(fresh, name)), name

@@ -9,7 +9,6 @@ import pytest
 from shortpath import hilbert, instances
 from shortpath.hilbert import (
     BudgetError,
-    HsParams,
     MatrixFreeOperator,
     OperatorSpec,
     energy_of,
@@ -299,10 +298,11 @@ def test_psi_plus_overlap_is_l1_for_nonnegative_states():
         psi_plus_overlap(np.ones(6))
 
 
-def test_hsparams_validation():
+def test_hs_spec_validation():
+    assert OperatorSpec("HS", big_b=1.0, k=1).s == 1.0
     with pytest.raises(ValueError):
-        HsParams(big_b=-1.0, k=1)
+        OperatorSpec("HS", big_b=-1.0, k=1)
     with pytest.raises(ValueError):
-        HsParams(big_b=1.0, k=0)
+        OperatorSpec("HS", big_b=1.0, k=0)
     with pytest.raises(ValueError):
-        HsParams(big_b=1.0, k=1, s=1.5)
+        OperatorSpec("HS", big_b=1.0, k=1, s=1.5)
