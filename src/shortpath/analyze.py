@@ -250,7 +250,7 @@ def mainconst_decide(analysis: Analysis,
 
     # H_{5/2} = H_Z - (5/2) B (X/N)^K; its ground state must dip below
     # E0 - 1/4 and carry at least 1/4 of B(X/N)^K expectation
-    eig = analysis.lowest(replace(analysis.hs_spec, s=1.0, big_b=2.5 * spec.big_b), 1)
+    eig = analysis.lowest(replace(analysis.hs_spec, big_b=2.5 * spec.big_b), 1)
     lam = float(eig.eigenvalues[0])
     psi = eig.eigenvectors[:, 0]
     x_exp = spec.big_b * float(psi @ _apply_xk_over_n(psi, n, spec.k))

@@ -1,6 +1,6 @@
 """Modified Brillouin-Wigner machinery for H_s = H_Z - sB(X/N)^K.
 
-The effective Hamiltonian h(omega, s) acts on the ground space of H_Z; its
+The effective Hamiltonian h(omega) acts on the ground space of H_Z; its
 geometric series is resummed into one excited-subspace linear solve per ground
 index.  The eigenvector series phi uses the shifted reference J_0 = H_Z +
 zeta*P, which removes the excited-space projector from the series and lets the
@@ -9,7 +9,7 @@ series be re-expressed as a random walk with strictly positive weights.
 Every function takes a `context.Analysis`, which supplies the table, the
 ground space, the parity block and the spectra: omega = E_{0,1}, psi_{0,1}
 and E^Q_{0,1} are the Analysis's memoized solves, shared with `analyze`.  The
-one eigen-solve made here is the lowest eigenvalue of J_0 + sV, whose
+one eigen-solve made here is the lowest eigenvalue of J_0 + V, whose
 diagonal is shifted by zeta and so is not a problem of the Analysis.
 """
 
@@ -39,9 +39,9 @@ class BwptError(RuntimeError):
 
 @dataclass
 class BwContext:
-    """Self-consistent effective-Hamiltonian data at s = 1.
+    """Self-consistent effective-Hamiltonian data at the Analysis's field.
 
-    xi0 is the positive unit ground vector of h(omega, 1) over the Analysis's
+    xi0 is the positive unit ground vector of h(omega) over the Analysis's
     block ground indices.
     """
 
@@ -49,7 +49,6 @@ class BwContext:
     omega: float
     eq0: float
     xi0: np.ndarray
-    h_matrix: np.ndarray
     fixed_point_residual: float
 
 
@@ -73,8 +72,9 @@ class WalkEstimate:
 
 
 def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
-    """h(omega, s) over the block ground indices, geometric series resummed:
-    h = E0*I + s*M1 + s^2*M2 with M2 from one Q-subspace solve per column.
+    """h(omega) over the block ground indices at the Analysis's field B,
+    geometric series resummed: h = E0*I + M1 + M2 with M2 from one Q-subspace
+    solve per column.
 
     omega must lie strictly below E^Q_{0,1}, the lowest eigenvalue of Q H_s Q.
     """
@@ -87,7 +87,7 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
     idx = analysis.block_ground_indices
     n = idx.size
     h = table.e0 * np.eye(n)
-    if spec.big_b == 0.0 or spec.s == 0.0:
+    if spec.big_b == 0.0:
         return h
     qhsq = analysis.operator(analysis.qhsq_spec)
 
@@ -100,10 +100,10 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
         e_u = np.zeros(dim)
         e_u[u] = 1.0
         v_u = v_apply(e_u)
-        h[:, col] += spec.s * v_u[idx]
+        h[:, col] += v_u[idx]
         # the solve reads v_u on qhsq's support only, so Q v_u is implied
         x_u = eigensolve.solve_shifted(qhsq, omega, v_u)
-        h[:, col] += spec.s**2 * v_apply(x_u)[idx]
+        h[:, col] += v_apply(x_u)[idx]
     asym = np.max(np.abs(h - h.T), initial=0.0)
     if asym > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise BwptError(f"effective Hamiltonian asymmetry {asym:.3e} exceeds tolerance")
@@ -111,8 +111,8 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
 
 
 def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwContext:
-    """Set omega = E_{0,1} (lowest eigenvalue of H_1, block-restricted for even
-    K), build h(omega, 1), and extract the positive ground vector xi0."""
+    """Set omega = E_{0,1} (lowest eigenvalue of H_s, block-restricted for even
+    K), build h(omega), and extract the positive ground vector xi0."""
     table = analysis.table
     n0_eff = analysis.block_ground_indices.size
     omega = float(analysis.lowest(analysis.hs_spec, 1).eigenvalues[0])
@@ -138,13 +138,13 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
         xi0 = np.clip(xi0, 0.0, None)
         xi0 /= np.linalg.norm(xi0)
     return BwContext(
-        zeta=zeta, omega=omega, eq0=analysis.eq01, xi0=xi0, h_matrix=h,
+        zeta=zeta, omega=omega, eq0=analysis.eq01, xi0=xi0,
         fixed_point_residual=abs(lam - omega),
     )
 
 
 def _j0_plus_v_operator(analysis: Analysis, zeta: float) -> MatrixFreeOperator:
-    """J0 + sV as an HS operator over the zeta-shifted diagonal."""
+    """J0 + V as an HS operator over the zeta-shifted diagonal."""
     table = analysis.table
     energies = table.energies.copy()
     energies[analysis.ground.ground_indices] += zeta
@@ -156,7 +156,7 @@ def _j0_plus_v_operator(analysis: Analysis, zeta: float) -> MatrixFreeOperator:
 
 
 def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapReport]:
-    """Resum the phi series exactly: solve (omega - J0 - sV) x = (omega - J0) xi0.
+    """Resum the phi series exactly: solve (omega - J0 - V) x = (omega - J0) xi0.
 
     The right-hand side is ground-supported, so (omega - J0) xi0 collapses to
     (omega - E0 - zeta) * xi0.  Verifies that x is the H_s eigenvector at omega

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -22,7 +21,6 @@ from . import analyze, bounds, bwpt, eigensolve, hilbert, instances
 from .context import Analysis
 
 SCHEMA_VERSION = 1
-MAX_QUBITS_ENV = "SHORTPATH_MAX_QUBITS"
 
 log = logging.getLogger("shortpath")
 
@@ -87,10 +85,7 @@ def eigenvalues_csv(values: np.ndarray, path: str) -> None:
 # ------------------------------------------------------------------- plumbing
 
 def _max_qubits(args) -> int:
-    if args.max_qubits is not None:
-        return args.max_qubits
-    env = os.environ.get(MAX_QUBITS_ENV)
-    return int(env) if env else hilbert.DEFAULT_MAX_QUBITS
+    return hilbert.DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
 
 
 def _load_instance(args) -> instances.Instance:
@@ -102,14 +97,17 @@ def _load_instance(args) -> instances.Instance:
 
 def _analysis_context(args) -> Analysis:
     """The command's Analysis: its instance tabulated under the command's
-    dense budget, B resolved, and the --parity choice attached."""
+    dense budget, B resolved and multiplied by --s (H_s depends on s and B
+    only through sB), and the --parity choice attached."""
+    if not 0.0 <= args.s <= 1.0:
+        raise CliError(f"--s {args.s} outside [0, 1]")
     inst = _load_instance(args)
     table = hilbert.evaluate_hz(inst, max_qubits=_max_qubits(args))
     if args.big_b is not None:
         big_b = args.big_b
     else:
         big_b = analyze.resolve_big_b(args.b, table.e0)
-    spec = hilbert.OperatorSpec("HS", s=args.s, big_b=big_b, k=args.k)
+    spec = hilbert.OperatorSpec("HS", big_b=args.s * big_b, k=args.k)
     return Analysis(inst, table, spec, args.parity)
 
 
@@ -141,7 +139,7 @@ def _instance_record(analysis: Analysis) -> dict:
         "degree": inst.degree,
         "n_terms": len(inst.terms),
         "j_tot": inst.j_tot,
-        "beta_cap_ok": inst.beta_cap_ok(),
+        "beta_cap_ok": None,  # no input sets a cap; kept until the references are re-recorded
         "e0": table.e0,
         "gap": table.gap,
         "n0": ground.n0,
@@ -346,7 +344,7 @@ def cmd_report(args) -> int:
 def _add_instance_args(p: argparse.ArgumentParser, with_params: bool = True):
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.add_argument("--max-qubits", type=int, default=None,
-                   help=f"dense budget override (or ${MAX_QUBITS_ENV})")
+                   help="dense budget override")
     if with_params:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--b", type=float,
@@ -354,7 +352,8 @@ def _add_instance_args(p: argparse.ArgumentParser, with_params: bool = True):
         group.add_argument("--B", dest="big_b", type=float,
                            help="absolute field strength B")
         p.add_argument("--K", dest="k", type=int, required=True)
-        p.add_argument("--s", type=float, default=1.0)
+        p.add_argument("--s", type=float, default=1.0,
+                       help="schedule position in [0, 1]; the field is s*B")
         p.add_argument("--parity", choices=("even", "odd"), default=None,
                        help="parity block override for even K")
 

@@ -3,9 +3,9 @@ its ground space, the parity block, and the eigen-solves the pipelines share.
 
 The pipelines in `analyze` and `bwpt` take an Analysis rather than an
 instance, so H_Z is tabulated once and each spectrum is computed once per
-analysis: `lowest` keeps one solve per operator spec and serves every request
-for its m lowest pairs from the largest solve made so far.  The memo lives and
-dies with the Analysis object.
+analysis: `lowest` keeps one solve per operator spec, serves every request
+for its m lowest pairs from it, and extends it when more pairs are asked.
+The memo lives and dies with the Analysis object.
 """
 
 from __future__ import annotations
@@ -103,13 +103,12 @@ class Analysis:
 
     def lowest(self, spec: OperatorSpec, how_many: int) -> eigensolve.EigenResult:
         """The `how_many` lowest eigenpairs of `spec` on its operator's
-        support.  A spec is solved again only when more pairs are asked of it
-        than its last solve holds; otherwise the first `how_many` pairs of
-        that solve are returned.  The arrays are shared between callers and
-        read-only."""
+        support.  A spec's solve is extended only when more pairs are asked of
+        it than it holds; otherwise the first `how_many` pairs of that solve
+        are returned.  The arrays are shared between callers and read-only."""
         eig = self._solved.get(spec)
         if eig is None or eig.eigenvalues.size < how_many:
-            eig = eigensolve.extreme_eigs(self.operator(spec), how_many)
+            eig = eigensolve.extreme_eigs(self.operator(spec), how_many, eig)
             for arr in (eig.eigenvalues, eig.eigenvectors, eig.residuals):
                 arr.flags.writeable = False
             self._solved[spec] = eig

@@ -69,13 +69,16 @@ def dense_spectrum(op_or_matrix, want_vectors: bool = True) -> EigenResult:
     return EigenResult(vals, vecs, res)
 
 
-def extreme_eigs(op: MatrixFreeOperator, how_many: int) -> EigenResult:
+def extreme_eigs(op: MatrixFreeOperator, how_many: int,
+                 found: EigenResult | None = None) -> EigenResult:
     """The `how_many` lowest eigenpairs of op restricted to op.support.
 
     Each eigenpair is one ARPACK run for the lowest eigenvalue.  Before each
     run the vectors V found so far are lifted by 2*|op|*V V^T, above the rest
     of the spectrum, so the run converges to the next eigenpair, including
-    another copy of a degenerate eigenvalue."""
+    another copy of a degenerate eigenvalue.  `found`, an earlier result for
+    op with fewer pairs, is extended rather than redone: its pairs come first,
+    bit for bit, and only the missing ones are run."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
     free_dim = op.shape[0]
@@ -84,17 +87,20 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int) -> EigenResult:
             f"requested {how_many} eigenpairs but the deflated subspace has "
             f"dimension {free_dim}"
         )
+    if found is None:
+        found = EigenResult(np.zeros(0), np.zeros((op.dim, 0)), np.zeros(0))
+    known = found.eigenvalues.size
     if free_dim < 2:  # ARPACK needs k < n; here how_many == free_dim == 1
         vals, ys = np.linalg.eigh(op.matmat(np.eye(1)))
     else:
         rng = np.random.default_rng(_START_SEED)
         lift = 2.0 * op.norm_bound()
-        ys = np.zeros((free_dim, 0))
+        ys = found.eigenvectors[op.support]
         vals = np.zeros(0)
         # reads ys at call time, so each run sees every vector found before it
         lifted = LinearOperator(op.shape, dtype=np.float64,
                                 matvec=lambda y: op.matvec(y) + lift * (ys @ (ys.T @ y)))
-        for _ in range(how_many):
+        for _ in range(how_many - known):
             try:
                 lam, y = eigsh(lifted, k=1, which="SA", tol=0,
                                v0=rng.standard_normal(free_dim), rng=rng)
@@ -103,19 +109,22 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int) -> EigenResult:
                             for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
                            default=np.inf)
                 raise EigensolveError(
-                    f"ARPACK failed to converge on eigenpair {vals.size + 1} of "
+                    f"ARPACK failed to converge on eigenpair {ys.shape[1] + 1} of "
                     f"{how_many}; best residual {best:.3e}; dense_spectrum "
                     f"covers dimensions up to {DENSE_DIM_CAP}") from exc
             vals = np.append(vals, lam)
             ys = np.column_stack([ys, y])
+        ys = ys[:, known:]
     order = np.argsort(vals, kind="stable")
     vals, ys = vals[order], ys[:, order]
-    vecs = np.zeros((op.dim, how_many))
+    vecs = np.zeros((op.dim, vals.size))
     vecs[op.support] = ys
     # one norm per vector, so a pair's residual does not depend on how_many
     residuals = np.array([np.linalg.norm(op.matvec(y) - lam * y)
                           for lam, y in zip(vals, ys.T)])
-    return EigenResult(eigenvalues=vals, eigenvectors=vecs, residuals=residuals)
+    return EigenResult(eigenvalues=np.concatenate([found.eigenvalues, vals]),
+                       eigenvectors=np.hstack([found.eigenvectors, vecs]),
+                       residuals=np.concatenate([found.residuals, residuals]))
 
 
 def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.ndarray:

@@ -71,14 +71,14 @@ class GroundSpaceInfo:
 class OperatorSpec:
     """One of the named operators: X, HS, QHSQ.
 
-    HS(s, B, K) is H_Z - sB(X/N)^K (H_Z itself at sB = 0), with s = 1 unless
-    given; QHSQ is HS conjugated by the excited-space projector Q.
+    HS(B, K) is H_Z - B(X/N)^K (H_Z itself at B = 0): B is the paper's field
+    sB, so the schedule position s is folded into it before an operator is
+    built.  QHSQ is HS conjugated by the excited-space projector Q.
     `parity_block` restricts to even or odd Hamming-weight basis states
     (meaningful for even K, where HS is block diagonal).
     """
 
     kind: str
-    s: float = 1.0
     big_b: float = 0.0
     k: int = 1
     parity_block: str | None = None
@@ -86,8 +86,6 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in ("X", "HS", "QHSQ"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if not 0.0 <= self.s <= 1.0:
-            raise ValueError(f"s={self.s} outside [0, 1]")
         if self.kind in ("HS", "QHSQ") and self.big_b < 0:
             raise ValueError(f"B={self.big_b} must be non-negative")
         if self.k < 1:
@@ -274,8 +272,8 @@ class MatrixFreeOperator(LinearOperator):
         else:  # HS and QHSQ differ only in their support
             diag = self.table.energies if x.ndim == 1 else self.table.energies[:, None]
             out = diag * x
-            if spec.s != 0.0 and spec.big_b != 0.0:
-                out -= spec.s * spec.big_b * _apply_xk_over_n(x, self.n_qubits, spec.k)
+            if spec.big_b != 0.0:
+                out -= spec.big_b * _apply_xk_over_n(x, self.n_qubits, spec.k)
         return out if full else out[self.support]
 
     # these call apply rather than alias it, so a wrapper of apply sees every product
@@ -293,7 +291,7 @@ class MatrixFreeOperator(LinearOperator):
         e = float(np.max(np.abs(self.table.energies))) if self.table.energies.size else 0.0
         if self.spec.kind == "X":
             return float(self.n_qubits)
-        return e + abs(self.spec.s * self.spec.big_b) + 1.0
+        return e + abs(self.spec.big_b) + 1.0
 
 
 def n_qubits_of(amps: np.ndarray) -> int:

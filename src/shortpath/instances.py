@@ -2,7 +2,7 @@
 
 An instance is a weighted sum of degree-D products of Pauli Z operators on N
 qubits.  This module defines the instance data structures, random and toy
-generators, gap rescaling, and a plain-text file format.
+generators, and a plain-text file format.
 """
 
 from __future__ import annotations
@@ -43,30 +43,18 @@ class Term:
 
 @dataclass(frozen=True)
 class Instance:
-    """A MAX-D-LIN-2 objective.
-
-    `j_tot` is the sum of absolute weights.  `beta_cap`, when given, is the
-    exponent of the metadata check J_tot <= N**beta; it is recorded in reports
-    and never enforced.
-    """
+    """A MAX-D-LIN-2 objective; `j_tot` is the sum of absolute weights."""
 
     n_qubits: int
     degree: int
     terms: tuple[Term, ...]
     j_tot: float = field(init=False)
-    beta_cap: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "j_tot", float(sum(abs(t.weight) for t in self.terms)))
 
     def weights(self) -> np.ndarray:
         return np.array([t.weight for t in self.terms], dtype=np.float64)
-
-    def beta_cap_ok(self) -> bool | None:
-        """J_tot <= N**beta_cap, or None when no cap is set."""
-        if self.beta_cap is None:
-            return None
-        return self.j_tot <= float(self.n_qubits) ** self.beta_cap
 
 
 @dataclass(frozen=True)
@@ -85,12 +73,8 @@ class ToyModelSpec:
             raise InstanceError(f"n1 must be positive, got {self.n1}")
 
 
-def build_instance(
-    n_qubits: int,
-    degree: int,
-    raw_terms: Iterable[tuple[Iterable[int], float]],
-    beta_cap: float | None = None,
-) -> Instance:
+def build_instance(n_qubits: int, degree: int,
+                   raw_terms: Iterable[tuple[Iterable[int], float]]) -> Instance:
     """Validate raw (qubit-set, weight) pairs and assemble an Instance.
 
     Duplicate qubit sets are merged by summing weights; exact zero weights
@@ -115,7 +99,7 @@ def build_instance(
             raise InstanceError(f"term {tuple(qubits)} has non-finite weight {weight}")
         merged[key] = merged.get(key, 0.0) + float(weight)
     terms = tuple(Term(q, w) for q, w in sorted(merged.items()) if w != 0.0)
-    return Instance(n_qubits=n_qubits, degree=degree, terms=terms, beta_cap=beta_cap)
+    return Instance(n_qubits=n_qubits, degree=degree, terms=terms)
 
 
 def _all_pairs(n: int):
@@ -159,14 +143,6 @@ def generate(model: str, n_qubits: int, seed: int, toy: ToyModelSpec | None = No
     else:
         raise InstanceError(f"unknown model {model!r}")
     return build_instance(n_qubits, 2, raw)
-
-
-def rescale_to_unit_gap(instance: Instance, exact_gap: float) -> Instance:
-    """Divide all weights by an externally computed spectral gap."""
-    if not exact_gap > 0:
-        raise InstanceError(f"gap must be positive, got {exact_gap}")
-    raw = [(t.qubits, t.weight / exact_gap) for t in instance.terms]
-    return build_instance(instance.n_qubits, instance.degree, raw, beta_cap=instance.beta_cap)
 
 
 def save_instance(instance: Instance, sink: IO[str] | str) -> None:

@@ -67,7 +67,7 @@ def test_criterion_1_oracle_equivalence(prepared_corpus):
             for k in K_GRID:
                 params = _params(table, b, k)
                 op = MatrixFreeOperator(
-                    OperatorSpec("HS", s=1.0, big_b=params.big_b, k=k), table)
+                    OperatorSpec("HS", big_b=params.big_b, k=k), table)
                 it = eigensolve.extreme_eigs(op, want)
                 de = eigensolve.dense_spectrum(op, want_vectors=False)
                 diff = float(np.max(np.abs(it.eigenvalues - de.eigenvalues[:want])))

@@ -97,7 +97,7 @@ def test_mainconst_branch2_internals():
     # pair instance, H_{5/2} dips below E0 - 1/4 and the witness search runs
     inst = disjoint_pairs(10)
     table = hilbert.evaluate_hz(inst)
-    hs52 = MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=2.5, k=1), table)
+    hs52 = MatrixFreeOperator(OperatorSpec("HS", big_b=2.5, k=1), table)
     lam = eigensolve.extreme_eigs(hs52, 1).eigenvalues[0]
     assert lam < table.e0 - 0.25
     hist = bounds.dos_histogram(table)
@@ -169,22 +169,38 @@ def test_mainconst_branch2_end_to_end(monkeypatch, k):
 
 
 @pytest.mark.parametrize("big_b,k", [(0.0, 1), (0.1, 1), (0.1, 2)])
-def test_simulate_doubles_until_past_the_cutoff(big_b, k):
+def test_simulate_doubles_until_past_the_cutoff(monkeypatch, big_b, k):
     # n0 = 1 with a second level 0.1 above E0: both pairs of the first solve
     # lie below E0 + 1/4, so simulate asks for twice as many
     inst = instances.build_instance(3, 1, [((0,), 1.0), ((1,), 1.0), ((2,), 0.05)])
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=big_b, k=k))
-    asked = []
+    asked, got = [], []
     lowest = a.lowest
 
     def spy(spec, how_many):
         asked.append(how_many)
-        return lowest(spec, how_many)
+        got.append(lowest(spec, how_many))
+        return got[-1]
+
+    runs = []
+    eigsh = eigensolve.eigsh
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return eigsh(*args, **kwargs)
 
     a.lowest = spy
+    monkeypatch.setattr(eigensolve, "eigsh", counted)
     sim = analyze.simulate_algorithm1(a)
     assert asked == [2, 4]
+    # the second request extends the first solve: one ARPACK run per pair,
+    # and the first two pairs are kept bit for bit
+    assert len(runs) == 4
+    first, second = got
+    for field in ("eigenvalues", "eigenvectors", "residuals"):
+        kept = getattr(second, field)[..., :2]
+        assert np.array_equal(kept, getattr(first, field)), field
     hs = np.diag(table.energies) - big_b * np.linalg.matrix_power(dense_x(3) / 3, k)
     dense = np.linalg.eigvalsh(hs)
     want = dense[dense <= table.e0 + 0.25 + 1e-8]

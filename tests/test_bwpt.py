@@ -38,7 +38,7 @@ def test_effective_hamiltonian_unique_ground_by_hand():
     assert h.shape == (1, 1)
     # dense check: h = E0 + s^2 v^T (omega - QHQ)^{-1} v over the excited block
     hs = eigensolve.operator_matrix(
-        MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=0.4, k=1), table))
+        MatrixFreeOperator(OperatorSpec("HS", big_b=0.4, k=1), table))
     keep = np.array([0, 1, 2])
     v = hs[keep, 3]
     sub = omega * np.eye(3) - hs[np.ix_(keep, keep)]

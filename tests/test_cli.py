@@ -231,6 +231,31 @@ def test_report_sections_equal_standalone_commands(tmp_path, sk8_report,
             == json.dumps(report[section], sort_keys=True))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_s_folds_into_the_field(tmp_path, sk8_report, k):
+    # H_s depends on s and B only through sB, so --s 0.5 --B 0.4 is --B 0.2
+    # in every leaf but the two config entries that echo the input
+    inst, report = sk8_report(k)
+    out = tmp_path / "half.json"
+    assert run_cli(["report", "--in", inst, "--s", 0.5, "--B", 0.4, "--K", k,
+                    "--samples", 300, "--seed", 5, "--out", out]) == 0
+    half = _load(out)
+    assert (half["config"]["s"]["dec"], half["config"]["big_b"]["dec"]) == (0.5, 0.4)
+
+    def without_input(doc):
+        config = {key: v for key, v in doc["config"].items() if key not in ("s", "big_b")}
+        return {**doc, "config": config}
+
+    assert without_input(half) == without_input(report)
+
+
+@pytest.mark.parametrize("s", [1.5, -0.1])
+def test_s_outside_the_unit_interval_exits_nonzero(tmp_path, s):
+    inst = _gen(tmp_path)
+    assert run_cli(["spectrum", "--in", inst, "--s", s, "--B", 0.2, "--K", 1,
+                    "--out", tmp_path / "spectrum.json"]) == 1
+
+
 def test_simulate_accepts_a_parity_block_it_does_not_use(tmp_path):
     # sk_pm N=8 seed 2 has all four ground states in the odd block; simulate
     # works in the full space, so --parity even changes nothing there
@@ -252,9 +277,9 @@ def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
     calls = []
     solve = eigensolve.extreme_eigs
 
-    def counted(op, how_many):
+    def counted(op, how_many, *args):
         calls.append((op.spec, how_many))
-        return solve(op, how_many)
+        return solve(op, how_many, *args)
 
     monkeypatch.setattr(eigensolve, "extreme_eigs", counted)
     inst = _gen(tmp_path, n=8, seed=2)

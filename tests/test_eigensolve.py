@@ -24,7 +24,7 @@ from conftest import disjoint_pairs, field_unique_ground, hand_single_term, hand
 def _hs_op(inst, big_b, k, block=None):
     table = hilbert.evaluate_hz(inst)
     return MatrixFreeOperator(
-        OperatorSpec("HS", s=1.0, big_b=big_b, k=k, parity_block=block), table)
+        OperatorSpec("HS", big_b=big_b, k=k, parity_block=block), table)
 
 
 def test_dense_spectrum_of_hand_instance():
@@ -110,7 +110,7 @@ def test_extreme_eigs_with_index_deflation(make, big_b, k, block):
     table = hilbert.evaluate_hz(make())
     ground = hilbert.ground_space(table)
     op = MatrixFreeOperator(
-        OperatorSpec("QHSQ", s=1.0, big_b=big_b, k=k, parity_block=block),
+        OperatorSpec("QHSQ", big_b=big_b, k=k, parity_block=block),
         table, ground)
     it = extreme_eigs(op, 1)
     keep = np.ones(op.dim, dtype=bool)
@@ -120,7 +120,7 @@ def test_extreme_eigs_with_index_deflation(make, big_b, k, block):
     assert np.array_equal(op.support, np.flatnonzero(keep))
     # H_s on the whole space, cut down to the kept indices
     full = operator_matrix(
-        MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=big_b, k=k), table))
+        MatrixFreeOperator(OperatorSpec("HS", big_b=big_b, k=k), table))
     sub = full[np.ix_(keep, keep)]
     assert it.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(sub)[0], abs=1e-9)
 
@@ -135,7 +135,7 @@ def test_solve_shifted_against_dense_inverse():
     inst = instances.generate("sk_pm", 6, seed=4)
     table = hilbert.evaluate_hz(inst)
     ground = hilbert.ground_space(table)
-    op = MatrixFreeOperator(OperatorSpec("QHSQ", s=1.0, big_b=0.6, k=1),
+    op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=0.6, k=1),
                             table, ground)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(64)

@@ -244,10 +244,10 @@ def test_psi_plus_is_top_x_eigenvector():
 
 
 def test_hs_operator_example_by_hand():
-    # N=2 single term, B=1, K=1, s=1: H|00> = |00> - (1/2)(|01> + |10>)
+    # N=2 single term, B=1, K=1: H|00> = |00> - (1/2)(|01> + |10>)
     inst = hand_single_term()
     table = evaluate_hz(inst)
-    spec = OperatorSpec("HS", s=1.0, big_b=1.0, k=1)
+    spec = OperatorSpec("HS", big_b=1.0, k=1)
     out = MatrixFreeOperator(spec, table).apply(make_state("basis", 2, u=0))
     assert np.allclose(out, [1.0, -0.5, -0.5, 0.0], atol=1e-15)
 
@@ -256,10 +256,10 @@ def test_qhsq_zeroes_ground_rows_and_columns():
     inst = hand_single_term()
     table = evaluate_hz(inst)
     ground = ground_space(table)
-    op = MatrixFreeOperator(OperatorSpec("QHSQ", s=1.0, big_b=1.0, k=1), table, ground)
+    op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=1.0, k=1), table, ground)
     assert np.array_equal(op.support, [0, 3])
     mat = op.apply(np.eye(2))
-    hs = MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=1.0, k=1), table).apply(np.eye(4))
+    hs = MatrixFreeOperator(OperatorSpec("HS", big_b=1.0, k=1), table).apply(np.eye(4))
     assert np.allclose(mat, hs[np.ix_(op.support, op.support)], atol=1e-15)
     assert np.allclose(mat, mat.T, atol=1e-12)
 
@@ -269,7 +269,7 @@ def test_even_k_parity_blocks_commute():
     inst = instances.generate("sk_pm", 6, seed=2)
     table = evaluate_hz(inst)
     even, odd = parity_masks(6)
-    op = MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=0.7, k=2), table)
+    op = MatrixFreeOperator(OperatorSpec("HS", big_b=0.7, k=2), table)
     v = np.zeros(64)
     v[np.flatnonzero(even)[:5]] = 1.0
     out = op.apply(v)
@@ -279,9 +279,9 @@ def test_even_k_parity_blocks_commute():
 def test_parity_restricted_operator_is_projection_conjugate():
     inst = instances.generate("sk_pm", 5, seed=3)
     table = evaluate_hz(inst)
-    full = MatrixFreeOperator(OperatorSpec("HS", s=1.0, big_b=0.5, k=2), table)
+    full = MatrixFreeOperator(OperatorSpec("HS", big_b=0.5, k=2), table)
     blocked = MatrixFreeOperator(
-        OperatorSpec("HS", s=1.0, big_b=0.5, k=2, parity_block="even"), table)
+        OperatorSpec("HS", big_b=0.5, k=2, parity_block="even"), table)
     even, _ = parity_masks(5)
     assert np.array_equal(full.support, np.arange(32))
     assert np.array_equal(blocked.support, np.flatnonzero(even))
@@ -299,10 +299,7 @@ def test_psi_plus_overlap_is_l1_for_nonnegative_states():
 
 
 def test_hs_spec_validation():
-    assert OperatorSpec("HS", big_b=1.0, k=1).s == 1.0
     with pytest.raises(ValueError):
         OperatorSpec("HS", big_b=-1.0, k=1)
     with pytest.raises(ValueError):
         OperatorSpec("HS", big_b=1.0, k=0)
-    with pytest.raises(ValueError):
-        OperatorSpec("HS", big_b=1.0, k=1, s=1.5)

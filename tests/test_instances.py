@@ -72,20 +72,6 @@ def test_toy_model_uses_its_own_seed():
     assert [t.qubits for t in a.terms] == [t.qubits for t in b.terms]
 
 
-def test_beta_cap_is_metadata_only():
-    inst = instances.build_instance(4, 2, [((0, 1), 100.0)], beta_cap=2.0)
-    assert inst.beta_cap_ok() is False  # 100 > 4^2, recorded but not rejected
-    assert instances.build_instance(4, 2, [((0, 1), 1.0)]).beta_cap_ok() is None
-
-
-def test_rescale_divides_weights_by_gap():
-    inst = instances.build_instance(2, 2, [((0, 1), 3.0)])
-    scaled = instances.rescale_to_unit_gap(inst, 6.0)
-    assert scaled.terms[0].weight == 0.5
-    with pytest.raises(InstanceError):
-        instances.rescale_to_unit_gap(inst, 0.0)
-
-
 def test_save_load_round_trip_is_bit_exact():
     inst = instances.generate("sk_gaussian", 7, seed=5)
     buf = io.StringIO()
