@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds
 from .bounds import TheoremConstants
 from .context import Analysis
-from .hilbert import _apply_xk_over_n, make_state
+from .hilbert import _apply_xk_over_n, psi_plus
 from .hilbert import evaluate_hz  # noqa: F401  (stays importable from analyze)
 
 TOL = 1e-9
@@ -93,7 +93,7 @@ def spectral_report(analysis: Analysis) -> SpectralReport:
     next_ev = float(eig.eigenvalues[n0_eff]) if how_many > n0_eff else None
     eq01 = analysis.eq01
 
-    psi_p = make_state("psi_plus", table.n_qubits)
+    psi_p = psi_plus(table.n_qubits)
     p_ov = float(np.sum((band_vectors.T @ psi_p) ** 2))
     p0 = _min_p0_overlap(band_vectors, band, ground.mask(table.n_qubits))
 
@@ -190,7 +190,7 @@ def qgood_verify(analysis: Analysis,
         ("ground_overlap_3_4", bool(spec_rep.p0_overlaps >= overlap_floor - TOL),
          float(spec_rep.p0_overlaps - overlap_floor)))
 
-    psi_p = make_state("psi_plus", n)
+    psi_p = psi_plus(n)
     psi01 = _psi01_from_band(spec_rep, psi_p)
     ovl = float(psi_p @ psi01) * 2.0 ** (n / 2.0)
     predicted = (
@@ -304,19 +304,18 @@ def simulate_algorithm1(analysis: Analysis) -> SimulationResult:
     accepted = vals <= cutoff
     ambiguous = bool(np.any((vals > cutoff) & (vals < e0 + 0.5 - _CLUSTER_TOL)))
 
-    psi_p = make_state("psi_plus", n)
+    psi_p = psi_plus(n)
     gmask = ground.mask(n)
     success = 0.0
     p_ov = 0.0
-    min_p0 = 1.0
     acc_idx = np.flatnonzero(accepted)
     for grp in _cluster(vals[acc_idx]) if acc_idx.size else []:
         u = vecs[:, acc_idx[grp]]
         comp = u @ (u.T @ psi_p)           # Pi_lambda psi_+
         success += float(np.sum(comp[gmask] ** 2))
         p_ov += float(np.sum(comp**2))
-        gram = u[gmask, :].T @ u[gmask, :]
-        min_p0 = min(min_p0, float(np.linalg.eigvalsh(gram)[0]))
+    min_p0 = (_min_p0_overlap(vecs[:, acc_idx], vals[acc_idx], gmask)
+              if acc_idx.size else 1.0)
 
     if success <= 0.0:
         exponent = float("inf")

@@ -14,6 +14,8 @@ import json
 import logging
 import math
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,33 +86,6 @@ def eigenvalues_csv(values: np.ndarray, path: str) -> None:
 
 # ------------------------------------------------------------------- plumbing
 
-def _max_qubits(args) -> int:
-    return hilbert.DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
-
-
-def _load_instance(args) -> instances.Instance:
-    inst = instances.load_instance(args.infile)
-    log.info("loaded instance: N=%d D=%d terms=%d", inst.n_qubits, inst.degree,
-             len(inst.terms))
-    return inst
-
-
-def _analysis_context(args) -> Analysis:
-    """The command's Analysis: its instance tabulated under the command's
-    dense budget, B resolved and multiplied by --s (H_s depends on s and B
-    only through sB), and the --parity choice attached."""
-    if not 0.0 <= args.s <= 1.0:
-        raise CliError(f"--s {args.s} outside [0, 1]")
-    inst = _load_instance(args)
-    table = hilbert.evaluate_hz(inst, max_qubits=_max_qubits(args))
-    if args.big_b is not None:
-        big_b = args.big_b
-    else:
-        big_b = analyze.resolve_big_b(args.b, table.e0)
-    spec = hilbert.OperatorSpec("HS", big_b=args.s * big_b, k=args.k)
-    return Analysis(inst, table, spec, args.parity)
-
-
 def _constants(args) -> bounds.TheoremConstants:
     if getattr(args, "constants", None):
         return bounds.TheoremConstants.from_file(args.constants)
@@ -147,37 +122,16 @@ def _instance_record(analysis: Analysis) -> dict:
     }
 
 
-# ---------------------------------------------------------------- subcommands
-
-def cmd_gen(args) -> int:
-    toy = None
-    if args.model == "toy":
-        toy = instances.ToyModelSpec(n1=args.n1, afm_density=args.afm_density,
-                                     seed=args.toy_seed)
-    inst = instances.generate(args.model, args.n, args.seed, toy=toy)
-    instances.save_instance(inst, args.out)
-    log.info("wrote %s: N=%d terms=%d", args.out, inst.n_qubits, len(inst.terms))
-    return 0
-
+# ------------------------------------------------------------------- sections
+#
+# A section builder takes (a, args): a is the command's Analysis, or for dos
+# and baseline, which take no field, just the loaded instance and table.  It
+# returns the section's tree; None leaves the section out of the report.
 
 def _spectral_tree(rep: analyze.SpectralReport) -> dict:
     tree = dataclasses.asdict(rep)
     del tree["band_vectors"]  # raw eigenvectors stay out of the report
     return tree
-
-
-def cmd_spectrum(args) -> int:
-    a = _analysis_context(args)
-    rep = analyze.spectral_report(a)
-    if args.csv:
-        eigenvalues_csv(np.append(rep.band, rep.next_eigenvalue)
-                        if rep.next_eigenvalue is not None else rep.band, args.csv)
-    write_report({
-        "config": _config_record(args, a.spec),
-        "instance": _instance_record(a),
-        "spectrum": _spectral_tree(rep),
-    }, args.out)
-    return 0
 
 
 def _theorem_tree(rep: analyze.TheoremReport) -> dict:
@@ -202,40 +156,31 @@ def _theorem_tree(rep: analyze.TheoremReport) -> dict:
     }
 
 
-def cmd_qgood(args) -> int:
-    a = _analysis_context(args)
-    rep = analyze.qgood_verify(a, _constants(args))
-    write_report({
-        "config": _config_record(args, a.spec),
-        "instance": _instance_record(a),
-        "qgood": _theorem_tree(rep),
-    }, args.out)
-    return 0
+def _spectrum(a, args) -> dict:
+    return _spectral_tree(analyze.spectral_report(a))
 
 
-def cmd_mainconst(args) -> int:
-    a = _analysis_context(args)
-    rep = analyze.mainconst_decide(a, _constants(args))
-    write_report({
-        "config": _config_record(args, a.spec),
-        "instance": _instance_record(a),
-        "mainconst": _theorem_tree(rep),
-    }, args.out)
-    return 0
+def _spectrum_and_csv(a, args) -> dict:
+    rep = analyze.spectral_report(a)
+    if args.csv:
+        eigenvalues_csv(np.append(rep.band, rep.next_eigenvalue)
+                        if rep.next_eigenvalue is not None else rep.band, args.csv)
+    return _spectral_tree(rep)
 
 
-def cmd_simulate(args) -> int:
-    a = _analysis_context(args)
-    rep = analyze.simulate_algorithm1(a)
-    write_report({
-        "config": _config_record(args, a.spec),
-        "instance": _instance_record(a),
-        "simulate": rep,
-    }, args.out)
-    return 0
+def _qgood(a, args) -> dict:
+    return _theorem_tree(analyze.qgood_verify(a, _constants(args)))
 
 
-def _walk_tree(a: Analysis, args) -> dict:
+def _mainconst(a, args) -> dict:
+    return _theorem_tree(analyze.mainconst_decide(a, _constants(args)))
+
+
+def _simulate(a, args) -> analyze.SimulationResult:
+    return analyze.simulate_algorithm1(a)
+
+
+def _walk(a, args) -> dict:
     ctx = bwpt.solve_self_consistent(a, zeta=args.zeta)
     est = bwpt.walk_estimate(ctx, a, samples=args.samples, seed=args.seed)
     tree = {
@@ -258,28 +203,100 @@ def _walk_tree(a: Analysis, args) -> dict:
     return tree
 
 
-def cmd_walk(args) -> int:
-    a = _analysis_context(args)
-    write_report({
-        "config": _config_record(args, a.spec),
-        "instance": _instance_record(a),
-        "bw": _walk_tree(a, args),
-    }, args.out)
+def _walk_or_error(a, args) -> dict:
+    try:
+        return _walk(a, args)
+    except (bwpt.BwptError, eigensolve.EigensolveError) as exc:
+        return {"error": str(exc)}
+
+
+def _dos_tree(hist: bounds.DosHistogram) -> dict:
+    return {"e0": hist.e0, "counts": [int(c) for c in hist.counts],
+            "total": hist.total}
+
+
+def _dos(a, args) -> dict:
+    return _dos_tree(bounds.dos_histogram(a.table))
+
+
+def _dos_fit_and_csv(a, args) -> dict:
+    hist = bounds.dos_histogram(a.table)
+    tree = _dos_tree(hist)
+    if args.fit_window:
+        tree["powerlaw_fit"] = bounds.dos_powerlaw_fit(hist, tuple(args.fit_window))
+    if args.csv:
+        dos_csv(hist, args.csv)
+    return tree
+
+
+def _baseline(a, args) -> bounds.BaselineReport:
+    return bounds.classical_baseline(a.instance, a.table)
+
+
+def _baseline_if_d2(a, args) -> bounds.BaselineReport | None:
+    return _baseline(a, args) if a.instance.degree == 2 else None
+
+
+# One row per section, in report order, because each solve extends the
+# Analysis memo that later sections read: (report key, subcommand, the
+# subcommand's builder, the report's builder).  The report keeps a failed walk
+# as {"error": msg}, leaves the baseline out when D != 2, and writes dos
+# without a fit or CSV; the single commands exit 1 on those errors instead.
+SECTIONS = (
+    ("spectrum", "spectrum", _spectrum_and_csv, _spectrum),
+    ("qgood", "qgood", _qgood, _qgood),
+    ("mainconst", "mainconst", _mainconst, _mainconst),
+    ("simulate", "simulate", _simulate, _simulate),
+    ("bw", "walk", _walk, _walk_or_error),
+    ("dos", "dos", _dos_fit_and_csv, _dos),
+    ("baseline", "baseline", _baseline, _baseline_if_d2),
+)
+
+
+def _write_sections(args, sections) -> int:
+    """Load the instance and tabulate H_Z once under --max-qubits; for a
+    command that takes a field (--b/--B and --K), build its Analysis with B
+    resolved and multiplied by --s (H_s depends on s and B only through sB)
+    and the --parity choice attached.  Then write the config and instance
+    envelope and each (key, builder) section in order."""
+    with_field = hasattr(args, "k")
+    if with_field and not 0.0 <= args.s <= 1.0:
+        raise CliError(f"--s {args.s} outside [0, 1]")
+    inst = instances.load_instance(args.infile)
+    log.info("loaded instance: N=%d D=%d terms=%d", inst.n_qubits, inst.degree,
+             len(inst.terms))
+    max_qubits = (hilbert.DEFAULT_MAX_QUBITS if args.max_qubits is None
+                  else args.max_qubits)
+    table = hilbert.evaluate_hz(inst, max_qubits=max_qubits)
+    if with_field:
+        big_b = (args.big_b if args.big_b is not None
+                 else analyze.resolve_big_b(args.b, table.e0))
+        spec = hilbert.OperatorSpec("HS", big_b=args.s * big_b, k=args.k)
+        a = Analysis(inst, table, spec, args.parity)
+        tree = {"config": _config_record(args, spec), "instance": _instance_record(a)}
+    else:
+        a = SimpleNamespace(instance=inst, table=table)
+        tree = {"config": _config_record(args)}
+    for key, build in sections:
+        start = time.perf_counter()
+        section = build(a, args)
+        log.debug("%s: %.3f s", key, time.perf_counter() - start)
+        if section is not None:
+            tree[key] = section
+    write_report(tree, args.out)
     return 0
 
 
-def cmd_dos(args) -> int:
-    inst = _load_instance(args)
-    table = hilbert.evaluate_hz(inst, max_qubits=_max_qubits(args))
-    hist = bounds.dos_histogram(table)
-    tree = {"e0": hist.e0, "counts": [int(c) for c in hist.counts],
-            "total": hist.total}
-    if args.fit_window:
-        fit = bounds.dos_powerlaw_fit(hist, tuple(args.fit_window))
-        tree["powerlaw_fit"] = fit
-    if args.csv:
-        dos_csv(hist, args.csv)
-    write_report({"config": _config_record(args), "dos": tree}, args.out)
+# ---------------------------------------------------------------- subcommands
+
+def cmd_gen(args) -> int:
+    toy = None
+    if args.model == "toy":
+        toy = instances.ToyModelSpec(n1=args.n1, afm_density=args.afm_density,
+                                     seed=args.toy_seed)
+    inst = instances.generate(args.model, args.n, args.seed, toy=toy)
+    instances.save_instance(inst, args.out)
+    log.info("wrote %s: N=%d terms=%d", args.out, inst.n_qubits, len(inst.terms))
     return 0
 
 
@@ -295,48 +312,32 @@ def cmd_thm3(args) -> int:
     return 0
 
 
+def _command(args) -> int:
+    """A single-section subcommand: the envelope and its own section."""
+    return _write_sections(args, [(key, own) for key, verb, own, _ in SECTIONS
+                                  if verb == args.command])
+
+
+# named entry points, so that perfbench/tracer.py can time each command
+def cmd_qgood(args) -> int:
+    return _command(args)
+
+
+def cmd_walk(args) -> int:
+    return _command(args)
+
+
+def cmd_dos(args) -> int:
+    return _command(args)
+
+
 def cmd_baseline(args) -> int:
-    inst = _load_instance(args)
-    table = hilbert.evaluate_hz(inst, max_qubits=_max_qubits(args))
-    rep = bounds.classical_baseline(inst, table)
-    write_report({
-        "config": _config_record(args),
-        "baseline": rep,
-    }, args.out)
-    return 0
+    return _command(args)
 
 
 def cmd_report(args) -> int:
-    """All-in-one: every module's record for a single instance."""
-    a = _analysis_context(args)
-    inst = a.instance
-    consts = _constants(args)
-    tree = {
-        "config": _config_record(args, a.spec),
-        "instance": _instance_record(a),
-    }
-    log.info("spectrum")
-    tree["spectrum"] = _spectral_tree(analyze.spectral_report(a))
-    log.info("qgood")
-    tree["qgood"] = _theorem_tree(analyze.qgood_verify(a, consts))
-    log.info("mainconst")
-    tree["mainconst"] = _theorem_tree(analyze.mainconst_decide(a, consts))
-    log.info("simulate")
-    tree["simulate"] = analyze.simulate_algorithm1(a)
-    log.info("bw series and walk")
-    try:
-        tree["bw"] = _walk_tree(a, args)
-    except (bwpt.BwptError, eigensolve.EigensolveError) as exc:
-        tree["bw"] = {"error": str(exc)}
-    log.info("dos")
-    hist = bounds.dos_histogram(a.table)
-    tree["dos"] = {"e0": hist.e0, "counts": [int(c) for c in hist.counts],
-                   "total": hist.total}
-    if inst.degree == 2:
-        log.info("classical baseline")
-        tree["baseline"] = bounds.classical_baseline(inst, a.table)
-    write_report(tree, args.out)
-    return 0
+    """All-in-one: every section for a single instance."""
+    return _write_sections(args, [(key, rep) for key, _, _, rep in SECTIONS])
 
 
 # ----------------------------------------------------------------- arg parsing
@@ -378,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     for name, fn, csv_help in (
-        ("spectrum", cmd_spectrum, "eigenvalue CSV"),
+        ("spectrum", _command, "eigenvalue CSV"),
         ("qgood", cmd_qgood, None),
-        ("mainconst", cmd_mainconst, None),
-        ("simulate", cmd_simulate, None),
+        ("mainconst", _command, None),
+        ("simulate", _command, None),
     ):
         p = sub.add_parser(name)
         _add_instance_args(p)
@@ -435,11 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    # on the package logger: basicConfig does nothing once the root logger
+    # has handlers, and -v adds each section's DEBUG timing line
+    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
         return args.func(args)
     except (instances.InstanceError, hilbert.BudgetError, bounds.BoundsError,

@@ -49,18 +49,9 @@ def operator_matrix(op: MatrixFreeOperator) -> np.ndarray:
     return op.matmat(np.eye(op.shape[0]))
 
 
-def dense_spectrum(op_or_matrix, want_vectors: bool = True) -> EigenResult:
-    """Full dense spectrum (oracle path).  Accepts a MatrixFreeOperator or an
-    explicit symmetric matrix."""
-    if isinstance(op_or_matrix, MatrixFreeOperator):
-        mat = operator_matrix(op_or_matrix)
-    else:
-        mat = np.asarray(op_or_matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise EigensolveError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] > DENSE_DIM_CAP:
-        raise EigensolveError(
-            f"dimension {mat.shape[0]} exceeds the dense cap {DENSE_DIM_CAP}")
+def dense_spectrum(op: MatrixFreeOperator, want_vectors: bool = True) -> EigenResult:
+    """Full dense spectrum of op on its support (oracle path)."""
+    mat = operator_matrix(op)
     if not want_vectors:
         vals = np.linalg.eigvalsh(mat)
         return EigenResult(vals, None, np.zeros_like(vals))

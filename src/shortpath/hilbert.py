@@ -15,7 +15,6 @@ in-place add of a reversed view; (X/N)^K chains K of those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
@@ -165,34 +164,9 @@ def parity_masks(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return ~odd, odd
 
 
-def make_state(kind: str, n_qubits: int, u: int | None = None,
-               support: Iterable[int] | None = None, seed: int = 0) -> np.ndarray:
-    """Amplitudes of a named state: psi_plus, basis(u), uniform_on(set),
-    random_on(set)."""
-    dim = 1 << n_qubits
-    amps = np.zeros(dim, dtype=np.float64)
-    if kind == "psi_plus":
-        amps[:] = 2.0 ** (-n_qubits / 2.0)
-    elif kind == "basis":
-        if u is None or not 0 <= u < dim:
-            raise ValueError(f"basis index {u} outside [0, 2^{n_qubits})")
-        amps[u] = 1.0
-    elif kind in ("uniform_on", "random_on"):
-        idx = np.asarray(sorted({int(s) for s in (support if support is not None else ())}),
-                         dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("support set is empty")
-        if idx[0] < 0 or idx[-1] >= dim:
-            raise ValueError("support index outside the basis range")
-        if kind == "uniform_on":
-            amps[idx] = idx.size ** -0.5
-        else:
-            rng = np.random.default_rng(seed)
-            vals = rng.standard_normal(idx.size)
-            amps[idx] = vals / np.linalg.norm(vals)
-    else:
-        raise ValueError(f"unknown state kind {kind!r}")
-    return amps
+def psi_plus(n_qubits: int) -> np.ndarray:
+    """|+>^N: all 2^N amplitudes equal to 2^(-N/2)."""
+    return np.full(1 << n_qubits, 2.0 ** (-n_qubits / 2.0))
 
 
 def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -194,13 +194,18 @@ def test_criterion_6_entropy_suite(prepared_corpus):
         for trial in range(1000):
             k = K_GRID[trial % 3]
             kind = ("basis", "uniform_on", "random_on")[trial % 3]
+            state = np.zeros(dim)
             if kind == "basis":
-                state = hilbert.make_state("basis", n, u=int(rng.integers(dim)))
+                state[int(rng.integers(dim))] = 1.0
             else:
                 size = int(rng.integers(1, dim + 1))
-                support = rng.choice(dim, size=size, replace=False)
-                state = hilbert.make_state(kind, n, support=support,
-                                           seed=int(rng.integers(2**31)))
+                support = np.sort(rng.choice(dim, size=size, replace=False))
+                seed = int(rng.integers(2**31))  # drawn for both kinds
+                if kind == "uniform_on":
+                    state[support] = size**-0.5
+                else:
+                    vals = np.random.default_rng(seed).standard_normal(size)
+                    state[support] = vals / np.linalg.norm(vals)
             rep = bounds.state_entropy_checks(state, k)
             assert rep.sx_ok, (n, trial)
             assert rep.genineq_ok, (n, trial)
@@ -295,7 +300,7 @@ def test_criterion_9_speedup_accounting(prepared_corpus):
         sim = analyze.simulate_algorithm1(a)
         assert sim.speedup_bits > 0, (seed, sim.speedup_bits)
         speedups.append(sim.speedup_bits)
-        psi_p = hilbert.make_state("psi_plus", 10)
+        psi_p = hilbert.psi_plus(10)
         psi01 = analyze._psi01_from_band(spec_rep, psi_p)
         measured = math.log(float(psi_p @ psi01) * 2.0**5)
         leading = params.big_b * 10 / (2.0 * inst.degree * params.k * abs(table.e0))

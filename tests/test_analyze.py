@@ -45,7 +45,7 @@ def test_spectral_report_matches_dense_oracle():
     dense = eigensolve.dense_spectrum(hs)
     assert np.allclose(np.append(rep.band, rep.next_eigenvalue),
                        dense.eigenvalues[:3], atol=1e-9)
-    psi_p = hilbert.make_state("psi_plus", 2)
+    psi_p = hilbert.psi_plus(2)
     p_ov = float(np.sum((dense.eigenvectors[:, :2].T @ psi_p) ** 2))
     assert rep.p_ov == pytest.approx(p_ov, abs=1e-9)
 

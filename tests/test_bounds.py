@@ -26,7 +26,7 @@ from shortpath.bounds import (
     theorem1_item2_check,
     thm3_parameters,
 )
-from shortpath.hilbert import OperatorSpec, evaluate_hz, ground_space, make_state
+from shortpath.hilbert import OperatorSpec, evaluate_hz, ground_space, psi_plus
 
 from conftest import dense_x, disjoint_pairs, hand_single_term, main_corpus
 
@@ -83,7 +83,7 @@ def test_entropy_domain_errors():
 
 
 def test_state_entropy_psi_plus_saturates_sx():
-    rep = state_entropy_checks(make_state("psi_plus", 6), k=1)
+    rep = state_entropy_checks(psi_plus(6), k=1)
     assert rep.s_comp == pytest.approx(6.0, abs=1e-12)
     assert rep.x_expectation == pytest.approx(6.0, abs=1e-9)
     assert rep.sx_ok
@@ -91,7 +91,9 @@ def test_state_entropy_psi_plus_saturates_sx():
 
 def test_state_entropy_basis_state_hand_example():
     # |0000>, K=1: <(X/4)^2> = 4/16; S0=0, S1=2; bound tau(0.5)^2
-    rep = state_entropy_checks(make_state("basis", 4, u=0), k=1)
+    basis = np.zeros(16)
+    basis[0] = 1.0
+    rep = state_entropy_checks(basis, k=1)
     assert rep.s_comp == 0.0
     assert rep.exact_x2k == pytest.approx(0.25, abs=1e-12)
     assert rep.s_sequence == pytest.approx([0.0, 2.0], abs=1e-12)

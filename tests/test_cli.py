@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shortpath import cli, eigensolve, hilbert, instances
+from shortpath import bwpt, cli, eigensolve, hilbert, instances
 
 
 def run_cli(argv):
@@ -151,6 +151,47 @@ def test_walk_command(tmp_path):
     doc = _load(rep)
     assert doc["bw"]["walk"]["samples"] == 1000
     assert "series_exact" in doc["bw"]
+
+
+def test_report_leaves_the_baseline_out_when_d_is_not_2(tmp_path):
+    inst = tmp_path / "d3.txt"
+    inst.write_text("5 3\n0 1 2 1.0\n1 2 3 -1.0\n2 3 4 1.0\n0 3 4 -1.0\n")
+    rep = tmp_path / "report.json"
+    assert run_cli(["report", "--in", inst, "--b", 0.1, "--K", 1,
+                    "--samples", 100, "--out", rep]) == 0
+    doc = _load(rep)
+    assert doc["instance"]["degree"] == 3
+    assert "baseline" not in doc and "dos" in doc
+    # the standalone command has no section to leave out, so it fails
+    assert run_cli(["baseline", "--in", inst, "--out", tmp_path / "base.json"]) == 1
+
+
+def test_report_keeps_a_failed_walk_as_an_error_record(tmp_path, monkeypatch):
+    def no_fixed_point(*args, **kwargs):
+        raise bwpt.BwptError("no fixed point")
+
+    monkeypatch.setattr(bwpt, "solve_self_consistent", no_fixed_point)
+    inst = _gen(tmp_path)
+    rep = tmp_path / "report.json"
+    assert run_cli(["report", "--in", inst, "--b", 0.1, "--K", 1, "--out", rep]) == 0
+    assert _load(rep)["bw"] == {"error": "no fixed point"}
+    assert run_cli(["walk", "--in", inst, "--b", 0.1, "--K", 1,
+                    "--out", tmp_path / "walk.json"]) == 1
+
+
+def test_verbose_logs_each_section_with_its_time(tmp_path, caplog):
+    inst = _gen(tmp_path)
+    args = ["spectrum", "--in", inst, "--b", 0.1, "--K", 1, "--out", tmp_path / "s.json"]
+
+    def section_lines():
+        return [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("spectrum:")]
+
+    assert run_cli(["-v", *args]) == 0
+    assert len(section_lines()) == 1
+    caplog.clear()
+    assert run_cli(args) == 0  # the default level drops it again
+    assert section_lines() == []
 
 
 def test_constants_file_flows_through(tmp_path):

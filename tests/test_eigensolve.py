@@ -39,7 +39,7 @@ def test_dense_spectrum_of_hand_instance():
 def test_dense_cap_enforced(monkeypatch):
     monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 2)
     with pytest.raises(EigensolveError, match="dense cap"):
-        dense_spectrum(np.eye(4))
+        dense_spectrum(_hs_op(hand_single_term(), 1.0, 1))
 
 
 def test_operator_matrix_enforces_dense_cap(monkeypatch):

@@ -1,4 +1,4 @@
-"""Diagonal tables, ground spaces, matrix-free operators, named states."""
+"""Diagonal tables, ground spaces, matrix-free operators, psi_+."""
 
 import itertools
 import tracemalloc
@@ -14,8 +14,8 @@ from shortpath.hilbert import (
     energy_of,
     evaluate_hz,
     ground_space,
-    make_state,
     parity_masks,
+    psi_plus,
     psi_plus_overlap,
 )
 
@@ -169,24 +169,6 @@ def test_ground_space_reads_the_gap_from_the_table():
     assert ground.gap_certified == (table.gap >= 1 - 1e-9)
 
 
-def test_make_state_variants():
-    psi = make_state("psi_plus", 4)
-    assert np.linalg.norm(psi) == pytest.approx(1.0)
-    assert np.all(psi == 0.25)
-    basis = make_state("basis", 3, u=5)
-    assert basis[5] == 1.0 and np.abs(basis).sum() == 1.0
-    uni = make_state("uniform_on", 3, support=[1, 2, 4, 7])
-    assert np.linalg.norm(uni) == pytest.approx(1.0)
-    assert np.count_nonzero(uni) == 4
-    rnd = make_state("random_on", 3, support=[1, 2], seed=9)
-    assert np.linalg.norm(rnd) == pytest.approx(1.0)
-    assert np.count_nonzero(rnd) == 2
-    with pytest.raises(ValueError):
-        make_state("basis", 3, u=8)
-    with pytest.raises(ValueError):
-        make_state("uniform_on", 3, support=[])
-
-
 def test_x_operator_matches_dense_matrix():
     # N = 1, 2, 3 use a corner of the low-bit block, N = 5 the whole block,
     # and N = 6, 9 the block plus per-bit flips above it
@@ -237,7 +219,8 @@ def test_xk_chain_holds_at_most_two_iterates():
 
 def test_psi_plus_is_top_x_eigenvector():
     n = 5
-    psi = make_state("psi_plus", n)
+    psi = psi_plus(n)
+    assert np.linalg.norm(psi) == pytest.approx(1.0) and np.ptp(psi) == 0.0
     table = evaluate_hz(instances.build_instance(n, 1, [((0,), 1.0)]))
     xpsi = MatrixFreeOperator(OperatorSpec("X"), table).apply(psi)
     assert np.allclose(xpsi, n * psi, atol=1e-12)
@@ -248,7 +231,7 @@ def test_hs_operator_example_by_hand():
     inst = hand_single_term()
     table = evaluate_hz(inst)
     spec = OperatorSpec("HS", big_b=1.0, k=1)
-    out = MatrixFreeOperator(spec, table).apply(make_state("basis", 2, u=0))
+    out = MatrixFreeOperator(spec, table).apply(np.array([1.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out, [1.0, -0.5, -0.5, 0.0], atol=1e-15)
 
 
@@ -292,7 +275,8 @@ def test_parity_restricted_operator_is_projection_conjugate():
 
 
 def test_psi_plus_overlap_is_l1_for_nonnegative_states():
-    state = make_state("uniform_on", 4, support=[0, 3, 7])
+    state = np.zeros(16)
+    state[[0, 3, 7]] = 3**-0.5
     assert psi_plus_overlap(state) == pytest.approx(2.0**-2 * np.abs(state).sum())
     with pytest.raises(ValueError, match="2\\^N"):
         psi_plus_overlap(np.ones(6))
