@@ -185,7 +185,9 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
             f"phi is not an H_s eigenvector: residual {eig_residual:.3e} "
             f"exceeds 1e-8 * |phi|"
         )
-    psi01 = analysis.lowest(analysis.hs_spec, 1).eigenvectors[:, 0]
+    # a contiguous copy: the memo may hold more pairs, and BLAS sums a
+    # strided column in another order
+    psi01 = np.ascontiguousarray(analysis.lowest(analysis.hs_spec, 1).eigenvectors[:, 0])
     if psi01.sum() < 0:
         psi01 = -psi01
     align = float(phi @ psi01) / phi_norm

@@ -5,7 +5,11 @@ speak 2^N vectors to their callers: eigenvectors are scattered back from the
 support, and a right-hand side is read on it.  extreme_eigs runs ARPACK
 (scipy's eigsh, seeded for its restarts too) for one eigenpair at a time and
 lifts each converged vector out of the way before the next run, so every copy
-of a degenerate level is found.  dense_spectrum is the independent oracle used
+of a degenerate level is found.  solve_shifted solves (shift - op) x = rhs for
+a shift below the spectrum on the support, where op - shift is positive
+definite, by conjugate gradients (Hestenes and Stiefel, 1952) preconditioned
+with 1/(E'_u - shift), the denominators of the walk series; every solve is
+certified by its true residual.  dense_spectrum is the independent oracle used
 by the property tests.  block_lemma_check verifies the three block-matrix
 eigenvalue/overlap facts used by the theorem pipelines.
 """
@@ -15,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .hilbert import MatrixFreeOperator
 
 DENSE_DIM_CAP = 1 << 13
 _START_SEED = 0x5EED
-_SHIFTED_REL_TOL = 1e-10
+_SHIFTED_REL_TOL = 1e-10  # certified true residual of solve_shifted
+_CG_REL_TOL = 1e-13       # recurrence residual at which its iteration stops
 
 
 class EigensolveError(RuntimeError):
@@ -122,35 +127,68 @@ def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.n
     """Solve (shift - op) x = rhs on op.support; rhs entries outside the
     support are ignored.
 
-    Minimum-residual Krylov solve; the returned x is zero outside the
-    support and satisfies ||(shift - op)x - rhs|| <= 1e-10 * ||rhs|| on it.
+    The shift must lie below the spectrum of op on its support, so that
+    op - shift is positive definite: conjugate gradients then solve
+    (op - shift) x = -rhs, preconditioned by 1/(E'_u - shift) with E'_u the
+    entries of op's diagonal table on the support (the denominators of the
+    walk series); op is an HS or QHSQ operator.  The iteration stops at a
+    recurrence residual of 1e-13 * ||rhs||.  The returned x is zero outside
+    the support and satisfies ||(shift - op)x - rhs|| <= 1e-10 * ||rhs|| on
+    it; a shift that breaks the precondition, or a solve that misses the
+    bound, raises NearSingularShift.
     """
-    b = np.asarray(rhs, dtype=np.float64)[op.support]
+    b = -np.asarray(rhs, dtype=np.float64)[op.support]
     out = np.zeros(op.dim)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return out
 
-    lin = LinearOperator(op.shape, matvec=lambda y: shift * y - op.matvec(y),
-                         dtype=np.float64)
+    denom = op.table.energies[op.support] - shift
+    worst = int(np.argmin(denom))
+    if not denom[worst] > 0.0:
+        # e_u^T (op - shift) e_u <= E'_u - shift, as (X/N)^K has a
+        # non-negative diagonal
+        raise NearSingularShift(
+            f"shift {shift} is not below the spectrum on op.support: at basis "
+            f"state {int(op.support[worst])}, E'_u - shift = {denom[worst]:.3e} "
+            f"bounds the signed distance lambda_min - shift from above"
+        )
+    precond = 1.0 / denom
+
+    def shifted(y: np.ndarray) -> np.ndarray:
+        return op.matvec(y) - shift * y
+
     x = np.zeros_like(b)
-    maxiter = max(4 * b.size, 200)
-    for _attempt in range(3):
-        r = b - lin.matvec(x)
-        if np.linalg.norm(r) <= _SHIFTED_REL_TOL * bnorm:
-            break
-        dx, _info = minres(lin, r, rtol=1e-13, maxiter=maxiter)
-        x = x + dx
-    else:
-        r = b - lin.matvec(x)
-        if np.linalg.norm(r) > _SHIFTED_REL_TOL * bnorm:
-            xn = np.linalg.norm(x)
-            gap_estimate = np.linalg.norm(lin.matvec(x / xn)) if xn > 0 else 0.0
+    r = b.copy()
+    p = precond * r
+    rz = float(r @ p)
+    for _ in range(max(4 * b.size, 200)):
+        ap = shifted(p)
+        pap = float(p @ ap)
+        if not pap > 0.0:
             raise NearSingularShift(
-                f"shifted solve stagnated at relative residual "
-                f"{np.linalg.norm(r) / bnorm:.3e}; estimated distance from the "
-                f"shift to the deflated spectrum ~ {gap_estimate:.3e}"
+                f"shift {shift} is not below the spectrum on op.support: a "
+                f"search direction has Rayleigh quotient {pap / float(p @ p):.3e}, "
+                f"which bounds the signed distance lambda_min - shift from above"
             )
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= _CG_REL_TOL * bnorm:
+            break
+        z = precond * r
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+
+    true_res = np.linalg.norm(b - shifted(x))
+    if true_res > _SHIFTED_REL_TOL * bnorm:
+        xn = np.linalg.norm(x)
+        gap_estimate = np.linalg.norm(shifted(x / xn)) if xn > 0 else 0.0
+        raise NearSingularShift(
+            f"shifted solve stagnated at relative residual "
+            f"{true_res / bnorm:.3e}; estimated distance from the "
+            f"shift to the deflated spectrum ~ {gap_estimate:.3e}"
+        )
     out[op.support] = x
     return out
 

@@ -46,6 +46,28 @@ def test_effective_hamiltonian_unique_ground_by_hand():
     assert h[0, 0] == pytest.approx(expect, abs=1e-9)
 
 
+@pytest.mark.parametrize("make, k", [
+    pytest.param(lambda: disjoint_pairs(8), 2, id="pairs8-K2-block"),
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 3, id="sk_pm8-K3"),
+])
+def test_effective_hamiltonian_matches_dense_oracle(make, k):
+    # h(omega) = E0 I + PVP + PVQ (omega - Q H_s Q)^{-1} QVP on the block,
+    # with V = H_s - H_Z taken from the dense H_s over the block support
+    a = _setup(make(), b=0.1, k=k)
+    idx = a.block_ground_indices
+    assert idx.size > 1
+    hs = a.operator(a.hs_spec)
+    mat = eigensolve.operator_matrix(hs)
+    v = mat - np.diag(a.table.energies[hs.support])
+    g = np.isin(hs.support, idx)
+    omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
+    h = bwpt.effective_hamiltonian(a, omega)
+    resolvent = omega * np.eye(np.count_nonzero(~g)) - mat[np.ix_(~g, ~g)]
+    expect = (a.table.e0 * np.eye(idx.size) + v[np.ix_(g, g)]
+              + v[np.ix_(g, ~g)] @ np.linalg.solve(resolvent, v[np.ix_(~g, g)]))
+    assert np.allclose(h, expect, rtol=0, atol=1e-12 * abs(a.table.e0))
+
+
 def test_effective_hamiltonian_rejects_omega_above_q_spectrum():
     inst = hand_single_term()
     a = _setup(inst, b=0.1, k=1)

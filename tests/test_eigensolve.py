@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from shortpath import cli, eigensolve, hilbert, instances
+from shortpath import bwpt, cli, eigensolve, hilbert, instances
 from shortpath.context import Analysis
 from shortpath.eigensolve import (
     BlockMatrixInput,
@@ -154,6 +154,68 @@ def test_solve_shifted_against_dense_inverse():
     expect = np.linalg.solve(sub, rhs[keep])
     assert np.allclose(x[keep], expect, atol=1e-7 * np.linalg.norm(expect))
     assert np.allclose(x[ground.ground_indices], 0.0)
+
+
+def test_solve_shifted_against_dense_solve_on_j0_plus_v():
+    # the phi_exact system: J0 + V with the ground diagonal raised by zeta,
+    # solved at omega = E_{0,1} below its spectrum
+    inst = instances.generate("sk_pm", 8, seed=2)
+    table = hilbert.evaluate_hz(inst)
+    a = Analysis(inst, table, OperatorSpec("HS", big_b=0.2 * abs(table.e0), k=1))
+    op = bwpt._j0_plus_v_operator(a, bwpt.DEFAULT_ZETA)
+    mat = operator_matrix(op)
+    omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
+    assert omega < np.linalg.eigvalsh(mat)[0]
+    rhs = np.random.default_rng(3).standard_normal(op.dim)
+    x = solve_shifted(op, omega, rhs)
+    expect = np.linalg.solve(omega * np.eye(op.dim) - mat, rhs)
+    assert np.allclose(x, expect, rtol=0, atol=1e-9 * np.linalg.norm(expect))
+
+
+@pytest.mark.parametrize("shift", [-5.0, -4.0, -3.2])
+def test_solve_shifted_indefinite_shift_raises_or_certifies(shift):
+    # B=4 pulls the lowest eigenvalue to -5.31 while every E_u on the support
+    # is >= -3, so the diagonal check passes and op - shift is indefinite
+    table = hilbert.evaluate_hz(instances.generate("sk_pm", 6, seed=4))
+    op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=4.0, k=1),
+                            table, hilbert.ground_space(table))
+    mat = operator_matrix(op)
+    vals = np.linalg.eigvalsh(mat)
+    assert vals[0] < shift < table.energies[op.support].min()
+    assert np.min(np.abs(vals - shift)) > 0.1
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        rhs = rng.standard_normal(op.dim)
+        try:
+            x = solve_shifted(op, shift, rhs)
+        except NearSingularShift:
+            continue
+        b, y = rhs[op.support], x[op.support]
+        assert np.linalg.norm(shift * y - mat @ y - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_solve_shifted_refuses_an_uncertified_iterate(monkeypatch):
+    # an iteration stopped early leaves a true residual above 1e-10 |rhs|
+    table = hilbert.evaluate_hz(instances.generate("sk_pm", 6, seed=4))
+    op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=0.6, k=1),
+                            table, hilbert.ground_space(table))
+    monkeypatch.setattr(eigensolve, "_CG_REL_TOL", 1e-3)
+    with pytest.raises(NearSingularShift, match="stagnated"):
+        solve_shifted(op, table.e0 - 0.5, np.random.default_rng(5).standard_normal(64))
+
+
+def test_solve_shifted_matvec_budget(monkeypatch):
+    # preconditioned CG takes 10 products on this solve (MINRES took 16);
+    # the bound leaves 50% headroom over 10
+    table = hilbert.evaluate_hz(instances.generate("sk_pm", 6, seed=4))
+    op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=0.6, k=1),
+                            table, hilbert.ground_space(table))
+    calls = []
+    apply = MatrixFreeOperator.apply
+    monkeypatch.setattr(MatrixFreeOperator, "apply",
+                        lambda self, amps: calls.append(1) or apply(self, amps))
+    solve_shifted(op, table.e0 - 0.5, np.random.default_rng(5).standard_normal(64))
+    assert len(calls) <= 15
 
 
 def test_solve_shifted_near_singular_reports_gap():
