@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds
 from .bounds import TheoremConstants
 from .context import Analysis
-from .hilbert import _apply_xk_over_n, psi_plus
+from .hilbert import _apply_xk_over_n, psi_plus_overlap
 from .hilbert import evaluate_hz  # noqa: F401  (stays importable from analyze)
 
 TOL = 1e-9
@@ -68,14 +68,14 @@ def _cluster(values: np.ndarray, tol: float = _CLUSTER_TOL) -> list[np.ndarray]:
 
 
 def _min_p0_overlap(vectors: np.ndarray, values: np.ndarray,
-                    ground_mask: np.ndarray) -> float:
-    """min <psi|P0|psi> over unit vectors of each eigenspace spanned by the
-    columns.  Computed per degenerate cluster so the answer does not depend on
-    the eigenvector basis the solver happened to return."""
+                    ground_rows: np.ndarray) -> float:
+    """min <psi|P0|psi> (P0 keeps `ground_rows`) over unit vectors of each
+    eigenspace spanned by the columns.  Computed per degenerate cluster so the
+    answer does not depend on the eigenvector basis the solver returned."""
     worst = 1.0
     for grp in _cluster(values):
-        u = vectors[:, grp]
-        gram = u[ground_mask, :].T @ u[ground_mask, :]
+        u = vectors[np.ix_(ground_rows, grp)]
+        gram = u.T @ u
         worst = min(worst, float(np.linalg.eigvalsh(gram)[0]))
     return worst
 
@@ -84,7 +84,7 @@ def spectral_report(analysis: Analysis) -> SpectralReport:
     """Band structure of H_1: the n0 lowest eigenvalues, the next one, the
     excited-restricted E^Q_{0,1}, the psi_+ overlap mass P_ov, and the worst
     ground-projector overlap over the band."""
-    table, ground, block = analysis.table, analysis.ground, analysis.block
+    table, block = analysis.table, analysis.block
     n0_eff = int(analysis.block_ground_indices.size)
     how_many = min(n0_eff + 1, analysis.block_dim)
     eig = analysis.lowest(analysis.hs_spec, how_many)
@@ -93,9 +93,8 @@ def spectral_report(analysis: Analysis) -> SpectralReport:
     next_ev = float(eig.eigenvalues[n0_eff]) if how_many > n0_eff else None
     eq01 = analysis.eq01
 
-    psi_p = psi_plus(table.n_qubits)
-    p_ov = float(np.sum((band_vectors.T @ psi_p) ** 2))
-    p0 = _min_p0_overlap(band_vectors, band, ground.mask(table.n_qubits))
+    p_ov = float(np.sum(psi_plus_overlap(band_vectors, table.n_qubits) ** 2))
+    p0 = _min_p0_overlap(band_vectors, band, analysis.block_ground_coords)
 
     e0 = table.e0
     band_upper_ok = bool(band.max() <= e0 + 0.25 + TOL)
@@ -122,13 +121,13 @@ class TheoremReport:
         return all(p for _, p, _ in self.preconditions if p is not None)
 
 
-def _psi01_from_band(report: SpectralReport, psi_p: np.ndarray) -> np.ndarray:
-    """The lowest-eigenspace state the algorithm collapses onto: the normalized
-    projection of psi_+ onto the e01 eigenspace.  For a nondegenerate (Perron)
-    ground state this is that eigenvector with positive sign."""
+def _psi01_from_band(report: SpectralReport, n_qubits: int) -> np.ndarray:
+    """The lowest-eigenspace state the algorithm collapses onto, in the band's
+    coordinates: the normalized projection of psi_+ onto the e01 eigenspace.
+    For a nondegenerate (Perron) ground state, that eigenvector made positive."""
     grp = _cluster(report.band)[0]
     u = report.band_vectors[:, grp]
-    comp = u @ (u.T @ psi_p)
+    comp = u @ psi_plus_overlap(u, n_qubits)
     nrm = np.linalg.norm(comp)
     if nrm < 1e-14:
         # psi_+ has no mass on the eigenspace; fall back to the first vector
@@ -190,9 +189,8 @@ def qgood_verify(analysis: Analysis,
         ("ground_overlap_3_4", bool(spec_rep.p0_overlaps >= overlap_floor - TOL),
          float(spec_rep.p0_overlaps - overlap_floor)))
 
-    psi_p = psi_plus(n)
-    psi01 = _psi01_from_band(spec_rep, psi_p)
-    ovl = float(psi_p @ psi01) * 2.0 ** (n / 2.0)
+    psi01 = _psi01_from_band(spec_rep, n)
+    ovl = float(psi01.sum())  # 2^(N/2) <psi_+|psi01>
     predicted = (
         spec.big_b * n / (2.0 * instance.degree * spec.k * abs(e0))
         if e0 < 0 else 0.0
@@ -253,7 +251,7 @@ def mainconst_decide(analysis: Analysis,
     eig = analysis.lowest(replace(analysis.hs_spec, big_b=2.5 * spec.big_b), 1)
     lam = float(eig.eigenvalues[0])
     psi = eig.eigenvectors[:, 0]
-    x_exp = spec.big_b * float(psi @ _apply_xk_over_n(psi, n, spec.k))
+    x_exp = spec.big_b * float(psi @ _apply_xk_over_n(psi, n, spec.k, analysis.block))
     report.conclusions.append(
         ("h52_below_quarter", bool(lam < e0 - 0.25 + TOL), float((e0 - 0.25) - lam)))
     report.conclusions.append(
@@ -304,17 +302,16 @@ def simulate_algorithm1(analysis: Analysis) -> SimulationResult:
     accepted = vals <= cutoff
     ambiguous = bool(np.any((vals > cutoff) & (vals < e0 + 0.5 - _CLUSTER_TOL)))
 
-    psi_p = psi_plus(n)
-    gmask = ground.mask(n)
+    rows = ground.ground_indices  # the full space's coordinates are basis indices
     success = 0.0
     p_ov = 0.0
     acc_idx = np.flatnonzero(accepted)
     for grp in _cluster(vals[acc_idx]) if acc_idx.size else []:
         u = vecs[:, acc_idx[grp]]
-        comp = u @ (u.T @ psi_p)           # Pi_lambda psi_+
-        success += float(np.sum(comp[gmask] ** 2))
+        comp = u @ psi_plus_overlap(u, n)  # Pi_lambda psi_+
+        success += float(np.sum(comp[rows] ** 2))
         p_ov += float(np.sum(comp**2))
-    min_p0 = (_min_p0_overlap(vecs[:, acc_idx], vals[acc_idx], gmask)
+    min_p0 = (_min_p0_overlap(vecs[:, acc_idx], vals[acc_idx], rows)
               if acc_idx.size else 1.0)
 
     if success <= 0.0:

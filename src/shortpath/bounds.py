@@ -21,7 +21,6 @@ from .hilbert import (
     _apply_x,
     _apply_xk_over_n,
     _walsh_hadamard,
-    n_qubits_of,
 )
 from .instances import Instance
 
@@ -155,7 +154,9 @@ def state_entropy_checks(amps: np.ndarray, k: int) -> EntropyCheckReport:
     """Check the log-Sobolev bound on <X>/N and the product bounds on
     <(X/N)^2K> against the exact expectation values for a 2^N amplitude
     vector."""
-    n = n_qubits_of(amps)
+    n = amps.size.bit_length() - 1
+    if amps.ndim != 1 or n < 1 or amps.size != 1 << n:
+        raise BoundsError(f"amplitude array of shape {amps.shape} is not a 2^N vector")
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise BoundsError("state must be normalized")
     s_comp = shannon_entropy_bits(amps**2)

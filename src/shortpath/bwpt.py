@@ -23,12 +23,7 @@ import numpy as np
 from . import eigensolve
 from .context import Analysis
 from .context import choose_parity_block  # noqa: F401  (stays importable from bwpt)
-from .hilbert import (
-    DiagonalTable,
-    MatrixFreeOperator,
-    _apply_xk_over_n,
-    psi_plus_overlap,
-)
+from .hilbert import MatrixFreeOperator, _apply_xk_over_n, psi_plus_overlap
 
 DEFAULT_ZETA = 0.5
 
@@ -84,7 +79,7 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
         raise BwptError(
             f"omega={omega} is not below the Q-restricted spectrum (E^Q={eq0})"
         )
-    idx = analysis.block_ground_indices
+    idx = analysis.block_ground_coords
     n = idx.size
     h = table.e0 * np.eye(n)
     if spec.big_b == 0.0:
@@ -92,16 +87,15 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
     qhsq = analysis.operator(analysis.qhsq_spec)
 
     def v_apply(amps: np.ndarray) -> np.ndarray:
-        """V = -B (X/N)^K applied to an amplitude array."""
-        return -spec.big_b * _apply_xk_over_n(amps, table.n_qubits, spec.k)
+        """V = -B (X/N)^K applied to amplitudes in the block's coordinates."""
+        return -spec.big_b * _apply_xk_over_n(amps, table.n_qubits, spec.k, analysis.block)
 
-    dim = 1 << table.n_qubits
     for col, u in enumerate(idx):
-        e_u = np.zeros(dim)
+        e_u = np.zeros(analysis.block_dim)
         e_u[u] = 1.0
         v_u = v_apply(e_u)
         h[:, col] += v_u[idx]
-        # the solve reads v_u on qhsq's support only, so Q v_u is implied
+        # the solve ignores v_u on the ground coordinates, so Q v_u is implied
         x_u = eigensolve.solve_shifted(qhsq, omega, v_u)
         h[:, col] += v_apply(x_u)[idx]
     asym = np.max(np.abs(h - h.T), initial=0.0)
@@ -144,15 +138,11 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
 
 
 def _j0_plus_v_operator(analysis: Analysis, zeta: float) -> MatrixFreeOperator:
-    """J0 + V as an HS operator over the zeta-shifted diagonal."""
-    table = analysis.table
-    energies = table.energies.copy()
-    energies[analysis.ground.ground_indices] += zeta
-    shifted = DiagonalTable(
-        n_qubits=table.n_qubits, energies=energies,
-        e0=float(energies.min()), gap=None,
-    )
-    return MatrixFreeOperator(analysis.hs_spec, shifted)
+    """J0 + V: the block's H_s operator with zeta added to its ground diagonal."""
+    op = analysis.operator(analysis.hs_spec)
+    op.diagonal = op.diagonal.copy()
+    op.diagonal[analysis.block_ground_coords] += zeta
+    return op
 
 
 def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapReport]:
@@ -160,11 +150,10 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
 
     The right-hand side is ground-supported, so (omega - J0) xi0 collapses to
     (omega - E0 - zeta) * xi0.  Verifies that x is the H_s eigenvector at omega
-    and fills the overlap report.
+    and fills the overlap report.  phi is in the block's coordinates.
     """
     table, spec = analysis.table, analysis.spec
     n = table.n_qubits
-    dim = 1 << n
     op = _j0_plus_v_operator(analysis, ctx.zeta)
     lam_min = float(eigensolve.extreme_eigs(op, 1).eigenvalues[0])
     if not ctx.omega < lam_min - 1e-12:
@@ -172,14 +161,13 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
             f"omega={ctx.omega} is not below the spectrum of J0 + V "
             f"(lambda_min={lam_min}); the series does not converge"
         )
-    rhs = np.zeros(dim)
-    rhs[analysis.block_ground_indices] = (ctx.omega - table.e0 - ctx.zeta) * ctx.xi0
+    rhs = np.zeros(analysis.block_dim)
+    rhs[analysis.block_ground_coords] = (ctx.omega - table.e0 - ctx.zeta) * ctx.xi0
     phi = eigensolve.solve_shifted(op, ctx.omega, rhs)
 
     hs = analysis.operator(analysis.hs_spec)
     phi_norm = float(np.linalg.norm(phi))
-    on_support = phi[hs.support]  # phi is zero off it
-    eig_residual = float(np.linalg.norm(hs.apply(on_support) - ctx.omega * on_support))
+    eig_residual = float(np.linalg.norm(hs.apply(phi) - ctx.omega * phi))
     if eig_residual > 1e-8 * phi_norm:
         raise BwptError(
             f"phi is not an H_s eigenvector: residual {eig_residual:.3e} "
@@ -194,8 +182,8 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
     if align < 1 - 1e-8:
         raise BwptError(f"phi does not align with the H_s ground state ({align})")
 
-    inner_phi = psi_plus_overlap(phi)
-    inner_gs = psi_plus_overlap(psi01)
+    inner_phi = float(psi_plus_overlap(phi, n))
+    inner_gs = float(psi_plus_overlap(psi01, n))
     d = analysis.instance.degree
     report = OverlapReport(
         inner_psi_plus_phi=inner_phi,
@@ -249,7 +237,8 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
     probs = ctx.xi0 / ctx.xi0.sum()
     states = rng.choice(analysis.block_ground_indices, size=samples,
                         p=probs).astype(np.int64)
-    is_ground = analysis.ground.mask(n)
+    is_ground = np.zeros(1 << n, dtype=bool)
+    is_ground[analysis.ground.ground_indices] = True
     energies = table.energies
 
     partial = np.ones(samples)

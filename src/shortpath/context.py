@@ -1,6 +1,10 @@
 """One analysis of one instance at one H_s = H_Z - sB(X/N)^K: the H_Z table,
 its ground space, the parity block, and the eigen-solves the pipelines share.
 
+For even K the block's operators and eigenvectors are in its 2^(N-1)
+coordinates; the Analysis lists its ground states as basis indices and as
+coordinates, in one order.
+
 The pipelines in `analyze` and `bwpt` take an Analysis rather than an
 instance, so H_Z is tabulated once and each spectrum is computed once per
 analysis: `lowest` keeps one solve per operator spec, serves every request
@@ -22,7 +26,9 @@ from .hilbert import (
     GroundSpaceInfo,
     MatrixFreeOperator,
     OperatorSpec,
+    coordinate_qubits,
     ground_space,
+    in_block,
 )
 from .instances import Instance
 
@@ -33,15 +39,11 @@ def choose_parity_block(ground: GroundSpaceInfo, k: int,
     odd K needs no block."""
     if k % 2 == 1:
         return None
-    parities = np.array([int(u).bit_count() & 1 for u in ground.ground_indices])
-    has_even = bool(np.any(parities == 0))
-    has_odd = bool(np.any(parities == 1))
     if parity_choice is not None:
-        want_odd = parity_choice == "odd"
-        if (want_odd and not has_odd) or (not want_odd and not has_even):
+        if not in_block(ground.ground_indices, parity_choice).size:
             raise ValueError(f"no ground state of H_Z lies in the {parity_choice} block")
         return parity_choice
-    return "even" if has_even else "odd"
+    return "even" if in_block(ground.ground_indices, "even").size else "odd"
 
 
 class Analysis:
@@ -70,23 +72,19 @@ class Analysis:
         return choose_parity_block(self.ground, self.spec.k, self.parity_choice)
 
     @cached_property
-    def _block_extent(self) -> tuple[np.ndarray, int]:
-        """(ground indices inside the block, block dimension), both read from
-        the support of the H_s operator, so the block is decided in one place.
-        The support itself is not kept: it is a 2^N index array."""
-        support = self.operator(self.hs_spec).support
-        inside = np.intersect1d(self.ground.ground_indices, support, assume_unique=True)
-        return inside, int(support.size)
-
-    @property
     def block_ground_indices(self) -> np.ndarray:
-        """Ground basis indices inside the block (all of them for odd K)."""
-        return self._block_extent[0]
+        """Ground basis indices inside the block (all of them for odd K), sorted."""
+        return in_block(self.ground.ground_indices, self.block)
+
+    @cached_property
+    def block_ground_coords(self) -> np.ndarray:
+        """The block's coordinates of block_ground_indices, in their order."""
+        return self.block_ground_indices & (self.block_dim - 1)
 
     @property
     def block_dim(self) -> int:
         """Number of basis states in the block (2^N for odd K)."""
-        return self._block_extent[1]
+        return 1 << coordinate_qubits(self.table.n_qubits, self.block)
 
     @property
     def hs_spec(self) -> OperatorSpec:
@@ -102,8 +100,8 @@ class Analysis:
         return MatrixFreeOperator(spec, self.table, self.ground)
 
     def lowest(self, spec: OperatorSpec, how_many: int) -> eigensolve.EigenResult:
-        """The `how_many` lowest eigenpairs of `spec` on its operator's
-        support.  A spec's solve is extended only when more pairs are asked of
+        """The `how_many` lowest eigenpairs of `spec` in its operator's
+        coordinates.  A spec's solve is extended only when more pairs are asked of
         it than it holds; otherwise the first `how_many` pairs of that solve
         are returned.  The arrays are shared between callers and read-only."""
         eig = self._solved.get(spec)

@@ -1,12 +1,12 @@
 """Eigenpairs and shifted linear solves for the matrix-free operators.
 
-Both solvers use the operator as the LinearOperator it is on op.support and
-speak 2^N vectors to their callers: eigenvectors are scattered back from the
-support, and a right-hand side is read on it.  extreme_eigs runs ARPACK
+Both solvers use the operator as the LinearOperator it is on its 2^M
+coordinates and speak those coordinates to their callers: eigenvectors,
+right-hand sides and solutions are never expanded to 2^N.  extreme_eigs runs ARPACK
 (scipy's eigsh, seeded for its restarts too) for one eigenpair at a time and
 lifts each converged vector out of the way before the next run, so every copy
 of a degenerate level is found.  solve_shifted solves (shift - op) x = rhs for
-a shift below the spectrum on the support, where op - shift is positive
+a shift below the spectrum of op, where op - shift is positive
 definite, by conjugate gradients (Hestenes and Stiefel, 1952) preconditioned
 with 1/(E'_u - shift), the denominators of the walk series; every solve is
 certified by its true residual.  dense_spectrum is the independent oracle used
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .hilbert import MatrixFreeOperator
+from .hilbert import MatrixFreeOperator, basis_indices
 
 DENSE_DIM_CAP = 1 << 13
 _START_SEED = 0x5EED
@@ -34,7 +34,7 @@ class EigensolveError(RuntimeError):
 
 
 class NearSingularShift(EigensolveError):
-    """Shift is too close to the spectrum on op.support for a stable solve."""
+    """Shift is too close to the spectrum of op for a stable solve."""
 
 
 @dataclass
@@ -45,17 +45,18 @@ class EigenResult:
 
 
 def operator_matrix(op: MatrixFreeOperator) -> np.ndarray:
-    """Materialize the dense symmetric matrix of a matrix-free operator on its support."""
-    if op.dim > DENSE_DIM_CAP:  # 2^N, the rows of the scatter buffer
+    """Materialize the dense symmetric matrix of a matrix-free operator in its
+    coordinates.  The cap is on 2^N, whether or not op is a parity block."""
+    if (1 << op.n_qubits) > DENSE_DIM_CAP:
         raise EigensolveError(
-            f"dimension {op.dim} exceeds the dense cap {DENSE_DIM_CAP}; "
+            f"dimension {1 << op.n_qubits} exceeds the dense cap {DENSE_DIM_CAP}; "
             "use extreme_eigs for the low spectrum"
         )
     return op.matmat(np.eye(op.shape[0]))
 
 
 def dense_spectrum(op: MatrixFreeOperator, want_vectors: bool = True) -> EigenResult:
-    """Full dense spectrum of op on its support (oracle path)."""
+    """Full dense spectrum of op in its coordinates (oracle path)."""
     mat = operator_matrix(op)
     if not want_vectors:
         vals = np.linalg.eigvalsh(mat)
@@ -67,7 +68,8 @@ def dense_spectrum(op: MatrixFreeOperator, want_vectors: bool = True) -> EigenRe
 
 def extreme_eigs(op: MatrixFreeOperator, how_many: int,
                  found: EigenResult | None = None) -> EigenResult:
-    """The `how_many` lowest eigenpairs of op restricted to op.support.
+    """The `how_many` lowest eigenpairs of op, excluding the eigenvalues
+    QHSQ puts on its ground coordinates.
 
     Each eigenpair is one ARPACK run for the lowest eigenvalue.  Before each
     run the vectors V found so far are lifted by 2*|op|*V V^T, above the rest
@@ -77,29 +79,30 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     bit for bit, and only the missing ones are run."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
-    free_dim = op.shape[0]
+    free_dim = op.shape[0] - op.ground_coords.size
     if how_many > free_dim:
         raise EigensolveError(
             f"requested {how_many} eigenpairs but the deflated subspace has "
             f"dimension {free_dim}"
         )
     if found is None:
-        found = EigenResult(np.zeros(0), np.zeros((op.dim, 0)), np.zeros(0))
+        found = EigenResult(np.zeros(0), np.zeros((op.shape[0], 0)), np.zeros(0))
     known = found.eigenvalues.size
-    if free_dim < 2:  # ARPACK needs k < n; here how_many == free_dim == 1
+    if op.shape[0] < 2:  # ARPACK needs k < n; here how_many == free_dim == 1
         vals, ys = np.linalg.eigh(op.matmat(np.eye(1)))
     else:
         rng = np.random.default_rng(_START_SEED)
         lift = 2.0 * op.norm_bound()
-        ys = found.eigenvectors[op.support]
+        ys = found.eigenvectors
         vals = np.zeros(0)
         # reads ys at call time, so each run sees every vector found before it
         lifted = LinearOperator(op.shape, dtype=np.float64,
                                 matvec=lambda y: op.matvec(y) + lift * (ys @ (ys.T @ y)))
         for _ in range(how_many - known):
+            v0 = rng.standard_normal(op.shape[0])
+            v0[op.ground_coords] = 0.0  # keeps the Krylov space off their eigenvalue
             try:
-                lam, y = eigsh(lifted, k=1, which="SA", tol=0,
-                               v0=rng.standard_normal(free_dim), rng=rng)
+                lam, y = eigsh(lifted, k=1, which="SA", tol=0, v0=v0, rng=rng)
             except ArpackNoConvergence as exc:
                 best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
                             for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
@@ -113,44 +116,42 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
         ys = ys[:, known:]
     order = np.argsort(vals, kind="stable")
     vals, ys = vals[order], ys[:, order]
-    vecs = np.zeros((op.dim, vals.size))
-    vecs[op.support] = ys
     # one norm per vector, so a pair's residual does not depend on how_many
     residuals = np.array([np.linalg.norm(op.matvec(y) - lam * y)
                           for lam, y in zip(vals, ys.T)])
     return EigenResult(eigenvalues=np.concatenate([found.eigenvalues, vals]),
-                       eigenvectors=np.hstack([found.eigenvectors, vecs]),
+                       eigenvectors=np.hstack([found.eigenvectors, ys]),
                        residuals=np.concatenate([found.residuals, residuals]))
 
 
 def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (shift - op) x = rhs on op.support; rhs entries outside the
-    support are ignored.
+    """Solve (shift - op) x = rhs in op's coordinates; rhs entries on QHSQ's
+    ground coordinates are ignored, and x is exactly zero there.
 
-    The shift must lie below the spectrum of op on its support, so that
-    op - shift is positive definite: conjugate gradients then solve
-    (op - shift) x = -rhs, preconditioned by 1/(E'_u - shift) with E'_u the
-    entries of op's diagonal table on the support (the denominators of the
-    walk series); op is an HS or QHSQ operator.  The iteration stops at a
-    recurrence residual of 1e-13 * ||rhs||.  The returned x is zero outside
-    the support and satisfies ||(shift - op)x - rhs|| <= 1e-10 * ||rhs|| on
-    it; a shift that breaks the precondition, or a solve that misses the
-    bound, raises NearSingularShift.
+    The shift must lie below the spectrum of op, so that op - shift is
+    positive definite: conjugate gradients then solve (op - shift) x = -rhs,
+    preconditioned by 1/(E'_u - shift) with E'_u op's diagonal (the
+    denominators of the walk series); op is an HS or QHSQ operator.  The
+    iteration stops at a recurrence residual of 1e-13 * ||rhs||.  The
+    returned x satisfies ||(shift - op)x - rhs|| <= 1e-10 * ||rhs|| off the
+    ground coordinates; a shift that breaks the precondition, or a solve that
+    misses the bound, raises NearSingularShift.
     """
-    b = -np.asarray(rhs, dtype=np.float64)[op.support]
-    out = np.zeros(op.dim)
+    b = -np.asarray(rhs, dtype=np.float64)
+    b[op.ground_coords] = 0.0
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return out
+        return np.zeros_like(b)
 
-    denom = op.table.energies[op.support] - shift
+    denom = op.diagonal - shift
     worst = int(np.argmin(denom))
     if not denom[worst] > 0.0:
         # e_u^T (op - shift) e_u <= E'_u - shift, as (X/N)^K has a
         # non-negative diagonal
+        u = int(basis_indices(np.int64(worst), op.n_qubits, op.spec.parity_block))
         raise NearSingularShift(
-            f"shift {shift} is not below the spectrum on op.support: at basis "
-            f"state {int(op.support[worst])}, E'_u - shift = {denom[worst]:.3e} "
+            f"shift {shift} is not below the spectrum of op: at basis "
+            f"state {u}, E'_u - shift = {denom[worst]:.3e} "
             f"bounds the signed distance lambda_min - shift from above"
         )
     precond = 1.0 / denom
@@ -167,7 +168,7 @@ def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.n
         pap = float(p @ ap)
         if not pap > 0.0:
             raise NearSingularShift(
-                f"shift {shift} is not below the spectrum on op.support: a "
+                f"shift {shift} is not below the spectrum of op: a "
                 f"search direction has Rayleigh quotient {pap / float(p @ p):.3e}, "
                 f"which bounds the signed distance lambda_min - shift from above"
             )
@@ -189,8 +190,7 @@ def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.n
             f"{true_res / bnorm:.3e}; estimated distance from the "
             f"shift to the deflated spectrum ~ {gap_estimate:.3e}"
         )
-    out[op.support] = x
-    return out
+    return x
 
 
 @dataclass

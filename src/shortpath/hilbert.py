@@ -3,8 +3,9 @@
 Basis convention: a basis state is an integer index u in [0, 2^N); bit i of u
 gives the Z_i eigenvalue with 0 -> +1 and 1 -> -1.  Every operator handled here
 (H_Z, X, (X/N)^K, H_s = H_Z - sB(X/N)^K, and the ground-space projections) is
-real-symmetric in this basis, so a state is a float64 array of 2^N
-amplitudes.
+real-symmetric in this basis.  A state is a float64 array of 2^M amplitudes:
+M = N in the full space, or M = N-1 in a Hamming-weight parity block (even K),
+whose states are indexed by their low N-1 bits, as the parity fixes the top one.
 
 H_Z is tabulated by one in-place Walsh-Hadamard transform of the term
 weights.  X = sum_i X_i applies its low min(N, 5) qubits as one matmul
@@ -60,11 +61,6 @@ class GroundSpaceInfo:
     ground_indices: np.ndarray  # sorted basis indices
     gap_certified: bool
 
-    def mask(self, n_qubits: int) -> np.ndarray:
-        m = np.zeros(1 << n_qubits, dtype=bool)
-        m[self.ground_indices] = True
-        return m
-
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -73,8 +69,8 @@ class OperatorSpec:
     HS(B, K) is H_Z - B(X/N)^K (H_Z itself at B = 0): B is the paper's field
     sB, so the schedule position s is folded into it before an operator is
     built.  QHSQ is HS conjugated by the excited-space projector Q.
-    `parity_block` restricts to even or odd Hamming-weight basis states
-    (meaningful for even K, where HS is block diagonal).
+    `parity_block` restricts HS or QHSQ to the even or odd Hamming-weight
+    basis states; it needs an even K, for which HS is block diagonal.
     """
 
     kind: str
@@ -91,6 +87,9 @@ class OperatorSpec:
             raise ValueError(f"K={self.k} must be >= 1")
         if self.parity_block not in (None, "even", "odd"):
             raise ValueError(f"parity_block must be 'even' or 'odd', got {self.parity_block!r}")
+        if self.parity_block is not None and self.k % 2:
+            raise ValueError(f"a parity block needs an even K, got K={self.k}: X^K "
+                             "for odd K maps each block to the other")
 
 
 def _walsh_hadamard(c: np.ndarray, n_qubits: int) -> None:
@@ -157,16 +156,25 @@ def ground_space(table: DiagonalTable) -> GroundSpaceInfo:
     )
 
 
-def parity_masks(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of (even, odd) Hamming-weight basis states."""
-    u = np.arange(1 << n_qubits, dtype=np.uint64)
-    odd = (np.bitwise_count(u) & 1).astype(bool)
-    return ~odd, odd
+def coordinate_qubits(n_qubits: int, parity_block: str | None) -> int:
+    """M: a parity block has 2^(N-1) coordinates, the full space 2^N.  A
+    basis index u in the block has coordinate u & (2^M - 1)."""
+    return n_qubits - (parity_block is not None)
 
 
-def psi_plus(n_qubits: int) -> np.ndarray:
-    """|+>^N: all 2^N amplitudes equal to 2^(-N/2)."""
-    return np.full(1 << n_qubits, 2.0 ** (-n_qubits / 2.0))
+def in_block(indices: np.ndarray, parity_block: str | None) -> np.ndarray:
+    """The basis indices of the block's parity (all of them for no block)."""
+    if parity_block is None:
+        return indices
+    return indices[np.bitwise_count(indices) % 2 == (parity_block == "odd")]
+
+
+def basis_indices(coords: np.ndarray, n_qubits: int, parity_block: str | None) -> np.ndarray:
+    """Basis indices of coordinates: in a block, the top bit completes its parity."""
+    if parity_block is None:
+        return coords
+    top = np.bitwise_count(coords) % 2 ^ (parity_block == "odd")
+    return coords | top.astype(coords.dtype) << (n_qubits - 1)
 
 
 def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -197,58 +205,68 @@ def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     return out
 
 
-def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
+def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int,
+                     parity_block: str | None = None) -> np.ndarray:
     """(X/N)^K as K successive applications of X/N, dividing in place so at
-    most the input and two iterates are alive."""
+    most the input and two iterates are alive.  In block coordinates X_i
+    (i < N-1) flips bit i and X_{N-1} keeps them all, so X is the (N-1)-qubit
+    X plus the identity: it maps a block onto the other's same coordinates."""
+    low = coordinate_qubits(n_qubits, parity_block)
     for _ in range(k):
-        amps = _apply_x(amps, n_qubits)
-        amps /= n_qubits
+        out = _apply_x(amps, low)
+        if low < n_qubits:
+            out += amps
+        out /= n_qubits
+        amps = out
     return amps
 
 
 class MatrixFreeOperator(LinearOperator):
     """Bound operator: an OperatorSpec attached to an instance's diagonal table.
 
-    `support` holds the sorted basis indices the operator acts on: its parity
-    block, minus the ground indices for QHSQ.  The operator is the
-    LinearOperator of that block, of shape (|support|, |support|), which the
-    eigensolvers and the shifted linear solves use as it is.
+    It is the LinearOperator of its spec on the 2^M coordinates of its parity
+    block (M = N - 1) or of the full space (M = N), which the eigensolvers and
+    the shifted linear solves use as it is.  `diagonal` holds H_Z in that
+    order.  QHSQ keeps its block's coordinates: the rows and columns of its
+    `ground_coords` are zeroed and norm_bound() is put on their diagonal, so
+    they carry no eigenvalue below the spectrum of Q H_s Q.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
                  ground: GroundSpaceInfo | None = None):
         self.spec = spec
         self.table = table
-        self.n_qubits = table.n_qubits
-        self.dim = 1 << table.n_qubits
+        self.n_qubits = n = table.n_qubits
+        block = spec.parity_block
+        dim = 1 << coordinate_qubits(n, block)
         if spec.kind == "QHSQ" and ground is None:
             raise ValueError("QHSQ requires ground-space info")
-        keep = np.ones(self.dim, dtype=bool)
-        if spec.parity_block is not None:
-            even, odd = parity_masks(table.n_qubits)
-            keep = even if spec.parity_block == "even" else odd
+        self.diagonal = table.energies
+        if block is not None:
+            self.diagonal = table.energies[basis_indices(np.arange(dim), n, block)]
+        self.ground_coords = np.zeros(0, dtype=np.int64)
         if spec.kind == "QHSQ":
-            keep[ground.ground_indices] = False
-        self.support = np.flatnonzero(keep)
-        super().__init__(np.float64, (self.support.size, self.support.size))
+            self.ground_coords = in_block(ground.ground_indices, block) & (dim - 1)
+            self.diagonal = self.diagonal.copy()
+            self.diagonal[self.ground_coords] = self.norm_bound()
+        super().__init__(np.float64, (dim, dim))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """Apply to amplitudes over `support` (a vector or a (|support|, m) batch),
-        through a zeroed 2^N buffer unless the support is the full space."""
-        spec = self.spec
-        full = self.support.size == self.dim
-        x = amps
-        if not full:
-            x = np.zeros((self.dim,) + amps.shape[1:])
-            x[self.support] = amps
+        """Apply to amplitudes in the operator's coordinates, a vector or a
+        (2^M, m) batch."""
+        spec, g = self.spec, self.ground_coords
         if spec.kind == "X":
-            out = _apply_x(x, self.n_qubits)
-        else:  # HS and QHSQ differ only in their support
-            diag = self.table.energies if x.ndim == 1 else self.table.energies[:, None]
-            out = diag * x
-            if spec.big_b != 0.0:
-                out -= spec.big_b * _apply_xk_over_n(x, self.n_qubits, spec.k)
-        return out if full else out[self.support]
+            return _apply_x(amps, self.n_qubits)
+        diag = self.diagonal if amps.ndim == 1 else self.diagonal[:, None]
+        out = diag * amps
+        if spec.big_b != 0.0:
+            if g.size:
+                amps = amps.copy()
+                amps[g] = 0.0
+            xk = _apply_xk_over_n(amps, self.n_qubits, spec.k, spec.parity_block)
+            xk[g] = 0.0
+            out -= spec.big_b * xk
+        return out
 
     # these call apply rather than alias it, so a wrapper of apply sees every product
     def _matvec(self, y: np.ndarray) -> np.ndarray:
@@ -268,16 +286,11 @@ class MatrixFreeOperator(LinearOperator):
         return e + abs(self.spec.big_b) + 1.0
 
 
-def n_qubits_of(amps: np.ndarray) -> int:
-    """N for an amplitude vector of length 2^N; anything else is rejected."""
-    size = amps.size
-    if amps.ndim != 1 or size == 0 or size & (size - 1):
-        raise ValueError(f"amplitude array of shape {amps.shape} is not a 2^N vector")
-    return size.bit_length() - 1
-
-
-def psi_plus_overlap(amps: np.ndarray) -> float:
-    """<psi_+|state> = 2^(-N/2) * sum of amplitudes (the l1 identity for
-    non-negative states)."""
-    n = n_qubits_of(amps)
-    return float(2.0 ** (-n / 2.0) * amps.sum())
+def psi_plus_overlap(amps: np.ndarray, n_qubits: int) -> np.ndarray | float:
+    """<psi_+|v> = 2^(-N/2) * sum of amplitudes (the l1 identity for
+    non-negative states), per column of a batch, in the full space or a
+    parity block alike; N is the caller's, as a block vector's length gives N-1."""
+    if amps.shape[0] not in (1 << n_qubits, 1 << (n_qubits - 1)):
+        raise ValueError(f"amplitude array of shape {amps.shape} holds neither 2^N nor "
+                         f"2^(N-1) amplitudes for N={n_qubits}")
+    return 2.0 ** (-n_qubits / 2.0) * amps.sum(axis=0)

@@ -300,9 +300,8 @@ def test_criterion_9_speedup_accounting(prepared_corpus):
         sim = analyze.simulate_algorithm1(a)
         assert sim.speedup_bits > 0, (seed, sim.speedup_bits)
         speedups.append(sim.speedup_bits)
-        psi_p = hilbert.psi_plus(10)
-        psi01 = analyze._psi01_from_band(spec_rep, psi_p)
-        measured = math.log(float(psi_p @ psi01) * 2.0**5)
+        psi01 = analyze._psi01_from_band(spec_rep, 10)
+        measured = math.log(float(hilbert.psi_plus_overlap(psi01, 10)) * 2.0**5)
         leading = params.big_b * 10 / (2.0 * inst.degree * params.k * abs(table.e0))
         corrections.append(measured - leading)
     verdict(9, len(speedups) > 0,

@@ -26,7 +26,7 @@ from shortpath.bounds import (
     theorem1_item2_check,
     thm3_parameters,
 )
-from shortpath.hilbert import OperatorSpec, evaluate_hz, ground_space, psi_plus
+from shortpath.hilbert import OperatorSpec, evaluate_hz, ground_space
 
 from conftest import dense_x, disjoint_pairs, hand_single_term, main_corpus
 
@@ -83,7 +83,7 @@ def test_entropy_domain_errors():
 
 
 def test_state_entropy_psi_plus_saturates_sx():
-    rep = state_entropy_checks(psi_plus(6), k=1)
+    rep = state_entropy_checks(np.full(64, 2.0**-3), k=1)
     assert rep.s_comp == pytest.approx(6.0, abs=1e-12)
     assert rep.x_expectation == pytest.approx(6.0, abs=1e-9)
     assert rep.sx_ok

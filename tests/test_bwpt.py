@@ -52,19 +52,20 @@ def test_effective_hamiltonian_unique_ground_by_hand():
 ])
 def test_effective_hamiltonian_matches_dense_oracle(make, k):
     # h(omega) = E0 I + PVP + PVQ (omega - Q H_s Q)^{-1} QVP on the block,
-    # with V = H_s - H_Z taken from the dense H_s over the block support
+    # with V = H_s - H_Z taken from the dense H_s in the block's coordinates;
+    # h's rows follow the ground coordinates in basis-index order
     a = _setup(make(), b=0.1, k=k)
-    idx = a.block_ground_indices
-    assert idx.size > 1
+    g = a.block_ground_coords
+    assert g.size > 1
     hs = a.operator(a.hs_spec)
     mat = eigensolve.operator_matrix(hs)
-    v = mat - np.diag(a.table.energies[hs.support])
-    g = np.isin(hs.support, idx)
+    v = mat - np.diag(hs.diagonal)
+    q = np.setdiff1d(np.arange(a.block_dim), g)
     omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
     h = bwpt.effective_hamiltonian(a, omega)
-    resolvent = omega * np.eye(np.count_nonzero(~g)) - mat[np.ix_(~g, ~g)]
-    expect = (a.table.e0 * np.eye(idx.size) + v[np.ix_(g, g)]
-              + v[np.ix_(g, ~g)] @ np.linalg.solve(resolvent, v[np.ix_(~g, g)]))
+    resolvent = omega * np.eye(q.size) - mat[np.ix_(q, q)]
+    expect = (a.table.e0 * np.eye(g.size) + v[np.ix_(g, g)]
+              + v[np.ix_(g, q)] @ np.linalg.solve(resolvent, v[np.ix_(q, g)]))
     assert np.allclose(h, expect, rtol=0, atol=1e-12 * abs(a.table.e0))
 
 

@@ -47,6 +47,13 @@ def test_operator_matrix_enforces_dense_cap(monkeypatch):
     op = _hs_op(field_unique_ground(4), 1.0, 1)
     with pytest.raises(EigensolveError, match="dense cap"):
         operator_matrix(op)
+    # the cap is on 2^N: a parity block of 8 coordinates at N=4 is refused too
+    block = _hs_op(field_unique_ground(4), 1.0, 2, "even")
+    assert block.shape == (8, 8)
+    with pytest.raises(EigensolveError, match="dimension 16 exceeds"):
+        operator_matrix(block)
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 16)
+    assert operator_matrix(block).shape == (8, 8)
 
 
 @pytest.mark.parametrize("make, rel_b, k, block, want", [
@@ -67,8 +74,8 @@ def test_extreme_eigs_matches_dense_with_degeneracy(make, rel_b, k, block, want)
     # recovered vectors are orthonormal
     g = it.eigenvectors.T @ it.eigenvectors
     assert np.allclose(g, np.eye(want), atol=1e-8)
-    # each residual is ||M y - lambda y|| of its vector on the support
-    ys = it.eigenvectors[op.support]
+    # each residual is ||M y - lambda y|| of its vector
+    ys = it.eigenvectors
     dense = np.linalg.norm(mat @ ys - ys * it.eigenvalues, axis=0)
     assert np.allclose(it.residuals, dense, rtol=0, atol=1e-12)
     assert np.all(it.residuals < 1e-8)
@@ -112,17 +119,23 @@ def test_extreme_eigs_with_index_deflation(make, big_b, k, block):
     op = MatrixFreeOperator(
         OperatorSpec("QHSQ", big_b=big_b, k=k, parity_block=block),
         table, ground)
-    it = extreme_eigs(op, 1)
-    keep = np.ones(op.dim, dtype=bool)
+    # the kept basis states: the block's parity, less the ground states
+    keep = np.ones(1 << table.n_qubits, dtype=bool)
     if block == "even":
-        keep, _ = hilbert.parity_masks(table.n_qubits)
+        keep = np.bitwise_count(np.arange(keep.size)) % 2 == 0
     keep[ground.ground_indices] = False
-    assert np.array_equal(op.support, np.flatnonzero(keep))
+    free_dim = int(keep.sum())
+    # the free dimension is counted in coordinates, less the ground ones
+    with pytest.raises(EigensolveError, match=f"deflated subspace has dimension {free_dim}"):
+        extreme_eigs(op, free_dim + 1)
+    want = min(free_dim, 2)
+    it = extreme_eigs(op, want)
     # H_s on the whole space, cut down to the kept indices
     full = operator_matrix(
         MatrixFreeOperator(OperatorSpec("HS", big_b=big_b, k=k), table))
     sub = full[np.ix_(keep, keep)]
-    assert it.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(sub)[0], abs=1e-9)
+    np.testing.assert_allclose(it.eigenvalues, np.linalg.eigvalsh(sub)[:want],
+                               rtol=0, atol=1e-9)
 
 
 def test_extreme_eigs_rejects_oversized_requests():
@@ -142,18 +155,39 @@ def test_solve_shifted_against_dense_inverse():
     rhs[ground.ground_indices] = 0.0
     shift = table.e0 - 0.5  # safely below the Q spectrum
     x = solve_shifted(op, shift, rhs)
-    # entries of rhs on the ground indices lie outside the support: ignored
+    # entries of rhs on the ground coordinates (for K=1 the basis indices)
+    # are ignored
     noisy = rhs.copy()
     noisy[ground.ground_indices] = 1.0
     assert np.array_equal(solve_shifted(op, shift, noisy), x)
     mat = operator_matrix(op)
     keep = np.ones(64, dtype=bool)
     keep[ground.ground_indices] = False
-    assert np.array_equal(op.support, np.flatnonzero(keep))
-    sub = shift * np.eye(keep.sum()) - mat
+    sub = shift * np.eye(keep.sum()) - mat[np.ix_(keep, keep)]
     expect = np.linalg.solve(sub, rhs[keep])
     assert np.allclose(x[keep], expect, atol=1e-7 * np.linalg.norm(expect))
-    assert np.allclose(x[ground.ground_indices], 0.0)
+    assert np.array_equal(x[ground.ground_indices], np.zeros(ground.n0))
+
+
+def test_solve_shifted_on_a_block_is_exactly_zero_on_its_ground_coordinates():
+    # even block of 4 ferromagnetic pairs at K=2: all 16 ground states lie
+    # in it, on 16 of its 128 coordinates, and rhs is ignored on them
+    table = hilbert.evaluate_hz(disjoint_pairs(8))
+    op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=0.5, k=2, parity_block="even"),
+                            table, hilbert.ground_space(table))
+    g = op.ground_coords
+    assert op.shape == (128, 128) and g.size == 16
+    rhs = np.random.default_rng(5).standard_normal(128)
+    shift = table.e0 - 0.5
+    x = solve_shifted(op, shift, rhs)
+    assert np.array_equal(x[g], np.zeros(16))
+    noisy = rhs.copy()
+    noisy[g] = 1.0
+    assert np.array_equal(solve_shifted(op, shift, noisy), x)
+    keep = np.setdiff1d(np.arange(128), g)
+    sub = shift * np.eye(keep.size) - operator_matrix(op)[np.ix_(keep, keep)]
+    expect = np.linalg.solve(sub, rhs[keep])
+    assert np.allclose(x[keep], expect, rtol=0, atol=1e-9 * np.linalg.norm(expect))
 
 
 def test_solve_shifted_against_dense_solve_on_j0_plus_v():
@@ -166,9 +200,9 @@ def test_solve_shifted_against_dense_solve_on_j0_plus_v():
     mat = operator_matrix(op)
     omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
     assert omega < np.linalg.eigvalsh(mat)[0]
-    rhs = np.random.default_rng(3).standard_normal(op.dim)
+    rhs = np.random.default_rng(3).standard_normal(op.shape[0])
     x = solve_shifted(op, omega, rhs)
-    expect = np.linalg.solve(omega * np.eye(op.dim) - mat, rhs)
+    expect = np.linalg.solve(omega * np.eye(op.shape[0]) - mat, rhs)
     assert np.allclose(x, expect, rtol=0, atol=1e-9 * np.linalg.norm(expect))
 
 
@@ -177,20 +211,22 @@ def test_solve_shifted_indefinite_shift_raises_or_certifies(shift):
     # B=4 pulls the lowest eigenvalue to -5.31 while every E_u on the support
     # is >= -3, so the diagonal check passes and op - shift is indefinite
     table = hilbert.evaluate_hz(instances.generate("sk_pm", 6, seed=4))
-    op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=4.0, k=1),
-                            table, hilbert.ground_space(table))
-    mat = operator_matrix(op)
+    ground = hilbert.ground_space(table)
+    op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=4.0, k=1), table, ground)
+    keep = np.ones(64, dtype=bool)
+    keep[ground.ground_indices] = False
+    mat = operator_matrix(op)[np.ix_(keep, keep)]
     vals = np.linalg.eigvalsh(mat)
-    assert vals[0] < shift < table.energies[op.support].min()
+    assert vals[0] < shift < table.energies[keep].min()
     assert np.min(np.abs(vals - shift)) > 0.1
     rng = np.random.default_rng(7)
     for _ in range(5):
-        rhs = rng.standard_normal(op.dim)
+        rhs = rng.standard_normal(64)
         try:
             x = solve_shifted(op, shift, rhs)
         except NearSingularShift:
             continue
-        b, y = rhs[op.support], x[op.support]
+        b, y = rhs[keep], x[keep]
         assert np.linalg.norm(shift * y - mat @ y - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -224,6 +260,16 @@ def test_solve_shifted_near_singular_reports_gap():
     # the system is inconsistent and the solver must refuse
     with pytest.raises(NearSingularShift, match="distance"):
         solve_shifted(op, -1.0, np.ones(4))
+
+
+def test_near_singular_shift_names_a_basis_index_of_a_block():
+    # H_Z = Z0 + Z1 + Z2 has its minimum -3 at basis state 7, coordinate 3 of
+    # the odd block; a shift there has a zero denominator
+    inst = instances.build_instance(3, 1, [((0,), 1.0), ((1,), 1.0), ((2,), 1.0)])
+    op = _hs_op(inst, 0.0, 2, "odd")
+    assert int(np.argmin(op.diagonal)) == 3
+    with pytest.raises(NearSingularShift, match="at basis state 7,"):
+        solve_shifted(op, -3.0, np.ones(4))
 
 
 def test_block_lemma_hand_example():

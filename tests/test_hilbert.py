@@ -14,8 +14,6 @@ from shortpath.hilbert import (
     energy_of,
     evaluate_hz,
     ground_space,
-    parity_masks,
-    psi_plus,
     psi_plus_overlap,
 )
 
@@ -219,7 +217,7 @@ def test_xk_chain_holds_at_most_two_iterates():
 
 def test_psi_plus_is_top_x_eigenvector():
     n = 5
-    psi = psi_plus(n)
+    psi = np.full(1 << n, 2.0 ** (-n / 2))
     assert np.linalg.norm(psi) == pytest.approx(1.0) and np.ptp(psi) == 0.0
     table = evaluate_hz(instances.build_instance(n, 1, [((0,), 1.0)]))
     xpsi = MatrixFreeOperator(OperatorSpec("X"), table).apply(psi)
@@ -240,18 +238,22 @@ def test_qhsq_zeroes_ground_rows_and_columns():
     table = evaluate_hz(inst)
     ground = ground_space(table)
     op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=1.0, k=1), table, ground)
-    assert np.array_equal(op.support, [0, 3])
-    mat = op.apply(np.eye(2))
+    assert np.array_equal(op.ground_coords, [1, 2])
+    mat = op.apply(np.eye(4))
     hs = MatrixFreeOperator(OperatorSpec("HS", big_b=1.0, k=1), table).apply(np.eye(4))
-    assert np.allclose(mat, hs[np.ix_(op.support, op.support)], atol=1e-15)
-    assert np.allclose(mat, mat.T, atol=1e-12)
+    keep = [0, 3]
+    assert np.allclose(mat[np.ix_(keep, keep)], hs[np.ix_(keep, keep)], atol=1e-15)
+    # the ground block is norm_bound() * I, above the spectrum of Q H_s Q
+    assert np.array_equal(mat[:, [1, 2]], op.norm_bound() * np.eye(4)[:, [1, 2]])
+    assert np.array_equal(mat, mat.T)
 
 
 def test_even_k_parity_blocks_commute():
     # for even K, HS maps each parity sector to itself
     inst = instances.generate("sk_pm", 6, seed=2)
     table = evaluate_hz(inst)
-    even, odd = parity_masks(6)
+    odd = np.bitwise_count(np.arange(64)) % 2 == 1
+    even = ~odd
     op = MatrixFreeOperator(OperatorSpec("HS", big_b=0.7, k=2), table)
     v = np.zeros(64)
     v[np.flatnonzero(even)[:5]] = 1.0
@@ -259,27 +261,71 @@ def test_even_k_parity_blocks_commute():
     assert np.allclose(out[odd], 0.0)
 
 
+def _block_basis(n, block):
+    """Basis index of each coordinate of a parity block: the coordinate is the
+    low N-1 bits, and the top bit completes the block's parity."""
+    low = np.arange(1 << (n - 1))
+    top = np.bitwise_count(low) % 2 ^ (block == "odd")
+    return low + (top << (n - 1))
+
+
 def test_parity_restricted_operator_is_projection_conjugate():
-    inst = instances.generate("sk_pm", 5, seed=3)
+    # on a vector, the block operator is the full one on the block's states
+    inst = instances.generate("sk_pm", 7, seed=3)
     table = evaluate_hz(inst)
     full = MatrixFreeOperator(OperatorSpec("HS", big_b=0.5, k=2), table)
     blocked = MatrixFreeOperator(
         OperatorSpec("HS", big_b=0.5, k=2, parity_block="even"), table)
-    even, _ = parity_masks(5)
-    assert np.array_equal(full.support, np.arange(32))
-    assert np.array_equal(blocked.support, np.flatnonzero(even))
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(32)
-    ve = np.where(even, v, 0.0)
-    assert np.array_equal(blocked.apply(v[even]), full.apply(ve)[even])
+    assert full.shape == (128, 128) and blocked.shape == (64, 64)
+    rows = _block_basis(7, "even")
+    assert np.array_equal(blocked.diagonal, table.energies[rows])
+    v = np.random.default_rng(1).standard_normal(64)
+    embedded = np.zeros(128)
+    embedded[rows] = v
+    # N > 5: the top bit is the last add in both, so the bits agree
+    assert np.array_equal(blocked.apply(v), full.apply(embedded)[rows])
+
+
+@pytest.mark.parametrize("kind", ["HS", "QHSQ"])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("n", [1, 4, 5])
+@pytest.mark.parametrize("block", ["even", "odd"])
+def test_block_operator_is_projected_dense_hs(block, n, k, kind):
+    # P H_s P from the dense full-space H_s, read in the block's coordinates;
+    # QHSQ also zeroes the ground rows and columns and puts norm_bound() on
+    # their diagonal
+    if n == 1:
+        inst = instances.build_instance(1, 1, [((0,), 0.7)])
+    else:
+        inst = instances.generate("sk_gaussian", n, seed=n)
+    table = evaluate_hz(inst)
+    ground = ground_space(table)
+    big_b = 0.3 * abs(table.e0)
+    full = (np.diag(table.energies)
+            - big_b * np.linalg.matrix_power(dense_x(n) / n, k))
+    rows = _block_basis(n, block)
+    expect = full[np.ix_(rows, rows)]
+    op = MatrixFreeOperator(OperatorSpec(kind, big_b=big_b, k=k, parity_block=block),
+                            table, ground)
+    if kind == "QHSQ":
+        g = np.flatnonzero(np.isin(rows, ground.ground_indices))
+        assert np.array_equal(np.sort(op.ground_coords), g)
+        expect[g, :] = 0.0
+        expect[:, g] = 0.0
+        expect[g, g] = op.norm_bound()
+    mat = op.apply(np.eye(rows.size))
+    np.testing.assert_allclose(mat, expect, rtol=0, atol=1e-12 * abs(table.e0))
 
 
 def test_psi_plus_overlap_is_l1_for_nonnegative_states():
     state = np.zeros(16)
     state[[0, 3, 7]] = 3**-0.5
-    assert psi_plus_overlap(state) == pytest.approx(2.0**-2 * np.abs(state).sum())
+    assert psi_plus_overlap(state, 4) == pytest.approx(2.0**-2 * np.abs(state).sum())
+    # an even-block vector of N=5 has 16 coordinates: N is the caller's, not
+    # read off the length, or the overlap would be off by sqrt(2)
+    assert psi_plus_overlap(state, 5) == pytest.approx(2.0**-2.5 * np.abs(state).sum())
     with pytest.raises(ValueError, match="2\\^N"):
-        psi_plus_overlap(np.ones(6))
+        psi_plus_overlap(np.ones(6), 3)
 
 
 def test_hs_spec_validation():
@@ -287,3 +333,26 @@ def test_hs_spec_validation():
         OperatorSpec("HS", big_b=-1.0, k=1)
     with pytest.raises(ValueError):
         OperatorSpec("HS", big_b=1.0, k=0)
+    # X^K for odd K maps each parity block to the other
+    with pytest.raises(ValueError, match="even K"):
+        OperatorSpec("HS", big_b=1.0, k=3, parity_block="even")
+    with pytest.raises(ValueError, match="even K"):
+        OperatorSpec("X", parity_block="odd")
+
+
+@pytest.mark.parametrize("kind", ["HS", "QHSQ"])
+def test_block_apply_allocates_no_full_space_vector(kind):
+    # a block apply at N=16 works on 2^15 amplitudes: it peaks below five of
+    # them, which no 2^16 buffer fits under
+    n = 16
+    table = evaluate_hz(instances.generate("sk_pm", n, seed=1))
+    op = MatrixFreeOperator(OperatorSpec(kind, big_b=1.0, k=2, parity_block="even"),
+                            table, ground_space(table))
+    amps = np.random.default_rng(2).standard_normal(1 << (n - 1))
+    tracemalloc.start()
+    try:
+        op.apply(amps)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * (1 << (n - 1)) * 8
