@@ -2,16 +2,23 @@
 
 Both solvers use the operator as the LinearOperator it is on its 2^M
 coordinates and speak those coordinates to their callers: eigenvectors,
-right-hand sides and solutions are never expanded to 2^N.  extreme_eigs runs ARPACK
-(scipy's eigsh, seeded for its restarts too) for one eigenpair at a time and
-lifts each converged vector out of the way before the next run, so every copy
-of a degenerate level is found.  solve_shifted solves (shift - op) x = rhs for
-a shift below the spectrum of op, where op - shift is positive
-definite, by conjugate gradients (Hestenes and Stiefel, 1952) preconditioned
-with 1/(E'_u - shift), the denominators of the walk series; every solve is
-certified by its true residual.  dense_spectrum is the independent oracle used
-by the property tests.  block_lemma_check verifies the three block-matrix
-eigenvalue/overlap facts used by the theorem pipelines.
+right-hand sides and solutions are never expanded to 2^N.
+
+extreme_eigs runs ARPACK (scipy's eigsh, seeded for its restarts too; Lehoucq,
+Sorensen and Yang, ARPACK Users' Guide, 1998) with the converged vectors
+lifted out of the way, so every copy of a degenerate level is found.  The
+lowest pair has a run of its own.  When at least 3 pairs remain and a wide
+Krylov basis for them fits a byte budget, one run finds them all and one more
+run checks that nothing below them was missed; otherwise, or when the wide run
+fails to converge or the check fails, each pair is one run.
+
+solve_shifted solves (shift - op) x = rhs for a shift below the spectrum of
+op, where op - shift is positive definite, by conjugate gradients (Hestenes
+and Stiefel, 1952) preconditioned with 1/(E'_u - shift), the denominators of
+the walk series; every solve is certified by its true residual.
+dense_spectrum is the independent oracle used by the property tests.
+block_lemma_check verifies the three block-matrix eigenvalue/overlap facts
+used by the theorem pipelines.
 """
 
 from __future__ import annotations
@@ -25,6 +32,11 @@ from .hilbert import MatrixFreeOperator, basis_indices
 
 DENSE_DIM_CAP = 1 << 13
 _START_SEED = 0x5EED
+_BLOCK_MIN_PAIRS = 3           # pairs left at which one wide run takes them all
+_NCV_FLOOR = 60                # Krylov basis: max(60, 4 * pairs) wide, 60 to check
+_BLOCK_BUDGET_BYTES = 1 << 27  # the wide basis's limit; above it, one run per pair
+_CHECK_TOL = 1e-8              # ARPACK tolerance of the completeness check
+_CHECK_SLACK = 1e-9            # its room below the top pair, relative to max(1, |top|)
 _SHIFTED_REL_TOL = 1e-10  # certified true residual of solve_shifted
 _CG_REL_TOL = 1e-13       # recurrence residual at which its iteration stops
 
@@ -71,12 +83,18 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     """The `how_many` lowest eigenpairs of op, excluding the eigenvalues
     QHSQ puts on its ground coordinates.
 
-    Each eigenpair is one ARPACK run for the lowest eigenvalue.  Before each
-    run the vectors V found so far are lifted by 2*|op|*V V^T, above the rest
-    of the spectrum, so the run converges to the next eigenpair, including
-    another copy of a degenerate eigenvalue.  `found`, an earlier result for
-    op with fewer pairs, is extended rather than redone: its pairs come first,
-    bit for bit, and only the missing ones are run."""
+    Every ARPACK run works on op lifted by 2*|op|*V V^T, V the vectors found
+    so far, which moves them above the rest of the spectrum; so each run
+    converges to the next eigenpairs, further copies of a degenerate
+    eigenvalue included.  A fresh solve finds its lowest pair in a run of its
+    own, so every prefix of a larger solve starts with the bits of a one-pair
+    solve.  When at least 3 pairs remain and a Krylov basis of
+    max(60, 4 * pairs) vectors fits the byte budget, one run finds them all,
+    and a run for one more eigenvalue checks that none lies below the highest
+    of them; if one does, or the wide run does not converge, its pairs are
+    dropped.  Each pair still missing is then a run of its own.  `found`, an
+    earlier result for op with fewer pairs, is extended rather than redone:
+    its pairs come first, bit for bit, and only the missing ones are solved."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
     free_dim = op.shape[0] - op.ground_coords.size
@@ -91,6 +109,7 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     if op.shape[0] < 2:  # ARPACK needs k < n; here how_many == free_dim == 1
         vals, ys = np.linalg.eigh(op.matmat(np.eye(1)))
     else:
+        dim = op.shape[0]
         rng = np.random.default_rng(_START_SEED)
         lift = 2.0 * op.norm_bound()
         ys = found.eigenvectors
@@ -98,21 +117,46 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
         # reads ys at call time, so each run sees every vector found before it
         lifted = LinearOperator(op.shape, dtype=np.float64,
                                 matvec=lambda y: op.matvec(y) + lift * (ys @ (ys.T @ y)))
-        for _ in range(how_many - known):
-            v0 = rng.standard_normal(op.shape[0])
+
+        def run(k, tol, ncv=None):
+            v0 = rng.standard_normal(dim)
             v0[op.ground_coords] = 0.0  # keeps the Krylov space off their eigenvalue
+            return eigsh(lifted, k=k, which="SA", tol=tol, ncv=ncv, v0=v0, rng=rng)
+
+        def one_at_a_time(count):
+            nonlocal vals, ys
+            for _ in range(count):
+                try:
+                    lam, y = run(1, tol=0)
+                except ArpackNoConvergence as exc:
+                    best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
+                                for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
+                               default=np.inf)
+                    raise EigensolveError(
+                        f"ARPACK failed to converge on eigenpair {ys.shape[1] + 1} of "
+                        f"{how_many}; best residual {best:.3e}; dense_spectrum "
+                        f"covers dimensions up to {DENSE_DIM_CAP}") from exc
+                vals = np.append(vals, lam)
+                ys = np.column_stack([ys, y])
+
+        if known == 0:
+            one_at_a_time(1)
+        need = how_many - ys.shape[1]
+        ncv = min(dim, max(_NCV_FLOOR, 4 * need))
+        if need >= _BLOCK_MIN_PAIRS and ncv * dim * 8 <= _BLOCK_BUDGET_BYTES:
+            before = vals, ys
             try:
-                lam, y = eigsh(lifted, k=1, which="SA", tol=0, v0=v0, rng=rng)
-            except ArpackNoConvergence as exc:
-                best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
-                            for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
-                           default=np.inf)
-                raise EigensolveError(
-                    f"ARPACK failed to converge on eigenpair {ys.shape[1] + 1} of "
-                    f"{how_many}; best residual {best:.3e}; dense_spectrum "
-                    f"covers dimensions up to {DENSE_DIM_CAP}") from exc
-            vals = np.append(vals, lam)
-            ys = np.column_stack([ys, y])
+                lam, y = run(need, tol=0, ncv=ncv)
+                vals, ys = np.append(vals, lam), np.hstack([ys, y])
+                top = float(vals.max())
+                # the lowest Ritz value of op lifted past every pair found
+                (nxt,), _ = run(1, tol=_CHECK_TOL, ncv=min(dim, _NCV_FLOOR))
+                complete = nxt >= top - _CHECK_SLACK * max(1.0, abs(top))
+            except ArpackNoConvergence:
+                complete = False
+            if not complete:
+                vals, ys = before
+        one_at_a_time(how_many - ys.shape[1])
         ys = ys[:, known:]
     order = np.argsort(vals, kind="stable")
     vals, ys = vals[order], ys[:, order]

@@ -314,18 +314,168 @@ def test_block_lemma_random_sweep():
         assert rep.all_pass, rep.items
 
 
+def _record_eigsh_k(monkeypatch, tamper=None):
+    """Record the k of every eigsh call; `tamper(real, a, k, kwargs)` stands
+    in for the runs with k > 1."""
+    real = eigensolve.eigsh
+    ks = []
+
+    def recorded(a, k, **kwargs):
+        ks.append(k)
+        if tamper is not None and k > 1:
+            return tamper(real, a, k, kwargs)
+        return real(a, k=k, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "eigsh", recorded)
+    return ks
+
+
 @pytest.mark.parametrize("model,n,seed,k", [
-    ("sk_pm", 10, 0, 1), ("sk_gaussian", 10, 1, 1), ("sk_pm", 8, 2, 2)])
-def test_memo_prefix_equals_a_fresh_solve(model, n, seed, k):
+    ("sk_pm", 10, 0, 1), ("sk_gaussian", 10, 1, 1), ("sk_pm", 8, 2, 2),
+    # 33 pairs: the 32 above the lowest come from one wide run
+    ("pairs", 10, 0, 2)])
+def test_memo_prefix_equals_a_fresh_solve(model, n, seed, k, monkeypatch):
     # the lowest pair served from a larger solve carries the same bits as a
     # solve for that pair alone, residual included
-    inst = instances.generate(model, n, seed=seed)
+    inst = disjoint_pairs(n) if model == "pairs" else instances.generate(model, n, seed=seed)
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=0.1 * abs(table.e0), k=k))
+    ks = _record_eigsh_k(monkeypatch)
     big = a.lowest(a.hs_spec, a.block_ground_indices.size + 1)
+    if model == "pairs":
+        assert ks == [1, 32, 1]
     one = a.lowest(a.hs_spec, 1)
     assert np.shares_memory(one.eigenvectors, big.eigenvectors)
     assert not one.eigenvalues.flags.writeable
     fresh = extreme_eigs(a.operator(a.hs_spec), 1)
     for name in ("eigenvalues", "eigenvectors", "residuals"):
         assert np.array_equal(getattr(one, name), getattr(fresh, name)), name
+
+
+def _count_applies(monkeypatch):
+    calls = []
+    apply = MatrixFreeOperator.apply
+    monkeypatch.setattr(MatrixFreeOperator, "apply",
+                        lambda self, amps: calls.append(1) or apply(self, amps))
+    return calls
+
+
+def _pairs10(k, block):
+    # 5 ferromagnetic pairs at b=0.1: levels of multiplicity 1, 5, 10, 10, 5, 1
+    # below E0 + B, then the first excited level alone, so m = 33 cuts no level
+    return _hs_op(disjoint_pairs(10), 0.1 * 5.0, k, block)
+
+
+def _clusters(vals, tol=1e-8):
+    """Index arrays of the runs of vals whose neighbours lie within tol."""
+    return np.split(np.arange(vals.size), np.flatnonzero(np.diff(vals) > tol) + 1)
+
+
+@pytest.mark.parametrize("k, block, budget", [
+    pytest.param(2, "even", 500, id="K2-even-block"),
+    pytest.param(3, None, 650, id="K3-full-space"),
+])
+def test_wide_run_agrees_with_one_run_per_pair(k, block, budget, monkeypatch):
+    # the solve takes 330 and 427 products, 33 of them for the residuals,
+    # against 1476 and 2476 with one run per pair; the bounds leave 50% headroom
+    op = _pairs10(k, block)
+    calls = _count_applies(monkeypatch)
+    ks = _record_eigsh_k(monkeypatch)
+    wide = extreme_eigs(op, 33)
+    assert ks == [1, 32, 1]
+    assert len(calls) <= budget
+    monkeypatch.setattr(eigensolve, "_BLOCK_MIN_PAIRS", 34)
+    single = extreme_eigs(op, 33)
+    assert ks[3:] == [1] * 33
+    np.testing.assert_allclose(wide.eigenvalues, single.eigenvalues, rtol=1e-12, atol=0)
+    assert np.all(wide.residuals < 1e-12)
+    # the same eigenspace, level by level
+    groups = _clusters(single.eigenvalues)
+    assert [g.size for g in groups] == [1, 5, 10, 10, 5, 1, 1]
+    for g in groups:
+        pw = wide.eigenvectors[:, g] @ wide.eigenvectors[:, g].T
+        ps = single.eigenvectors[:, g] @ single.eigenvectors[:, g].T
+        assert np.abs(pw - ps).max() < 1e-8
+
+
+def test_wide_basis_keeps_a_near_degenerate_level_cheap(monkeypatch):
+    # sk_pm N=10 seed 5 at K=3 and b=0.05: two of the 7 lowest eigenvalues lie
+    # 3.2e-7 apart.  The solve takes 640 products; with ARPACK's default basis
+    # of 2k + 1 vectors for the wide run it took 50388, and one run per pair
+    # 9154.  The bound leaves 50% headroom over 640.
+    inst = instances.generate("sk_pm", 10, seed=5)
+    op = _hs_op(inst, 0.05 * abs(hilbert.evaluate_hz(inst).e0), 3)
+    calls = _count_applies(monkeypatch)
+    ks = _record_eigsh_k(monkeypatch)
+    it = extreme_eigs(op, 7)
+    assert ks == [1, 6, 1]
+    assert len(calls) <= 960
+    np.testing.assert_allclose(it.eigenvalues, dense_spectrum(op, False).eigenvalues[:7],
+                               rtol=0, atol=1e-9)
+
+
+def test_completeness_check_recovers_a_dropped_copy(monkeypatch):
+    # the wide run returns its k lowest of k + 1 pairs less one copy of the
+    # 5-fold level: the check finds that copy below the top pair and the
+    # pairs are redone one run at a time
+    def drop_a_copy(real, a, k, kwargs):
+        vals, vecs = real(a, k=k + 1, **kwargs)
+        assert np.allclose(vals[:5], vals[0], rtol=0, atol=1e-10)
+        return np.delete(vals, 0), np.delete(vecs, 0, axis=1)
+
+    op = _pairs10(2, "even")
+    ks = _record_eigsh_k(monkeypatch, drop_a_copy)
+    it = extreme_eigs(op, 33)
+    assert ks == [1, 32, 1] + [1] * 32
+    np.testing.assert_allclose(it.eigenvalues, dense_spectrum(op, False).eigenvalues[:33],
+                               rtol=0, atol=1e-9)
+    assert np.allclose(it.eigenvectors.T @ it.eigenvectors, np.eye(33), atol=1e-8)
+
+
+def test_unconverged_wide_run_falls_back_to_one_run_per_pair(monkeypatch):
+    def stalled(real, a, k, kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((a.shape[0], 0)))
+
+    op = _pairs10(3, None)
+    ks = _record_eigsh_k(monkeypatch, stalled)
+    it = extreme_eigs(op, 33)
+    assert ks == [1, 32] + [1] * 32
+    np.testing.assert_allclose(it.eigenvalues, dense_spectrum(op, False).eigenvalues[:33],
+                               rtol=0, atol=1e-9)
+
+
+def test_wide_run_respects_the_byte_budget(monkeypatch):
+    # the wide basis takes 128 * 512 * 8 bytes here; one byte less and every
+    # run is for one eigenvalue
+    op = _pairs10(2, "even")
+    monkeypatch.setattr(eigensolve, "_BLOCK_BUDGET_BYTES", 128 * 512 * 8 - 1)
+    ks = _record_eigsh_k(monkeypatch)
+    it = extreme_eigs(op, 33)
+    assert ks == [1] * 33
+    np.testing.assert_allclose(it.eigenvalues, dense_spectrum(op, False).eigenvalues[:33],
+                               rtol=0, atol=1e-9)
+    monkeypatch.setattr(eigensolve, "_BLOCK_BUDGET_BYTES", 128 * 512 * 8)
+    ks.clear()
+    extreme_eigs(op, 33)
+    assert ks == [1, 32, 1]
+
+
+def test_three_pairs_or_fewer_run_one_at_a_time(monkeypatch):
+    # a fresh solve of m <= 3 pairs (every solve of an n0 = 2 report) is the
+    # per-pair path, run for run; the wide run starts at 3 pairs above the lowest
+    op = _pairs10(2, "even")
+    ks = _record_eigsh_k(monkeypatch)
+    for m in (1, 2, 3):
+        ks.clear()
+        extreme_eigs(op, m)
+        assert ks == [1] * m
+    ks.clear()
+    extreme_eigs(op, 4)
+    assert ks == [1, 3, 1]
+    # a resumed solve takes the wide run from 3 missing pairs on
+    ks.clear()
+    extreme_eigs(op, 4, extreme_eigs(op, 2))
+    assert ks == [1, 1, 1, 1]
+    ks.clear()
+    extreme_eigs(op, 5, extreme_eigs(op, 2))
+    assert ks == [1, 1, 3, 1]
