@@ -56,11 +56,12 @@ class SpectralReport:
     band_vectors: np.ndarray = field(repr=False)
 
 
-def _cluster(values: np.ndarray, tol: float = _CLUSTER_TOL) -> list[np.ndarray]:
-    """Index groups of near-equal sorted values (degenerate eigenspaces)."""
+def _cluster(values: np.ndarray) -> list[np.ndarray]:
+    """Index groups of sorted values within _CLUSTER_TOL of their group's last
+    member (degenerate eigenspaces)."""
     groups: list[list[int]] = [[0]]
     for i in range(1, values.size):
-        if values[i] - values[groups[-1][-1]] <= tol:
+        if values[i] - values[groups[-1][-1]] <= _CLUSTER_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -191,10 +192,8 @@ def qgood_verify(analysis: Analysis,
 
     psi01 = _psi01_from_band(spec_rep, n)
     ovl = float(psi01.sum())  # 2^(N/2) <psi_+|psi01>
-    predicted = (
-        spec.big_b * n / (2.0 * instance.degree * spec.k * abs(e0))
-        if e0 < 0 else 0.0
-    )
+    predicted = (bounds.overlap_exponent(n, instance.degree, spec.k, spec.big_b, e0)
+                 if e0 < 0 else 0.0)
     measured_log = math.log(ovl) if ovl > 0 else float("-inf")
     report.conclusions.append(
         ("psi_plus_overlap_unit", bool(ovl >= 1.0 - TOL), measured_log - predicted))
@@ -230,9 +229,9 @@ def mainconst_decide(analysis: Analysis,
     report.details["spectral"] = spec_rep
     if spec_rep.eq01 >= e0 + 0.5 - TOL:
         report.branch = 1
-        b_small = spec.big_b / abs(e0) if e0 < 0 else 0.0
         # expected-time exponent N/2 - (b / 2DK) N log2(e), leading term only
-        gain_bits = (b_small / (2.0 * instance.degree * spec.k)) * n * math.log2(math.e)
+        gain_bits = (bounds.overlap_exponent(n, instance.degree, spec.k, spec.big_b, e0)
+                     * math.log2(math.e) if e0 < 0 else 0.0)
         report.conclusions.append(("speedup_exponent_bits", True, gain_bits))
         report.details["query_exponent_bits"] = n / 2.0 - gain_bits
         return report

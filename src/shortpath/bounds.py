@@ -324,6 +324,14 @@ def x_min_of(n_qubits: int, big_b: float, k: int) -> float:
     return n_qubits * (10.0 * big_b) ** (-1.0 / k)
 
 
+def overlap_exponent(n_qubits: int, degree: int, k: int, big_b: float,
+                     e0: float) -> float:
+    """BN / (2DK|E0|), the leading exponent of the overlap bound
+    <+|psi_{0,1}> >= 2^(-N/2) exp(BN / (2DK|E0|) (1 - o(1))); the bound
+    needs E0 < 0, which each caller checks."""
+    return big_b * n_qubits / (2.0 * degree * k * abs(e0))
+
+
 def theorem1_item2_check(hist: DosHistogram, instance: Instance, spec: OperatorSpec,
                          consts: TheoremConstants = TheoremConstants()) -> Item2Report:
     """Scan integer offsets E = E0 + k for log2 W(E) >= F^-1(E) - c_log*log2(N),
@@ -441,10 +449,6 @@ class BaselineReport:
     unit_weights: bool
 
 
-def _log2_binomial(m: int, j: int) -> float:
-    return (math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)) / math.log(2)
-
-
 def classical_baseline(instance: Instance, table: DiagonalTable) -> BaselineReport:
     """D=2 baseline counting: per-spin fields F_i at a ground state, the spin
     with the largest |F_i|, and the count of assignments of the other N-1
@@ -475,19 +479,9 @@ def classical_baseline(instance: Instance, table: DiagonalTable) -> BaselineRepo
     n_choice_int = None
     n_choice_log2 = None
     if unit:
-        n_choice_int = 0
-        log_terms = []
-        for f in range(-m, m + 1, 2):
-            if f < threshold - 1e-12:
-                continue
-            j = (m + f) // 2
-            n_choice_int += (1 << (n - 1 - m)) * math.comb(m, j)
-            log_terms.append((n - 1 - m) + _log2_binomial(m, j))
-        if log_terms:
-            top = max(log_terms)
-            n_choice_log2 = top + math.log2(sum(2.0 ** (t - top) for t in log_terms))
-        else:
-            n_choice_log2 = float("-inf")
+        n_choice_int = sum((1 << (n - 1 - m)) * math.comb(m, (m + f) // 2)
+                           for f in range(-m, m + 1, 2) if f >= threshold - 1e-12)
+        n_choice_log2 = math.log2(n_choice_int) if n_choice_int else float("-inf")
 
     brute = None
     if n <= BRUTE_LIMIT:

@@ -4,7 +4,9 @@ The effective Hamiltonian h(omega) acts on the ground space of H_Z; its
 geometric series is resummed into one excited-subspace linear solve per ground
 index.  The eigenvector series phi uses the shifted reference J_0 = H_Z +
 zeta*P, which removes the excited-space projector from the series and lets the
-series be re-expressed as a random walk with strictly positive weights.
+series be re-expressed as a random walk with strictly positive weights.  The
+walk moves on the parity block's coordinates, and its weights 1/(E'_u - omega)
+read the diagonal of J_0 + V, the operator the exact resummation solves with.
 
 Every function takes a `context.Analysis`, which supplies the table, the
 ground space, the parity block and the spectra: omega = E_{0,1}, psi_{0,1}
@@ -20,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eigensolve
+from . import bounds, eigensolve
 from .context import Analysis
 from .context import choose_parity_block  # noqa: F401  (stays importable from bwpt)
-from .hilbert import MatrixFreeOperator, _apply_xk_over_n, psi_plus_overlap
+from .hilbert import MatrixFreeOperator, _apply_xk_over_n, basis_indices, psi_plus_overlap
 
 DEFAULT_ZETA = 0.5
+_WALK_CUTOFF = 1e-16  # relative size of the last walk term kept
 
 
 class BwptError(RuntimeError):
@@ -42,7 +45,6 @@ class BwContext:
 
     zeta: float
     omega: float
-    eq0: float
     xi0: np.ndarray
     fixed_point_residual: float
 
@@ -132,8 +134,7 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
         xi0 = np.clip(xi0, 0.0, None)
         xi0 /= np.linalg.norm(xi0)
     return BwContext(
-        zeta=zeta, omega=omega, eq0=analysis.eq01, xi0=xi0,
-        fixed_point_residual=abs(lam - omega),
+        zeta=zeta, omega=omega, xi0=xi0, fixed_point_residual=abs(lam - omega),
     )
 
 
@@ -208,18 +209,21 @@ def analytic_lower_bound(n_qubits: int, degree: int, k: int, big_b: float,
         raise BwptError(f"analytic bound requires E0 < 0, got {e0}")
     if min(n_qubits, degree, k) < 1:
         raise BwptError("N, D, K must all be >= 1")
-    exponent = big_b * n_qubits / (2.0 * degree * k * abs(e0))
+    exponent = bounds.overlap_exponent(n_qubits, degree, k, big_b, e0)
     return math.exp(exponent), exponent / math.log(2.0)
 
 
 def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
-                  seed: int, cutoff: float = 1e-16) -> WalkEstimate:
+                  seed: int) -> WalkEstimate:
     """Monte-Carlo estimate of the walk series sum_t B^t E[prod 1/(E'_u - E_{0,1})].
 
+    The walk runs on the block's coordinates (basis indices for odd K).
     Start states are drawn proportional to the xi0 entries; each macro-step is
-    K independent uniformly random spin flips (the same spin may repeat).  One
-    length-t_max walk per sample estimates every truncation level via partial
-    products.
+    K independent uniformly random spin flips (the same spin may repeat), and
+    a flip of qubit N-1 keeps a block coordinate, as in (X/N)^K.  E'_u is the
+    diagonal of J0 + V, the operator phi_exact solves with.  One length-t_max
+    walk per sample estimates every truncation level via partial products,
+    stopped once the next term falls below _WALK_CUTOFF of the running sum.
     """
     if samples < 1:
         raise BwptError("samples must be >= 1")
@@ -231,15 +235,14 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
     e0 = table.e0
     if e0 >= 0:
         raise BwptError("walk truncation bound requires E0 < 0")
-    t_max = 10 * math.ceil(spec.big_b * n / (2 * instance.degree * spec.k * abs(e0))) + 100
+    t_max = 10 * math.ceil(
+        bounds.overlap_exponent(n, instance.degree, spec.k, spec.big_b, e0)) + 100
 
     rng = np.random.default_rng(seed)
     probs = ctx.xi0 / ctx.xi0.sum()
-    states = rng.choice(analysis.block_ground_indices, size=samples,
-                        p=probs).astype(np.int64)
-    is_ground = np.zeros(1 << n, dtype=bool)
-    is_ground[analysis.ground.ground_indices] = True
-    energies = table.energies
+    states = rng.choice(analysis.block_ground_coords, size=samples, p=probs)
+    coord_mask = analysis.block_dim - 1
+    e_prime = _j0_plus_v_operator(analysis, ctx.zeta).diagonal
 
     partial = np.ones(samples)
     totals = np.ones(samples)  # t = 0 term
@@ -248,10 +251,10 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
     for t in range(1, t_max + 1):
         flips = rng.integers(0, n, size=(spec.k, samples))
         for row in flips:
-            states ^= np.int64(1) << row
-        denom = energies[states] + np.where(is_ground[states], ctx.zeta, 0.0) - ctx.omega
+            states ^= (1 << row) & coord_mask
+        denom = e_prime[states] - ctx.omega
         if np.any(denom <= 0.0):
-            bad = int(states[np.argmin(denom)])
+            bad = int(basis_indices(states[np.argmin(denom)], n, analysis.block))
             raise BwptError(
                 f"non-positive walk denominator at basis state {bad}: "
                 "omega lies above E'_u for a visited state"
@@ -261,7 +264,7 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
         totals += b_pow * partial
         t_used = t
         running = float(totals.mean())
-        if b_pow * float(partial.max()) < cutoff * running:
+        if b_pow * float(partial.max()) < _WALK_CUTOFF * running:
             break
     estimate = float(totals.mean())
     std_error = (

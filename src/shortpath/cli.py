@@ -156,10 +156,6 @@ def _theorem_tree(rep: analyze.TheoremReport) -> dict:
     }
 
 
-def _spectrum(a, args) -> dict:
-    return _spectral_tree(analyze.spectral_report(a))
-
-
 def _spectrum_and_csv(a, args) -> dict:
     rep = analyze.spectral_report(a)
     if args.csv:
@@ -185,7 +181,7 @@ def _walk(a, args) -> dict:
     est = bwpt.walk_estimate(ctx, a, samples=args.samples, seed=args.seed)
     tree = {
         "omega": ctx.omega,
-        "eq0": ctx.eq0,
+        "eq0": a.eq01,
         "block": a.block,
         "fixed_point_residual": ctx.fixed_point_residual,
         "xi0_l1": float(ctx.xi0.sum()),
@@ -210,18 +206,10 @@ def _walk_or_error(a, args) -> dict:
         return {"error": str(exc)}
 
 
-def _dos_tree(hist: bounds.DosHistogram) -> dict:
-    return {"e0": hist.e0, "counts": [int(c) for c in hist.counts],
-            "total": hist.total}
-
-
-def _dos(a, args) -> dict:
-    return _dos_tree(bounds.dos_histogram(a.table))
-
-
 def _dos_fit_and_csv(a, args) -> dict:
     hist = bounds.dos_histogram(a.table)
-    tree = _dos_tree(hist)
+    tree = {"e0": hist.e0, "counts": [int(c) for c in hist.counts],
+            "total": hist.total}
     if args.fit_window:
         tree["powerlaw_fit"] = bounds.dos_powerlaw_fit(hist, tuple(args.fit_window))
     if args.csv:
@@ -240,15 +228,16 @@ def _baseline_if_d2(a, args) -> bounds.BaselineReport | None:
 # One row per section, in report order, because each solve extends the
 # Analysis memo that later sections read: (report key, subcommand, the
 # subcommand's builder, the report's builder).  The report keeps a failed walk
-# as {"error": msg}, leaves the baseline out when D != 2, and writes dos
-# without a fit or CSV; the single commands exit 1 on those errors instead.
+# as {"error": msg} and leaves the baseline out when D != 2; the single
+# commands exit 1 on those errors instead.  The report's parser sets no CSV
+# and no fit window, so spectrum and dos share one builder.
 SECTIONS = (
-    ("spectrum", "spectrum", _spectrum_and_csv, _spectrum),
+    ("spectrum", "spectrum", _spectrum_and_csv, _spectrum_and_csv),
     ("qgood", "qgood", _qgood, _qgood),
     ("mainconst", "mainconst", _mainconst, _mainconst),
     ("simulate", "simulate", _simulate, _simulate),
     ("bw", "walk", _walk, _walk_or_error),
-    ("dos", "dos", _dos_fit_and_csv, _dos),
+    ("dos", "dos", _dos_fit_and_csv, _dos_fit_and_csv),
     ("baseline", "baseline", _baseline, _baseline_if_d2),
 )
 
@@ -429,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zeta", type=float, default=bwpt.DEFAULT_ZETA)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, csv=None, fit_window=None)
 
     return ap
 

@@ -132,11 +132,7 @@ def generate(model: str, n_qubits: int, seed: int, toy: ToyModelSpec | None = No
         rng = np.random.default_rng(toy.seed)
         raw = []
         for i, j in pairs:
-            in1 = i < toy.n1
-            in2 = j < toy.n1
-            if in1 and in2:
-                raw.append(((i, j), -1.0))
-            elif in1 != in2:
+            if i < toy.n1:  # S1 and S1 x S2 pairs: i < j, so j in S1 puts i there too
                 raw.append(((i, j), -1.0))
             elif rng.random() < toy.afm_density:
                 raw.append(((i, j), +1.0))

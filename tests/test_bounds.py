@@ -274,16 +274,23 @@ def test_classical_baseline_hand_instance():
 
 
 def test_classical_baseline_matches_brute_force(corpus):
-    for label, inst in corpus:
+    # criterion 8's corpus; n_choice_log2 is the exact count's log2 to the bit
+    extra = [
+        ("sk_pm N=12", instances.generate("sk_pm", 12, seed=1)),
+        ("pairs N=12", disjoint_pairs(12)),
+        ("pairs N=14", disjoint_pairs(14)),
+        ("toy N=12", instances.generate(
+            "toy", 12, seed=0, toy=instances.ToyModelSpec(n1=3, afm_density=0.4, seed=2))),
+    ]
+    for label, inst in corpus + extra:
         if inst.degree != 2 or inst.n_qubits > 14:
             continue
         rep = classical_baseline(inst, evaluate_hz(inst))
         assert rep.brute_count is not None, label
         if rep.unit_weights:
             assert rep.n_choice_int == rep.brute_count, label
-            if rep.n_choice_int > 0:
-                assert rep.n_choice_log2 == pytest.approx(
-                    math.log2(rep.n_choice_int), abs=1e-9)
+            assert rep.n_choice_log2 == (math.log2(rep.n_choice_int)
+                                         if rep.n_choice_int else -math.inf), label
 
 
 def test_classical_baseline_non_unit_weights():

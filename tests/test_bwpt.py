@@ -1,5 +1,9 @@
 """Brillouin-Wigner effective Hamiltonian, exact resummation, walk estimator."""
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +149,78 @@ def test_walk_matches_exact_series_small_instance():
     est = bwpt.walk_estimate(ctx, a, samples=40000, seed=11)
     assert abs(est.series_estimate - exact) < 3.0 * est.std_error
     assert est.t_truncation >= 1
+
+
+def _full_index_walk(ctx, a, samples, seed):
+    """The walk on full basis indices, E'_u read from the H_Z table with zeta
+    added on every ground state: the same draws as walk_estimate.  Returns the
+    mean and standard error of the series, the truncation level, and whether a
+    flip of qubit N-1 was drawn."""
+    table, spec = a.table, a.spec
+    n = table.n_qubits
+    t_max = 10 * math.ceil(
+        spec.big_b * n / (2 * a.instance.degree * spec.k * abs(table.e0))) + 100
+    rng = np.random.default_rng(seed)
+    states = rng.choice(a.block_ground_indices, size=samples,
+                        p=ctx.xi0 / ctx.xi0.sum()).astype(np.int64)
+    is_ground = np.zeros(1 << n, dtype=bool)
+    is_ground[a.ground.ground_indices] = True
+    partial, totals = np.ones(samples), np.ones(samples)
+    b_pow, t_used, top_flipped = 1.0, 0, False
+    for t in range(1, t_max + 1):
+        flips = rng.integers(0, n, size=(spec.k, samples))
+        top_flipped |= bool(np.any(flips == n - 1))
+        for row in flips:
+            states ^= np.int64(1) << row
+        denom = (table.energies[states] + np.where(is_ground[states], ctx.zeta, 0.0)
+                 - ctx.omega)
+        assert np.all(denom > 0.0)
+        partial /= denom
+        b_pow *= spec.big_b
+        totals += b_pow * partial
+        t_used = t
+        if b_pow * float(partial.max()) < 1e-16 * float(totals.mean()):
+            break
+    return (float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(samples)),
+            t_used, top_flipped)
+
+
+@pytest.mark.parametrize("make, k", [
+    pytest.param(lambda: disjoint_pairs(8), 2, id="pairs8-K2-block"),
+    # n0 = 16 ground states that are not all alike, so the start-state order shows
+    pytest.param(lambda: instances.generate("sk_pm", 7, seed=2), 3, id="sk_pm7-K3-full"),
+])
+def test_walk_matches_a_full_index_walk_bit_for_bit(make, k):
+    # in block coordinates a flip of qubit N-1 is the identity, and E'_u is
+    # the J0 + V diagonal; neither may move a bit of the estimate
+    a = _setup(make(), b=0.1, k=k)
+    assert (a.block is not None) == (k % 2 == 0)
+    ctx = bwpt.solve_self_consistent(a)
+    est = bwpt.walk_estimate(ctx, a, samples=2000, seed=5)
+    mean, std_error, t_used, top_flipped = _full_index_walk(ctx, a, 2000, 5)
+    assert top_flipped
+    assert (est.series_estimate, est.std_error, est.t_truncation) == (
+        mean, std_error, t_used)
+
+
+def test_walk_non_positive_denominator_names_a_basis_state_of_the_block():
+    a = _setup(disjoint_pairs(8), b=0.1, k=2)
+    assert a.block == "even"
+    ctx = bwpt.solve_self_consistent(a)
+    omega = ctx.omega
+    while True:
+        omega += 0.5
+        try:
+            bwpt.walk_estimate(dataclasses.replace(ctx, omega=omega), a,
+                               samples=200, seed=1)
+        except BwptError as exc:
+            message = str(exc)
+            break
+    bad = int(re.search(r"basis state (\d+)", message).group(1))
+    assert 0 <= bad < 1 << 8
+    assert bin(bad).count("1") % 2 == 0
+    e_prime = a.table.energies[bad] + (ctx.zeta if bad in a.ground.ground_indices else 0.0)
+    assert e_prime <= omega
 
 
 def test_walk_is_seed_deterministic():
