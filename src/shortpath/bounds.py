@@ -488,7 +488,7 @@ def classical_baseline(instance: Instance, table: DiagonalTable) -> BaselineRepo
         # F_i(u) = sum_j J_ij (-1)^u_j is the transform of c[1 << j] = J_ij
         f_all = np.zeros(1 << n)
         f_all[1 << neighbors] = coupling[best_i, neighbors]
-        _walsh_hadamard(f_all, n)
+        f_all = _walsh_hadamard(f_all, n)
         free_of_i = (np.arange(1 << n) >> best_i) & 1 == 0
         brute = int(np.count_nonzero(free_of_i & (f_all >= threshold - 1e-12)))
 

@@ -7,10 +7,11 @@ real-symmetric in this basis.  A state is a float64 array of 2^M amplitudes:
 M = N in the full space, or M = N-1 in a Hamming-weight parity block (even K),
 whose states are indexed by their low N-1 bits, as the parity fixes the top one.
 
-H_Z is tabulated by one in-place Walsh-Hadamard transform of the term
-weights.  X = sum_i X_i applies its low min(N, 5) qubits as one matmul
-against the 32 x 32 hypercube adjacency matrix and each higher qubit as an
-in-place add of a reversed view; (X/N)^K chains K of those.
+H_Z is tabulated by one Walsh-Hadamard transform of the term weights, a matmul
+per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.  X = sum_i X_i
+applies its low min(N, 5) qubits as one matmul against the 32 x 32 hypercube
+adjacency matrix and each higher qubit as an in-place add of a reversed view;
+(X/N)^K chains K of those.
 """
 
 from __future__ import annotations
@@ -22,15 +23,18 @@ from scipy.sparse.linalg import LinearOperator
 
 from .instances import Instance
 
-DEFAULT_MAX_QUBITS = 26  # dense-vector ceiling, 0.5 GiB per vector
+DEFAULT_MAX_QUBITS = 26  # dense-vector ceiling: 0.5 GiB per vector, 1 GiB for a tabulation
 DEGENERACY_TOL = 1e-9
 
 # X on the low _BLOCK_BITS qubits is one matmul against the adjacency matrix
-# of the 5-cube, A[u, v] = 1 iff u ^ v is a single bit.  Its top-left
-# 2^b x 2^b block is the b-cube's, so the one table serves every N.
+# of the 5-cube, A[u, v] = 1 iff u ^ v is a single bit, and each 5-qubit chunk
+# of the Walsh-Hadamard transform one against H[u, v] = (-1)^popcount(u & v).
+# The top-left 2^b x 2^b block of either is its b-qubit table, for every N.
 _BLOCK_BITS = 5
 _CUBE_ADJACENCY = (np.bitwise_count(np.arange(1 << _BLOCK_BITS)[:, None]
                                     ^ np.arange(1 << _BLOCK_BITS)) == 1).astype(np.float64)
+_HADAMARD = (-1.0) ** np.bitwise_count(np.arange(1 << _BLOCK_BITS)[:, None]
+                                       & np.arange(1 << _BLOCK_BITS))
 
 
 class BudgetError(RuntimeError):
@@ -92,21 +96,22 @@ class OperatorSpec:
                              "for odd K maps each block to the other")
 
 
-def _walsh_hadamard(c: np.ndarray, n_qubits: int) -> None:
-    """Unnormalised Walsh-Hadamard transform of a 2^N vector, in place:
-    c[u] <- sum_m c[m] (-1)^popcount(u & m).
+def _walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform c[u] <- sum_m c[m] (-1)^popcount(u & m)
+    of a contiguous 2^N vector.  c is scratch: the result is returned, in c or
+    in one new 2^N vector as the parity of the chunk count ceil(N/5) picks.
 
-    Level i runs the butterfly (a, b) -> (a + b, a - b) on the middle axis of
-    the (2^(N-1-i), 2, 2^i) view: the fast transform of Fino and Algazi (IEEE
-    Trans. Computers, 1976), O(N 2^N) with one half-length scratch vector."""
-    scratch = np.empty(c.size // 2)
-    for i in range(n_qubits):
-        v = c.reshape(-1, 2, 1 << i)
-        a, b = v[:, 0, :], v[:, 1, :]
-        diff = scratch.reshape(a.shape)
-        np.subtract(a, b, out=diff)
-        a += b
-        b[...] = diff
+    Chunk j transforms bits 5j..5j+4 (b <= 5 of them) by one matmul against
+    the Sylvester matrix on the middle axis of the (2^(N-5j-b), 2^b, 2^(5j))
+    view, summed in matmul order."""
+    b = min(n_qubits, _BLOCK_BITS)
+    src, dst = (c.reshape(-1, 1 << b) @ _HADAMARD[:1 << b, :1 << b]).ravel(), c
+    for low in range(b, n_qubits, _BLOCK_BITS):
+        b = min(n_qubits - low, _BLOCK_BITS)
+        shape = (-1, 1 << b, 1 << low)
+        np.matmul(_HADAMARD[:1 << b, :1 << b], src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    return src
 
 
 def energy_of(instance: Instance, u: int) -> float:
@@ -122,7 +127,7 @@ def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> Dia
 
     <u|Z^m|u> = (-1)^popcount(u & m), so the diagonal of H_Z = sum_t w_t
     Z^{mask_t} is the Walsh-Hadamard transform of c[mask_t] = w_t, for any
-    degree and term count.  Non-integer weights are summed in butterfly order
+    degree and term count.  Non-integer weights are summed in matmul order
     and can differ from energy_of() in the last bits.
     """
     n = instance.n_qubits
@@ -134,7 +139,7 @@ def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> Dia
     energies = np.zeros(1 << n, dtype=np.float64)
     masks = np.array([t.mask for t in instance.terms], dtype=np.int64)
     np.add.at(energies, masks, instance.weights())
-    _walsh_hadamard(energies, n)
+    energies = _walsh_hadamard(energies, n)
     e0 = float(energies.min())
     first_above = float(np.min(energies, where=energies > e0 + DEGENERACY_TOL,
                                initial=np.inf))

@@ -1,7 +1,11 @@
 """Diagonal tables, ground spaces, matrix-free operators, psi_+."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,13 +79,47 @@ def test_table_matches_energy_of_for_gaussian_weights(inst):
 
 
 def test_walsh_hadamard_matches_dense_hadamard():
-    n = 5
-    signs = np.array([[(-1.0) ** (u & m).bit_count() for m in range(1 << n)]
-                      for u in range(1 << n)])
-    c = np.random.default_rng(3).standard_normal(1 << n)
-    expected = signs @ c
-    hilbert._walsh_hadamard(c, n)
-    assert np.allclose(c, expected, atol=1e-12)
+    # one to three 5-qubit chunks, with every remainder mod 5
+    rng = np.random.default_rng(3)
+    for n in range(1, 12):
+        signs = np.array([[(-1.0) ** (u & m).bit_count() for m in range(1 << n)]
+                          for u in range(1 << n)])
+        c = rng.integers(-7, 8, size=1 << n).astype(np.float64)
+        expected = signs @ c
+        assert np.array_equal(hilbert._walsh_hadamard(c, n), expected), n
+        c = rng.standard_normal(1 << n)
+        expected = signs @ c
+        assert np.allclose(hilbert._walsh_hadamard(c, n), expected, atol=1e-12), n
+
+
+def test_walsh_hadamard_allocates_at_most_one_extra_vector():
+    n = 16
+    c = np.random.default_rng(5).standard_normal(1 << n)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        hilbert._walsh_hadamard(c, n)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= c.nbytes + (1 << 14)
+
+
+def test_evaluate_hz_bits_do_not_depend_on_blas_threads():
+    # the child does not inherit pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import hashlib; from shortpath import hilbert, instances; "
+              "inst = instances.generate('sk_gaussian', 14, seed=1); "
+              "print(hashlib.sha256(hilbert.evaluate_hz(inst).energies.tobytes()).hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": pythonpath,
+                                   "OPENBLAS_NUM_THREADS": threads}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("inst", [
@@ -107,13 +145,14 @@ def test_evaluate_hz_peak_memory_below_three_tables():
 
 
 @pytest.mark.parametrize("terms", [
-    # ground band split by 2.2e-16 when the terms are summed one by one
+    # ground band split by 2.2e-16 when the terms are summed one by one and
+    # by 4.4e-16 in the transform's matmul order
     [((0, 1), 0.2), ((0, 2), 0.7), ((0, 3), 0.1), ((0, 4), 0.2), ((1, 2), 0.7),
      ((1, 3), 0.3), ((1, 4), 0.2), ((2, 3), 0.1), ((2, 4), 0.1), ((3, 4), 0.7)],
-    # split by 2.2e-16 both one by one and in butterfly order
+    # split by 2.2e-16 one by one only
     [((0, 1), -0.1), ((0, 2), -0.3), ((0, 3), 0.3), ((0, 4), 0.1), ((1, 2), 0.2),
      ((1, 3), 0.7), ((1, 4), -0.2), ((2, 3), 0.1), ((2, 4), -0.3), ((3, 4), -0.3)],
-], ids=["split-by-term-loop", "split-by-both-orders"])
+], ids=["split-by-both-orders", "split-by-term-loop"])
 def test_gap_skips_energies_inside_the_degeneracy_band(terms):
     # the gap is measured from the band edge, so it agrees with n0 = 4
     table = evaluate_hz(instances.build_instance(5, 2, terms))
