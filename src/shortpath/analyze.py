@@ -3,9 +3,9 @@ speedup theorem and the main dichotomy theorem, and a spectral simulation of
 the one-step algorithm with speedup accounting in bits.
 
 Every pipeline takes a `context.Analysis`: the H_Z table, the ground space
-and the parity block come from it, and so does every spectrum (H_1 in the
-block and in the full space, QH_1Q, mainconst's H_{5/2}), solved once per
-analysis and shared between the pipelines and `bwpt`.
+and the parity block come from it, and so does every spectrum (H_1 in each
+parity block for even K or in the full space for odd K, QH_1Q, mainconst's
+H_{5/2}), solved once per analysis and shared between the pipelines and `bwpt`.
 
 Asymptotic statements (B = omega(log N), the (1 - o(1)) exponent corrections)
 are reported as measured ratios, never converted into pass/fail on a single N.
@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds
 from .bounds import TheoremConstants
 from .context import Analysis
-from .hilbert import _apply_xk_over_n, psi_plus_overlap
+from .hilbert import _apply_xk_over_n, coordinate_qubits, psi_plus_overlap
 from .hilbert import evaluate_hz  # noqa: F401  (stays importable from analyze)
 
 TOL = 1e-9
@@ -86,7 +86,7 @@ def spectral_report(analysis: Analysis) -> SpectralReport:
     excited-restricted E^Q_{0,1}, the psi_+ overlap mass P_ov, and the worst
     ground-projector overlap over the band."""
     table, block = analysis.table, analysis.block
-    n0_eff = int(analysis.block_ground_indices.size)
+    n0_eff = int(analysis.block_ground_coords.size)
     how_many = min(n0_eff + 1, analysis.block_dim)
     eig = analysis.lowest(analysis.hs_spec, how_many)
     band = eig.eigenvalues[:n0_eff]
@@ -282,41 +282,44 @@ def simulate_algorithm1(analysis: Analysis) -> SimulationResult:
     grouped per eigenspace so degeneracy cannot skew the answer.  Eigenvalues
     in the forbidden zone (E0 + 1/4, E0 + 1/2) only flag the report; the
     cutoff stays at E0 + 1/4.
+
+    For even K, H_1 is block diagonal over Hamming-weight parity, and psi_+
+    has orthogonal components in the blocks that the diagonal P0 keeps apart:
+    each block is solved on its own (the analysis's block from the pairs
+    spectral_report solved) and the sums add.  Odd K works in the full space.
     """
     table, ground = analysis.table, analysis.ground
     e0 = table.e0
     n = table.n_qubits
-    dim = 1 << n
-    # psi_+ is phase-estimated in the full space, not in the parity block
-    hs = analysis.spec
     cutoff = e0 + 0.25 + _CLUSTER_TOL
-
-    how_many = min(ground.n0 + 1, dim)
-    eig = analysis.lowest(hs, how_many)
-    while eig.eigenvalues[-1] <= cutoff and how_many < dim:
-        how_many = min(2 * how_many, dim)
+    success = p_ov = 0.0
+    min_p0 = 1.0
+    ambiguous = False
+    accepted = []
+    for sector in ("even", "odd") if analysis.spec.k % 2 == 0 else (None,):
+        hs = replace(analysis.spec, parity_block=sector)
+        rows = ground.coordinates(sector)
+        dim = 1 << coordinate_qubits(n, sector)
+        how_many = min(rows.size + 1, dim)
         eig = analysis.lowest(hs, how_many)
+        while eig.eigenvalues[-1] <= cutoff and how_many < dim:
+            how_many = min(2 * how_many, dim)
+            eig = analysis.lowest(hs, how_many)
 
-    vals, vecs = eig.eigenvalues, eig.eigenvectors
-    accepted = vals <= cutoff
-    ambiguous = bool(np.any((vals > cutoff) & (vals < e0 + 0.5 - _CLUSTER_TOL)))
+        vals, vecs = eig.eigenvalues, eig.eigenvectors
+        acc_idx = np.flatnonzero(vals <= cutoff)
+        ambiguous |= bool(np.any((vals > cutoff) & (vals < e0 + 0.5 - _CLUSTER_TOL)))
+        accepted.append(vals[acc_idx])
+        if not acc_idx.size:
+            continue
+        for grp in _cluster(vals[acc_idx]):
+            u = vecs[:, acc_idx[grp]]
+            comp = u @ psi_plus_overlap(u, n)  # Pi_lambda psi_+
+            success += float(np.sum(comp[rows] ** 2))
+            p_ov += float(np.sum(comp**2))
+        min_p0 = min(min_p0, _min_p0_overlap(vecs[:, acc_idx], vals[acc_idx], rows))
 
-    rows = ground.ground_indices  # the full space's coordinates are basis indices
-    success = 0.0
-    p_ov = 0.0
-    acc_idx = np.flatnonzero(accepted)
-    for grp in _cluster(vals[acc_idx]) if acc_idx.size else []:
-        u = vecs[:, acc_idx[grp]]
-        comp = u @ psi_plus_overlap(u, n)  # Pi_lambda psi_+
-        success += float(np.sum(comp[rows] ** 2))
-        p_ov += float(np.sum(comp**2))
-    min_p0 = (_min_p0_overlap(vecs[:, acc_idx], vals[acc_idx], rows)
-              if acc_idx.size else 1.0)
-
-    if success <= 0.0:
-        exponent = float("inf")
-    else:
-        exponent = -0.5 * math.log2(success)
+    exponent = -0.5 * math.log2(success) if success > 0.0 else float("inf")
     return SimulationResult(
         success_prob=success,
         amplified_queries_exponent=exponent,
@@ -324,6 +327,6 @@ def simulate_algorithm1(analysis: Analysis) -> SimulationResult:
         speedup_bits=n / 2.0 - exponent,
         p_ov=p_ov,
         min_band_p0=min_p0,
-        accepted_eigenvalues=vals[accepted],
+        accepted_eigenvalues=np.sort(np.concatenate(accepted)),
         threshold_ambiguous=ambiguous,
     )

@@ -110,7 +110,7 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
     """Set omega = E_{0,1} (lowest eigenvalue of H_s, block-restricted for even
     K), build h(omega), and extract the positive ground vector xi0."""
     table = analysis.table
-    n0_eff = analysis.block_ground_indices.size
+    n0_eff = analysis.block_ground_coords.size
     omega = float(analysis.lowest(analysis.hs_spec, 1).eigenvalues[0])
     h = effective_hamiltonian(analysis, omega)
 

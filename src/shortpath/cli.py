@@ -1,9 +1,9 @@
 """Batch command-line surface and report serialization.
 
-One command per process.  Reports are JSON trees with every float carried as a
-decimal/hex pair (the hex form is the exact binary64 value), keys sorted, so
-identical configurations produce byte-identical files.  DOS histograms and
-eigenvalue lists also have CSV emitters for plotting.
+One command per process.  Reports are strict JSON trees with every float
+carried as a decimal/hex pair (the hex form is the exact binary64 value), keys
+sorted, so identical configurations at one BLAS thread count give byte-identical
+files.  DOS histograms and eigenvalue lists also have CSV emitters for plotting.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ class CliError(RuntimeError):
 # ---------------------------------------------------------------- serialization
 
 def _float_leaf(x: float) -> dict:
-    return {"dec": float(x), "hex": float(x).hex()}
+    # JSON has no infinity or NaN: their decimal is null, and hex keeps the value
+    return {"dec": float(x) if math.isfinite(x) else None, "hex": float(x).hex()}
 
 
 def to_jsonable(obj):
@@ -60,7 +61,7 @@ def to_jsonable(obj):
 
 def write_report(tree: dict, out_path: str | None) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **tree}
-    text = json.dumps(to_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(to_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:

@@ -2,8 +2,7 @@
 its ground space, the parity block, and the eigen-solves the pipelines share.
 
 For even K the block's operators and eigenvectors are in its 2^(N-1)
-coordinates; the Analysis lists its ground states as basis indices and as
-coordinates, in one order.
+coordinates, and the Analysis lists its ground states in those coordinates.
 
 The pipelines in `analyze` and `bwpt` take an Analysis rather than an
 instance, so H_Z is tabulated once and each spectrum is computed once per
@@ -28,7 +27,6 @@ from .hilbert import (
     OperatorSpec,
     coordinate_qubits,
     ground_space,
-    in_block,
 )
 from .instances import Instance
 
@@ -40,10 +38,10 @@ def choose_parity_block(ground: GroundSpaceInfo, k: int,
     if k % 2 == 1:
         return None
     if parity_choice is not None:
-        if not in_block(ground.ground_indices, parity_choice).size:
+        if not ground.coordinates(parity_choice).size:
             raise ValueError(f"no ground state of H_Z lies in the {parity_choice} block")
         return parity_choice
-    return "even" if in_block(ground.ground_indices, "even").size else "odd"
+    return "even" if ground.coordinates("even").size else "odd"
 
 
 class Analysis:
@@ -52,8 +50,8 @@ class Analysis:
 
     `spec` is the HS operator with no parity block; the block-restricted
     operators are derived from it.  The block is resolved on first use, so a
-    command that never restricts to it (simulate works in the full space)
-    does not reject a --parity choice.
+    command that never restricts to it (simulate solves both parity blocks
+    for even K, the full space for odd K) does not reject a --parity choice.
     """
 
     def __init__(self, instance: Instance, table: DiagonalTable, spec: OperatorSpec,
@@ -72,14 +70,10 @@ class Analysis:
         return choose_parity_block(self.ground, self.spec.k, self.parity_choice)
 
     @cached_property
-    def block_ground_indices(self) -> np.ndarray:
-        """Ground basis indices inside the block (all of them for odd K), sorted."""
-        return in_block(self.ground.ground_indices, self.block)
-
-    @cached_property
     def block_ground_coords(self) -> np.ndarray:
-        """The block's coordinates of block_ground_indices, in their order."""
-        return self.block_ground_indices & (self.block_dim - 1)
+        """The block's coordinates of the ground states inside it (their basis
+        indices for odd K), in index order."""
+        return self.ground.coordinates(self.block)
 
     @property
     def block_dim(self) -> int:
@@ -118,6 +112,6 @@ class Analysis:
     def eq01(self) -> float:
         """E^Q_{0,1}, the lowest eigenvalue of Q H_s Q in the block; infinite
         when the ground space fills the whole block (there are no Q states)."""
-        if self.block_dim == self.block_ground_indices.size:
+        if self.block_dim == self.block_ground_coords.size:
             return math.inf
         return float(self.lowest(self.qhsq_spec, 1).eigenvalues[0])

@@ -64,6 +64,16 @@ class GroundSpaceInfo:
     n0: int
     ground_indices: np.ndarray  # sorted basis indices
     gap_certified: bool
+    n_qubits: int
+
+    def coordinates(self, parity_block: str | None) -> np.ndarray:
+        """The block's coordinates u & (2^(N-1) - 1) of the ground states u of
+        its parity, in index order (all u for no block); see basis_indices."""
+        u = self.ground_indices
+        if parity_block is None:
+            return u
+        top = 1 << (self.n_qubits - 1)
+        return u[np.bitwise_count(u) % 2 == (parity_block == "odd")] & (top - 1)
 
 
 @dataclass(frozen=True)
@@ -156,22 +166,14 @@ def ground_space(table: DiagonalTable) -> GroundSpaceInfo:
     """
     ground = np.flatnonzero(table.energies <= table.e0 + DEGENERACY_TOL)
     certified = table.gap is None or table.gap >= 1 - 1e-9
-    return GroundSpaceInfo(
-        e0=table.e0, n0=int(ground.size), ground_indices=ground, gap_certified=certified
-    )
+    return GroundSpaceInfo(e0=table.e0, n0=int(ground.size), ground_indices=ground,
+                           gap_certified=certified, n_qubits=table.n_qubits)
 
 
 def coordinate_qubits(n_qubits: int, parity_block: str | None) -> int:
     """M: a parity block has 2^(N-1) coordinates, the full space 2^N.  A
     basis index u in the block has coordinate u & (2^M - 1)."""
     return n_qubits - (parity_block is not None)
-
-
-def in_block(indices: np.ndarray, parity_block: str | None) -> np.ndarray:
-    """The basis indices of the block's parity (all of them for no block)."""
-    if parity_block is None:
-        return indices
-    return indices[np.bitwise_count(indices) % 2 == (parity_block == "odd")]
 
 
 def basis_indices(coords: np.ndarray, n_qubits: int, parity_block: str | None) -> np.ndarray:
@@ -251,7 +253,7 @@ class MatrixFreeOperator(LinearOperator):
             self.diagonal = table.energies[basis_indices(np.arange(dim), n, block)]
         self.ground_coords = np.zeros(0, dtype=np.int64)
         if spec.kind == "QHSQ":
-            self.ground_coords = in_block(ground.ground_indices, block) & (dim - 1)
+            self.ground_coords = ground.coordinates(block)
             self.diagonal = self.diagonal.copy()
             self.diagonal[self.ground_coords] = self.norm_bound()
         super().__init__(np.float64, (dim, dim))

@@ -170,8 +170,11 @@ def test_mainconst_branch2_end_to_end(monkeypatch, k):
 
 @pytest.mark.parametrize("big_b,k", [(0.0, 1), (0.1, 1), (0.1, 2)])
 def test_simulate_doubles_until_past_the_cutoff(monkeypatch, big_b, k):
-    # n0 = 1 with a second level 0.1 above E0: both pairs of the first solve
-    # lie below E0 + 1/4, so simulate asks for twice as many
+    # n0 = 1 with a second level 0.1 above E0: both pairs of the first
+    # full-space solve lie below E0 + 1/4, so simulate asks for twice as many.
+    # For K=2 the ground state 111 is odd, and the even block's lowest level,
+    # 011, lies 0.1 above E0, so that block's one-pair solve is doubled
+    asks = [(None, 2), (None, 4)] if k % 2 else [("even", 1), ("even", 2), ("odd", 2)]
     inst = instances.build_instance(3, 1, [((0,), 1.0), ((1,), 1.0), ((2,), 0.05)])
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=big_b, k=k))
@@ -179,7 +182,7 @@ def test_simulate_doubles_until_past_the_cutoff(monkeypatch, big_b, k):
     lowest = a.lowest
 
     def spy(spec, how_many):
-        asked.append(how_many)
+        asked.append((spec.parity_block, how_many))
         got.append(lowest(spec, how_many))
         return got[-1]
 
@@ -193,15 +196,49 @@ def test_simulate_doubles_until_past_the_cutoff(monkeypatch, big_b, k):
     a.lowest = spy
     monkeypatch.setattr(eigensolve, "eigsh", counted)
     sim = analyze.simulate_algorithm1(a)
-    assert asked == [2, 4]
+    assert asked == asks
     # the second request extends the first solve: one ARPACK run per pair,
-    # and the first two pairs are kept bit for bit
+    # and the first solve's pairs are kept bit for bit
     assert len(runs) == 4
-    first, second = got
+    first, second = got[:2]
     for field in ("eigenvalues", "eigenvectors", "residuals"):
-        kept = getattr(second, field)[..., :2]
+        kept = getattr(second, field)[..., :first.eigenvalues.size]
         assert np.array_equal(kept, getattr(first, field)), field
     hs = np.diag(table.energies) - big_b * np.linalg.matrix_power(dense_x(3) / 3, k)
     dense = np.linalg.eigvalsh(hs)
     want = dense[dense <= table.e0 + 0.25 + 1e-8]
     np.testing.assert_allclose(sim.accepted_eigenvalues, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,seed,k,b", [
+    (8, 2, 2, 0.1),  # every ground state in the odd block
+    (9, 1, 2, 0.1),  # odd N: each level has one copy per block; 24 accepted
+    (9, 2, 4, 0.2)])
+def test_even_k_simulate_matches_the_dense_full_space(n, seed, k, b):
+    # simulate adds the two blocks' solves; the oracle projects psi_+ onto
+    # each degenerate eigenspace of the dense 2^N operator
+    inst = instances.generate("sk_pm", n, seed=seed)
+    table, spec = _spec_for(inst, b, k)
+    sim = analyze.simulate_algorithm1(_analysis(inst, spec))
+    dense = eigensolve.dense_spectrum(MatrixFreeOperator(spec, table))
+    vals, vecs = dense.eigenvalues, dense.eigenvectors
+    ground = hilbert.ground_space(table).ground_indices
+    cutoff = table.e0 + 0.25 + 1e-8
+    accepted = np.flatnonzero(vals <= cutoff)
+    psi = np.full(1 << n, 2.0 ** (-n / 2))
+    success = p_ov = 0.0
+    min_p0 = 1.0
+    for grp in np.split(accepted, np.flatnonzero(np.diff(vals[accepted]) > 1e-8) + 1):
+        u = vecs[:, grp]
+        comp = u @ (u.T @ psi)
+        success += comp[ground] @ comp[ground]
+        p_ov += comp @ comp
+        min_p0 = min(min_p0, np.linalg.eigvalsh(u[ground].T @ u[ground])[0])
+    if n == 9 and k == 2:
+        assert accepted.size == 24
+    np.testing.assert_allclose(sim.accepted_eigenvalues, vals[accepted], rtol=1e-12, atol=0)
+    assert sim.success_prob == pytest.approx(success, rel=0, abs=1e-12)
+    assert sim.p_ov == pytest.approx(p_ov, rel=0, abs=1e-12)
+    assert sim.min_band_p0 == pytest.approx(min_p0, rel=0, abs=1e-12)
+    ambiguous = np.any((vals > cutoff) & (vals < table.e0 + 0.5 - 1e-8))
+    assert sim.threshold_ambiguous == ambiguous

@@ -131,7 +131,7 @@ def test_phi_proportional_to_bw_series_sum():
     v = -spec.big_b * xk
     resolvent = np.diag(1.0 / (ctx.omega - energies))
     xi_full = np.zeros(dim)
-    xi_full[a.block_ground_indices] = ctx.xi0
+    xi_full[a.block_ground_coords] = ctx.xi0
     series = np.zeros(dim)
     term = (ctx.omega - table.e0 - ctx.zeta) * (resolvent @ xi_full)
     for _ in range(400):
@@ -161,7 +161,8 @@ def _full_index_walk(ctx, a, samples, seed):
     t_max = 10 * math.ceil(
         spec.big_b * n / (2 * a.instance.degree * spec.k * abs(table.e0))) + 100
     rng = np.random.default_rng(seed)
-    states = rng.choice(a.block_ground_indices, size=samples,
+    starts = hilbert.basis_indices(a.block_ground_coords, n, a.block)
+    states = rng.choice(starts, size=samples,
                         p=ctx.xi0 / ctx.xi0.sum()).astype(np.int64)
     is_ground = np.zeros(1 << n, dtype=bool)
     is_ground[a.ground.ground_indices] = True

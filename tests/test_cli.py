@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,26 @@ def test_float_leaves_carry_hex(tmp_path):
     leaf = doc["instance"]["e0"]
     assert set(leaf) == {"dec", "hex"}
     assert float.fromhex(leaf["hex"]) == leaf["dec"]
+
+
+def _reject(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_non_finite_floats_write_strict_json(tmp_path):
+    # on one qubit log2(N) = 0, so b_over_log2n is infinite; a one-sample
+    # walk has an infinite standard error
+    inst = tmp_path / "one.txt"
+    instances.save_instance(instances.build_instance(1, 1, [((0,), 1.0)]), str(inst))
+    rep, walk = tmp_path / "report.json", tmp_path / "walk.json"
+    assert run_cli(["report", "--in", inst, "--b", 0.5, "--K", 2, "--out", rep]) == 0
+    assert run_cli(["walk", "--in", _gen(tmp_path), "--b", 0.1, "--K", 1,
+                    "--samples", 1, "--out", walk]) == 0
+    for path in (rep, walk):
+        text = path.read_text()
+        json.loads(text, parse_constant=_reject)
+        leaves = re.findall(r'"dec": null,\s*"hex": "(.*?)"', text)
+        assert leaves and set(leaves) <= {"inf", "-inf", "nan"}, path.name
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -299,7 +320,7 @@ def test_s_outside_the_unit_interval_exits_nonzero(tmp_path, s):
 
 def test_simulate_accepts_a_parity_block_it_does_not_use(tmp_path):
     # sk_pm N=8 seed 2 has all four ground states in the odd block; simulate
-    # works in the full space, so --parity even changes nothing there
+    # solves both blocks whatever the choice, so --parity even changes nothing there
     inst = _gen(tmp_path, n=8, seed=2)
     args = ["--in", inst, "--B", 0.2, "--K", 2]
     plain, even = tmp_path / "plain.json", tmp_path / "even.json"
@@ -313,13 +334,14 @@ def test_simulate_accepts_a_parity_block_it_does_not_use(tmp_path):
 
 @pytest.mark.parametrize("k,solves", [(1, 3), (2, 4), (3, 3)])
 def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
-    # H_s (in the block for even K, then in the full space for simulate),
-    # QH_sQ and bw's J0 + V; E_{0,1} is read from the H_s band solve
+    # H_s (for even K in the ground states' block, then in the other block
+    # for simulate), QH_sQ and bw's J0 + V; E_{0,1} is read from the H_s band
+    # solve, and for even K no solve spans the 2^N full space
     calls = []
     solve = eigensolve.extreme_eigs
 
     def counted(op, how_many, *args):
-        calls.append((op.spec, how_many))
+        calls.append((op.spec, how_many, op.shape))
         return solve(op, how_many, *args)
 
     monkeypatch.setattr(eigensolve, "extreme_eigs", counted)
@@ -327,3 +349,14 @@ def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
     assert run_cli(["report", "--in", inst, "--B", 0.2, "--K", k,
                     "--samples", 300, "--out", tmp_path / "report.json"]) == 0
     assert len(calls) == solves, calls
+    if k % 2 == 0:
+        assert all(shape == (1 << 7, 1 << 7) for *_, shape in calls), calls
+
+
+def test_even_k_simulate_reads_the_band_of_its_report(sk8_report):
+    # sk_pm N=8 seed 2 accepts only odd-block eigenvalues, and simulate reads
+    # them from the block solve the spectrum section's band comes from
+    _inst, report = sk8_report(2)
+    accepted = [leaf["hex"] for leaf in report["simulate"]["accepted_eigenvalues"]]
+    band = [leaf["hex"] for leaf in report["spectrum"]["band"]]
+    assert accepted and accepted == band[:len(accepted)]

@@ -341,7 +341,7 @@ def test_memo_prefix_equals_a_fresh_solve(model, n, seed, k, monkeypatch):
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=0.1 * abs(table.e0), k=k))
     ks = _record_eigsh_k(monkeypatch)
-    big = a.lowest(a.hs_spec, a.block_ground_indices.size + 1)
+    big = a.lowest(a.hs_spec, a.block_ground_coords.size + 1)
     if model == "pairs":
         assert ks == [1, 32, 1]
     one = a.lowest(a.hs_spec, 1)
