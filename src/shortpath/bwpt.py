@@ -10,9 +10,7 @@ read the diagonal of J_0 + V, the operator the exact resummation solves with.
 
 Every function takes a `context.Analysis`, which supplies the table, the
 ground space, the parity block and the spectra: omega = E_{0,1}, psi_{0,1}
-and E^Q_{0,1} are the Analysis's memoized solves, shared with `analyze`.  The
-one eigen-solve made here is the lowest eigenvalue of J_0 + V, whose
-diagonal is shifted by zeta and so is not a problem of the Analysis.
+and E^Q_{0,1} are the Analysis's memoized solves, shared with `analyze`.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ class BwContext:
     """Self-consistent effective-Hamiltonian data at the Analysis's field.
 
     xi0 is the positive unit ground vector of h(omega) over the Analysis's
-    block ground indices.
+    block ground coordinates.
     """
 
     zeta: float
@@ -69,7 +67,7 @@ class WalkEstimate:
 
 
 def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
-    """h(omega) over the block ground indices at the Analysis's field B,
+    """h(omega) over the block ground coordinates at the Analysis's field B,
     geometric series resummed: h = E0*I + M1 + M2 with M2 from one Q-subspace
     solve per column.
 
@@ -108,7 +106,13 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
 
 def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwContext:
     """Set omega = E_{0,1} (lowest eigenvalue of H_s, block-restricted for even
-    K), build h(omega), and extract the positive ground vector xi0."""
+    K), build h(omega), and extract the positive ground vector xi0.
+
+    Certifies that the zeta-shifted series converges, i.e. that J0 + V - omega
+    is positive definite, by omega < lambda_0(h(omega)) + zeta; raises
+    BwptError otherwise, so phi_exact and walk_estimate never see a divergent
+    series.
+    """
     table = analysis.table
     n0_eff = analysis.block_ground_coords.size
     omega = float(analysis.lowest(analysis.hs_spec, 1).eigenvalues[0])
@@ -133,6 +137,13 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
             )
         xi0 = np.clip(xi0, 0.0, None)
         xi0 /= np.linalg.norm(xi0)
+    # Q(J0 + V)Q = QH_sQ lies above omega, so by Haynsworth inertia additivity
+    # J0 + V - omega is positive definite iff its Schur complement h + zeta - omega is
+    if not omega < lam + zeta - 1e-12:
+        raise BwptError(
+            f"omega={omega} is not below lambda_0(h(omega)) + zeta = {lam + zeta}: "
+            f"the series does not converge at zeta={zeta}; use a larger, positive --zeta"
+        )
     return BwContext(
         zeta=zeta, omega=omega, xi0=xi0, fixed_point_residual=abs(lam - omega),
     )
@@ -150,18 +161,14 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
     """Resum the phi series exactly: solve (omega - J0 - V) x = (omega - J0) xi0.
 
     The right-hand side is ground-supported, so (omega - J0) xi0 collapses to
-    (omega - E0 - zeta) * xi0.  Verifies that x is the H_s eigenvector at omega
-    and fills the overlap report.  phi is in the block's coordinates.
+    (omega - E0 - zeta) * xi0.  omega lies below the spectrum of J0 + V, as
+    solve_self_consistent certified for ctx.  Verifies that x is the H_s
+    eigenvector at omega and fills the overlap report.  phi is in the block's
+    coordinates.
     """
     table, spec = analysis.table, analysis.spec
     n = table.n_qubits
     op = _j0_plus_v_operator(analysis, ctx.zeta)
-    lam_min = float(eigensolve.extreme_eigs(op, 1).eigenvalues[0])
-    if not ctx.omega < lam_min - 1e-12:
-        raise BwptError(
-            f"omega={ctx.omega} is not below the spectrum of J0 + V "
-            f"(lambda_min={lam_min}); the series does not converge"
-        )
     rhs = np.zeros(analysis.block_dim)
     rhs[analysis.block_ground_coords] = (ctx.omega - table.e0 - ctx.zeta) * ctx.xi0
     phi = eigensolve.solve_shifted(op, ctx.omega, rhs)
@@ -193,24 +200,12 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
         phi_norm=phi_norm,
         analytic_bound=(
             2.0 ** (-n / 2.0)
-            * analytic_lower_bound(n, d, spec.k, spec.big_b, table.e0)[0]
+            * math.exp(bounds.overlap_exponent(n, d, spec.k, spec.big_b, table.e0))
             if table.e0 < 0 else float("nan")
         ),
         log2_overlap_margin=math.log2(inner_phi) + n / 2.0 if inner_phi > 0 else float("-inf"),
     )
     return phi, report
-
-
-def analytic_lower_bound(n_qubits: int, degree: int, k: int, big_b: float,
-                         e0: float) -> tuple[float, float]:
-    """Leading factor exp(BN / (2DK|E0|)) of the overlap lower bound, and its
-    log2.  The unquantified (1 - o(1)) correction is not applied."""
-    if e0 >= 0:
-        raise BwptError(f"analytic bound requires E0 < 0, got {e0}")
-    if min(n_qubits, degree, k) < 1:
-        raise BwptError("N, D, K must all be >= 1")
-    exponent = bounds.overlap_exponent(n_qubits, degree, k, big_b, e0)
-    return math.exp(exponent), exponent / math.log(2.0)
 
 
 def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,

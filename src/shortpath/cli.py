@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zeta", type=float, default=bwpt.DEFAULT_ZETA)
+    p.add_argument("--zeta", type=float, default=bwpt.DEFAULT_ZETA,
+                   help="BW shift of J0 = H_Z + zeta*P; must be positive to converge")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_walk)
 
@@ -417,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants")
     p.add_argument("--samples", type=int, default=2000, help="walk samples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zeta", type=float, default=bwpt.DEFAULT_ZETA)
+    p.add_argument("--zeta", type=float, default=bwpt.DEFAULT_ZETA,
+                   help="BW shift of J0 = H_Z + zeta*P; must be positive to converge")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report, csv=None, fit_window=None)
 

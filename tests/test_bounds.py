@@ -263,6 +263,11 @@ def test_hassoln_clamps_small_k():
     assert rep.terms[1] == 0.0 and rep.terms[3] == 0.0
 
 
+def test_overlap_exponent_value():
+    assert bounds.overlap_exponent(10, 2, 2, 1.5, -15.0) == pytest.approx(
+        1.5 * 10 / (2 * 2 * 2 * 15.0))
+
+
 def test_classical_baseline_hand_instance():
     inst = hand_single_term()
     table = evaluate_hz(inst)

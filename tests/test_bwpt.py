@@ -1,6 +1,7 @@
 """Brillouin-Wigner effective Hamiltonian, exact resummation, walk estimator."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -233,9 +234,23 @@ def test_walk_is_seed_deterministic():
     assert a.series_estimate == b.series_estimate
 
 
-def test_analytic_lower_bound_value():
-    val, log2v = bwpt.analytic_lower_bound(10, 2, 2, 1.5, -15.0)
-    assert val == pytest.approx(np.exp(1.5 * 10 / (2 * 2 * 2 * 15.0)))
-    assert log2v == pytest.approx(np.log2(val))
-    with pytest.raises(BwptError):
-        bwpt.analytic_lower_bound(10, 2, 2, 1.5, 0.0)
+def test_convergence_check_agrees_with_the_dense_j0_plus_v_spectrum():
+    # the series converges iff J0 + V - omega is positive definite; the check
+    # reads it from h(omega) and must agree with the dense spectrum of J0 + V
+    verdicts = set()
+    for model, n, k, b in itertools.product(("sk_pm", "sk_gaussian"), (6, 8),
+                                            (1, 2, 3), (0.1, 0.2)):
+        a = _setup(instances.generate(model, n, seed=1), b=b, k=k)
+        omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
+        for zeta in (0.5, 1e-3, 0.0, -0.1):
+            dense = eigensolve.operator_matrix(bwpt._j0_plus_v_operator(a, zeta))
+            diverges = np.linalg.eigvalsh(dense)[0] <= omega + 1e-12
+            try:
+                bwpt.solve_self_consistent(a, zeta=zeta)
+                raised = False
+            except BwptError as exc:
+                assert "--zeta" in str(exc)
+                raised = True
+            assert raised == diverges, (model, n, k, b, zeta)
+            verdicts.add(raised)
+    assert verdicts == {True, False}
