@@ -10,8 +10,10 @@ whose states are indexed by their low N-1 bits, as the parity fixes the top one.
 H_Z is tabulated by one Walsh-Hadamard transform of the term weights, a matmul
 per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.  X = sum_i X_i
 applies its low min(N, 5) qubits as one matmul against the 32 x 32 hypercube
-adjacency matrix and each higher qubit as an in-place add of a reversed view;
-(X/N)^K chains K of those.
+adjacency matrix and each higher qubit as an in-place add of a reversed view.
+X is diagonal in the Walsh-Hadamard basis, so for every K >= 2
+(X/N)^K = H diag(((N - 2|h|)/N)^K) H / 2^M is one pair of those transforms,
+whatever K is; K = 1 is one X step.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _CUBE_ADJACENCY = (np.bitwise_count(np.arange(1 << _BLOCK_BITS)[:, None]
                                     ^ np.arange(1 << _BLOCK_BITS)) == 1).astype(np.float64)
 _HADAMARD = (-1.0) ** np.bitwise_count(np.arange(1 << _BLOCK_BITS)[:, None]
                                        & np.arange(1 << _BLOCK_BITS))
+_NO_COORDS = np.zeros(0, dtype=np.int64)
 
 
 class BudgetError(RuntimeError):
@@ -108,20 +111,23 @@ class OperatorSpec:
 
 def _walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform c[u] <- sum_m c[m] (-1)^popcount(u & m)
-    of a contiguous 2^N vector.  c is scratch: the result is returned, in c or
-    in one new 2^N vector as the parity of the chunk count ceil(N/5) picks.
+    of a contiguous 2^N vector, or of each column of a column-major (2^N, m)
+    batch.  c is scratch: the result is returned, in c or in one new array of
+    its shape and layout, as the parity of the chunk count ceil(N/5) picks.
 
     Chunk j transforms bits 5j..5j+4 (b <= 5 of them) by one matmul against
     the Sylvester matrix on the middle axis of the (2^(N-5j-b), 2^b, 2^(5j))
-    view, summed in matmul order."""
+    view, summed in matmul order.  A batch's columns lie one after another,
+    so its column index is just more high bits of that view."""
+    flat = c.reshape(-1, order="F")
     b = min(n_qubits, _BLOCK_BITS)
-    src, dst = (c.reshape(-1, 1 << b) @ _HADAMARD[:1 << b, :1 << b]).ravel(), c
+    src, dst = (flat.reshape(-1, 1 << b) @ _HADAMARD[:1 << b, :1 << b]).ravel(), flat
     for low in range(b, n_qubits, _BLOCK_BITS):
         b = min(n_qubits - low, _BLOCK_BITS)
         shape = (-1, 1 << b, 1 << low)
         np.matmul(_HADAMARD[:1 << b, :1 << b], src.reshape(shape), out=dst.reshape(shape))
         src, dst = dst, src
-    return src
+    return src.reshape(c.shape, order="F")
 
 
 def energy_of(instance: Instance, u: int) -> float:
@@ -212,20 +218,45 @@ def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     return out
 
 
+def _xk_scale(n_qubits: int, k: int, low: int) -> np.ndarray:
+    """((N - 2|h|)/N)^K / 2^M for every h < 2^M, |h| = popcount(h): (X/N)^K
+    in the Walsh-Hadamard basis of M = `low` coordinate bits, times the
+    1/2^M of a transform pair."""
+    per_weight = ((n_qubits - 2.0 * np.arange(low + 1)) / n_qubits) ** k / (1 << low)
+    return per_weight[np.bitwise_count(np.arange(1 << low, dtype=np.uint32))]
+
+
 def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int,
-                     parity_block: str | None = None) -> np.ndarray:
-    """(X/N)^K as K successive applications of X/N, dividing in place so at
-    most the input and two iterates are alive.  In block coordinates X_i
-    (i < N-1) flips bit i and X_{N-1} keeps them all, so X is the (N-1)-qubit
-    X plus the identity: it maps a block onto the other's same coordinates."""
+                     parity_block: str | None = None, zero: np.ndarray = _NO_COORDS,
+                     scale: np.ndarray | None = None) -> np.ndarray:
+    """(X/N)^K on a vector or a (2^M, m) batch of amplitudes in the
+    coordinates of a parity block (M = N-1) or of the full space (M = N),
+    reading the coordinates in `zero` as 0.  amps is not changed.
+
+    In block coordinates X_i (i < N-1) flips bit i and X_{N-1} keeps them
+    all, so X is the M-qubit X plus the identity: it maps a block onto the
+    other's same coordinates.  Either way X has eigenvalue N - 2|h| on the
+    Walsh-Hadamard vector h of the M coordinate bits.  K = 1 is one X step.
+    Every K >= 2 is one copy, a transform, a multiply by _xk_scale (`scale`,
+    or built here) and a transform.  The copy is column-major, so a batch
+    gives the same bits in either layout.  Besides the input, two arrays of
+    its size are the peak; a scale built here adds under half of one."""
     low = coordinate_qubits(n_qubits, parity_block)
-    for _ in range(k):
+    if k == 1:
+        if zero.size:
+            amps = amps.copy()
+            amps[zero] = 0.0
         out = _apply_x(amps, low)
         if low < n_qubits:
             out += amps
         out /= n_qubits
-        amps = out
-    return amps
+        return out
+    c = np.array(amps, order="F")
+    c[zero] = 0.0
+    c = _walsh_hadamard(c, low)
+    # a batch's c.T is (m, 2^M); a scale built here is gone before the transform
+    np.multiply(c.T, _xk_scale(n_qubits, k, low) if scale is None else scale, out=c.T)
+    return _walsh_hadamard(c, low)
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -234,9 +265,11 @@ class MatrixFreeOperator(LinearOperator):
     It is the LinearOperator of its spec on the 2^M coordinates of its parity
     block (M = N - 1) or of the full space (M = N), which the eigensolvers and
     the shifted linear solves use as it is.  `diagonal` holds H_Z in that
-    order.  QHSQ keeps its block's coordinates: the rows and columns of its
-    `ground_coords` are zeroed and norm_bound() is put on their diagonal, so
-    they carry no eigenvalue below the spectrum of Q H_s Q.
+    order, and `xk_scale` (for K >= 2) the Walsh-Hadamard spectrum of
+    (X/N)^K, built once for all of its products.  QHSQ keeps its block's
+    coordinates: the rows and columns of its `ground_coords` are zeroed and
+    norm_bound() is put on their diagonal, so they carry no eigenvalue below
+    the spectrum of Q H_s Q.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
@@ -256,6 +289,8 @@ class MatrixFreeOperator(LinearOperator):
             self.ground_coords = ground.coordinates(block)
             self.diagonal = self.diagonal.copy()
             self.diagonal[self.ground_coords] = self.norm_bound()
+        self.xk_scale = (_xk_scale(n, spec.k, coordinate_qubits(n, block))
+                         if spec.big_b != 0.0 and spec.k > 1 else None)
         super().__init__(np.float64, (dim, dim))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
@@ -267,10 +302,8 @@ class MatrixFreeOperator(LinearOperator):
         diag = self.diagonal if amps.ndim == 1 else self.diagonal[:, None]
         out = diag * amps
         if spec.big_b != 0.0:
-            if g.size:
-                amps = amps.copy()
-                amps[g] = 0.0
-            xk = _apply_xk_over_n(amps, self.n_qubits, spec.k, spec.parity_block)
+            xk = _apply_xk_over_n(amps, self.n_qubits, spec.k, spec.parity_block, g,
+                                  self.xk_scale)
             xk[g] = 0.0
             out -= spec.big_b * xk
         return out

@@ -379,3 +379,21 @@ def test_even_k_simulate_reads_the_band_of_its_report(sk8_report):
     accepted = [leaf["hex"] for leaf in report["simulate"]["accepted_eigenvalues"]]
     band = [leaf["hex"] for leaf in report["spectrum"]["band"]]
     assert accepted and accepted == band[:len(accepted)]
+
+
+def test_large_k_report_band_matches_the_dense_block_spectrum(tmp_path):
+    # K = 27 is what thm3 picks for --alpha 1.5 --c 0.7 --n 14 --C 1
+    inst = _gen(tmp_path, n=10, seed=3)
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--in", inst, "--b", 0.1, "--K", 27, "--out", out]) == 0
+    doc = _load(out)
+    spectrum = doc["spectrum"]
+    spec = hilbert.OperatorSpec("HS", big_b=float.fromhex(doc["config"]["resolved_big_b"]["hex"]),
+                                k=27, parity_block=spectrum["block"])
+    table = hilbert.evaluate_hz(instances.load_instance(str(inst)))
+    dense = eigensolve.dense_spectrum(hilbert.MatrixFreeOperator(spec, table),
+                                      want_vectors=False).eigenvalues
+    band = [float.fromhex(leaf["hex"]) for leaf in spectrum["band"]]
+    assert band
+    for got, want in zip(band, dense):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
