@@ -23,7 +23,13 @@ import numpy as np
 from . import bounds, eigensolve
 from .context import Analysis
 from .context import choose_parity_block  # noqa: F401  (stays importable from bwpt)
-from .hilbert import MatrixFreeOperator, _apply_xk_over_n, basis_indices, psi_plus_overlap
+from .hilbert import (
+    MatrixFreeOperator,
+    _apply_xk_over_n,
+    basis_indices,
+    flip_lift,
+    psi_plus_overlap,
+)
 
 DEFAULT_ZETA = 0.5
 _WALK_CUTOFF = 1e-16  # relative size of the last walk term kept
@@ -69,7 +75,11 @@ class WalkEstimate:
 def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
     """h(omega) over the block ground coordinates at the Analysis's field B,
     geometric series resummed: h = E0*I + M1 + M2 with M2 from one Q-subspace
-    solve per column.
+    solve per column.  With flip sectors the global flip F reverses the
+    block's coordinates and commutes with Q H_s Q and V, so the ground states
+    come in pairs u, 2^M - 1 - u, the first and last of the sorted
+    coordinates inward; only the first half is solved, and each column of the
+    second half is its partner's column reversed.
 
     omega must lie strictly below E^Q_{0,1}, the lowest eigenvalue of Q H_s Q.
     """
@@ -90,7 +100,8 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
         """V = -B (X/N)^K applied to amplitudes in the block's coordinates."""
         return -spec.big_b * _apply_xk_over_n(amps, table.n_qubits, spec.k, analysis.block)
 
-    for col, u in enumerate(idx):
+    half = n // 2 if analysis.flip_sectors else n
+    for col, u in enumerate(idx[:half]):
         e_u = np.zeros(analysis.block_dim)
         e_u[u] = 1.0
         v_u = v_apply(e_u)
@@ -98,6 +109,8 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
         # the solve ignores v_u on the ground coordinates, so Q v_u is implied
         x_u = eigensolve.solve_shifted(qhsq, omega, v_u)
         h[:, col] += v_apply(x_u)[idx]
+    if half < n:  # x and v of 2^M - 1 - u are those of u reversed
+        h[:, half:] = h[::-1, :half][:, ::-1]
     asym = np.max(np.abs(h - h.T), initial=0.0)
     if asym > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise BwptError(f"effective Hamiltonian asymmetry {asym:.3e} exceeds tolerance")
@@ -106,7 +119,9 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
 
 def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwContext:
     """Set omega = E_{0,1} (lowest eigenvalue of H_s, block-restricted for even
-    K), build h(omega), and extract the positive ground vector xi0.
+    K), build h(omega), and extract the positive ground vector xi0.  With flip
+    sectors xi0 comes from h's F = +1 block, where psi_+ lies: a global-flip
+    pair of h's lowest level keeps one copy there.
 
     Certifies that the zeta-shifted series converges, i.e. that J0 + V - omega
     is positive definite, by omega < lambda_0(h(omega)) + zeta; raises
@@ -125,9 +140,14 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
         xi0 = np.full(n0_eff, n0_eff**-0.5)
         lam = table.e0
     else:
-        vals, vecs = np.linalg.eigh(h)
+        if analysis.flip_sectors:
+            lift = flip_lift(np.eye(n0_eff // 2), 1)
+            vals, vecs = np.linalg.eigh(lift.T @ h @ lift)
+            xi0 = flip_lift(vecs[:, 0], 1)
+        else:
+            vals, vecs = np.linalg.eigh(h)
+            xi0 = vecs[:, 0]
         lam = float(vals[0])
-        xi0 = vecs[:, 0]
         if xi0.sum() < 0:
             xi0 = -xi0
         if np.min(xi0) < -1e-10:

@@ -9,6 +9,13 @@ instance, so H_Z is tabulated once and each spectrum is computed once per
 analysis: `lowest` keeps one solve per operator spec, serves every request
 for its m lowest pairs from it, and extends it when more pairs are asked.
 The memo lives and dies with the Analysis object.
+
+For an even D the global flip F commutes with H_s, and where it keeps the
+block's coordinates (odd K on the full space, or even K on a block of even
+N) it reverses them.  There every level comes as an F = +1 and F = -1 copy,
+often split by less than 1e-9, so `lowest` solves the two flip sectors of
+2^(M-1) coordinates apart and merges their spectra; the caller still gets
+the block's pairs in the block's coordinates (see hilbert.flip_lift).
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .hilbert import (
     MatrixFreeOperator,
     OperatorSpec,
     coordinate_qubits,
+    flip_lift,
     ground_space,
 )
 from .instances import Instance
@@ -81,6 +89,19 @@ class Analysis:
         return 1 << coordinate_qubits(self.table.n_qubits, self.block)
 
     @property
+    def flip_sectors(self) -> bool:
+        """Whether the block's spectra are solved in the two flip sectors:
+        H_s commutes with the global flip F, which reverses its coordinates."""
+        return self._in_flip_sectors(self.hs_spec)
+
+    def _in_flip_sectors(self, spec: OperatorSpec) -> bool:
+        """An even D, and odd K on the full space or even K on a block of
+        even N; a spec that already names its sector is solved as it is."""
+        return (self.instance.degree % 2 == 0 and spec.flip_sector is None
+                and (spec.parity_block is None) == (spec.k % 2 == 1)
+                and (spec.parity_block is None or self.table.n_qubits % 2 == 0))
+
+    @property
     def hs_spec(self) -> OperatorSpec:
         """H_s = H_Z - sB(X/N)^K restricted to the block."""
         return replace(self.spec, parity_block=self.block)
@@ -100,13 +121,64 @@ class Analysis:
         are returned.  The arrays are shared between callers and read-only."""
         eig = self._solved.get(spec)
         if eig is None or eig.eigenvalues.size < how_many:
-            eig = eigensolve.extreme_eigs(self.operator(spec), how_many, eig)
-            for arr in (eig.eigenvalues, eig.eigenvectors, eig.residuals):
-                arr.flags.writeable = False
-            self._solved[spec] = eig
+            if self._in_flip_sectors(spec):
+                eig = self._store(spec, self._merge_flip_sectors(spec, how_many))
+            else:
+                eig = self._store(spec, eigensolve.extreme_eigs(self.operator(spec),
+                                                                how_many, eig))
         return eigensolve.EigenResult(eig.eigenvalues[:how_many],
                                       eig.eigenvectors[:, :how_many],
                                       eig.residuals[:how_many])
+
+    def _store(self, spec: OperatorSpec,
+               eig: eigensolve.EigenResult) -> eigensolve.EigenResult:
+        for arr in (eig.eigenvalues, eig.eigenvectors, eig.residuals):
+            arr.flags.writeable = False
+        self._solved[spec] = eig
+        return eig
+
+    def _merge_flip_sectors(self, spec: OperatorSpec,
+                            how_many: int) -> eigensolve.EigenResult:
+        """At least `how_many` lowest pairs of `spec` from its F = +1 and F = -1
+        sectors, each solved and memoized under its own spec, with the
+        vectors lifted to the block's coordinates; F = +1 first on a tie.
+
+        A fresh request asks ceil(how_many / 2) pairs of each sector.  The
+        merged values up to the lowest highest-found value of a sector that
+        still has unsolved coordinates are the lowest of the block; while
+        fewer than `how_many` are, that sector is extended by the pairs
+        missing."""
+        sectors = [replace(spec, flip_sector=f) for f in (1, -1)]
+        ops = [self.operator(s) for s in sectors]
+        free = [op.shape[0] - op.ground_coords.size for op in ops]
+        if how_many > sum(free):
+            raise eigensolve.EigensolveError(
+                f"requested {how_many} eigenpairs but the deflated subspace has "
+                f"dimension {sum(free)}")
+
+        def solve(i: int, count: int) -> None:
+            self._store(sectors[i], eigensolve.extreme_eigs(ops[i], count,
+                                                            self._solved.get(sectors[i])))
+
+        for i, s in enumerate(sectors):
+            if s not in self._solved:
+                solve(i, min(-(-how_many // 2), free[i]))
+        while True:
+            found = [self._solved[s] for s in sectors]
+            open_tops = [(float(eig.eigenvalues[-1]), i) for i, eig in enumerate(found)
+                         if eig.eigenvalues.size < free[i]]
+            vals = np.concatenate([eig.eigenvalues for eig in found])
+            bound = min(open_tops)[0] if open_tops else np.inf
+            certified = int(np.count_nonzero(vals <= bound))
+            if certified >= how_many:
+                break
+            i = min(open_tops)[1]
+            solve(i, min(found[i].eigenvalues.size + how_many - certified, free[i]))
+        order = np.argsort(vals, kind="stable")[:certified]
+        vectors = np.hstack([flip_lift(eig.eigenvectors, s.flip_sector)
+                             for eig, s in zip(found, sectors)])
+        return eigensolve.EigenResult(vals[order], vectors[:, order],
+                                      np.concatenate([eig.residuals for eig in found])[order])
 
     @property
     def eq01(self) -> float:

@@ -6,6 +6,10 @@ gives the Z_i eigenvalue with 0 -> +1 and 1 -> -1.  Every operator handled here
 real-symmetric in this basis.  A state is a float64 array of 2^M amplitudes:
 M = N in the full space, or M = N-1 in a Hamming-weight parity block (even K),
 whose states are indexed by their low N-1 bits, as the parity fixes the top one.
+For an even degree D the global flip F = X_0...X_{N-1} commutes with every
+operator here; where it keeps those coordinates (the full space, or a block of
+even N) it reverses them, u -> 2^M - 1 - u, and a flip sector f = +1 or -1 has
+2^(M-1) coordinates: h < 2^(M-1) stands for (|h> + f|2^M - 1 - h>)/sqrt(2).
 
 H_Z is tabulated by one Walsh-Hadamard transform of the term weights, a matmul
 per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.  X = sum_i X_i
@@ -88,12 +92,15 @@ class OperatorSpec:
     built.  QHSQ is HS conjugated by the excited-space projector Q.
     `parity_block` restricts HS or QHSQ to the even or odd Hamming-weight
     basis states; it needs an even K, for which HS is block diagonal.
+    `flip_sector` (+1 or -1) further restricts them to that eigenspace of the
+    global flip F, which needs an even D and, in a block, an even N.
     """
 
     kind: str
     big_b: float = 0.0
     k: int = 1
     parity_block: str | None = None
+    flip_sector: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("X", "HS", "QHSQ"):
@@ -107,6 +114,10 @@ class OperatorSpec:
         if self.parity_block is not None and self.k % 2:
             raise ValueError(f"a parity block needs an even K, got K={self.k}: X^K "
                              "for odd K maps each block to the other")
+        if self.flip_sector not in (None, 1, -1):
+            raise ValueError(f"flip_sector must be +1 or -1, got {self.flip_sector!r}")
+        if self.flip_sector is not None and self.kind == "X":
+            raise ValueError("flip sectors restrict HS or QHSQ, not X")
 
 
 def _walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -176,10 +187,18 @@ def ground_space(table: DiagonalTable) -> GroundSpaceInfo:
                            gap_certified=certified, n_qubits=table.n_qubits)
 
 
-def coordinate_qubits(n_qubits: int, parity_block: str | None) -> int:
+def coordinate_qubits(n_qubits: int, parity_block: str | None,
+                      flip_sector: int | None = None) -> int:
     """M: a parity block has 2^(N-1) coordinates, the full space 2^N.  A
-    basis index u in the block has coordinate u & (2^M - 1)."""
-    return n_qubits - (parity_block is not None)
+    basis index u in the block has coordinate u & (2^M - 1).  A flip sector
+    halves either."""
+    return n_qubits - (parity_block is not None) - (flip_sector is not None)
+
+
+def flip_lift(amps: np.ndarray, flip_sector: int) -> np.ndarray:
+    """Amplitudes of flip-sector coordinates, a vector or a (2^(M-1), m)
+    batch, in the coordinates they are a sector of: [s; f s[::-1]] / sqrt(2)."""
+    return np.concatenate([amps, flip_sector * amps[::-1]]) * np.sqrt(0.5)
 
 
 def basis_indices(coords: np.ndarray, n_qubits: int, parity_block: str | None) -> np.ndarray:
@@ -218,31 +237,43 @@ def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     return out
 
 
-def _xk_scale(n_qubits: int, k: int, low: int) -> np.ndarray:
+def _xk_scale(n_qubits: int, k: int, low: int,
+              flip_sector: int | None = None) -> np.ndarray:
     """((N - 2|h|)/N)^K / 2^M for every h < 2^M, |h| = popcount(h): (X/N)^K
     in the Walsh-Hadamard basis of M = `low` coordinate bits, times the
-    1/2^M of a transform pair."""
-    per_weight = ((n_qubits - 2.0 * np.arange(low + 1)) / n_qubits) ** k / (1 << low)
-    return per_weight[np.bitwise_count(np.arange(1 << low, dtype=np.uint32))]
+    1/2^M of a transform pair.
+
+    The Walsh-Hadamard vector h of the M + 1 bits a flip sector halves has
+    F = (-1)^|h|, so the sector keeps, for each h over its M low bits, the one
+    top bit t = (|h| + [f = -1]) mod 2 of that sign: its scale has weight
+    |h| + t.  The sector's sqrt(2)^2 cancels against the halved transform."""
+    per_weight = ((n_qubits - 2.0 * np.arange(low + 2)) / n_qubits) ** k / (1 << low)
+    weight = np.bitwise_count(np.arange(1 << low, dtype=np.uint32))
+    if flip_sector is not None:
+        weight += (weight + (flip_sector < 0)) % 2
+    return per_weight[weight]
 
 
 def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int,
                      parity_block: str | None = None, zero: np.ndarray = _NO_COORDS,
-                     scale: np.ndarray | None = None) -> np.ndarray:
+                     scale: np.ndarray | None = None,
+                     flip_sector: int | None = None) -> np.ndarray:
     """(X/N)^K on a vector or a (2^M, m) batch of amplitudes in the
     coordinates of a parity block (M = N-1) or of the full space (M = N),
-    reading the coordinates in `zero` as 0.  amps is not changed.
+    or of a flip sector of either (one bit fewer), reading the coordinates
+    in `zero` as 0.  amps is not changed.
 
     In block coordinates X_i (i < N-1) flips bit i and X_{N-1} keeps them
     all, so X is the M-qubit X plus the identity: it maps a block onto the
     other's same coordinates.  Either way X has eigenvalue N - 2|h| on the
-    Walsh-Hadamard vector h of the M coordinate bits.  K = 1 is one X step.
-    Every K >= 2 is one copy, a transform, a multiply by _xk_scale (`scale`,
-    or built here) and a transform.  The copy is column-major, so a batch
-    gives the same bits in either layout.  Besides the input, two arrays of
-    its size are the peak; a scale built here adds under half of one."""
-    low = coordinate_qubits(n_qubits, parity_block)
-    if k == 1:
+    Walsh-Hadamard vector h of the M coordinate bits.  K = 1 is one X step,
+    outside a flip sector.  Every other K is one copy, a transform, a
+    multiply by _xk_scale (`scale`, or built here) and a transform.  The copy
+    is column-major, so a batch gives the same bits in either layout.
+    Besides the input, two arrays of its size are the peak; a scale built
+    here adds under half of one."""
+    low = coordinate_qubits(n_qubits, parity_block, flip_sector)
+    if k == 1 and flip_sector is None:
         if zero.size:
             amps = amps.copy()
             amps[zero] = 0.0
@@ -255,7 +286,8 @@ def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int,
     c[zero] = 0.0
     c = _walsh_hadamard(c, low)
     # a batch's c.T is (m, 2^M); a scale built here is gone before the transform
-    np.multiply(c.T, _xk_scale(n_qubits, k, low) if scale is None else scale, out=c.T)
+    np.multiply(c.T, _xk_scale(n_qubits, k, low, flip_sector) if scale is None else scale,
+                out=c.T)
     return _walsh_hadamard(c, low)
 
 
@@ -263,13 +295,15 @@ class MatrixFreeOperator(LinearOperator):
     """Bound operator: an OperatorSpec attached to an instance's diagonal table.
 
     It is the LinearOperator of its spec on the 2^M coordinates of its parity
-    block (M = N - 1) or of the full space (M = N), which the eigensolvers and
-    the shifted linear solves use as it is.  `diagonal` holds H_Z in that
-    order, and `xk_scale` (for K >= 2) the Walsh-Hadamard spectrum of
-    (X/N)^K, built once for all of its products.  QHSQ keeps its block's
-    coordinates: the rows and columns of its `ground_coords` are zeroed and
-    norm_bound() is put on their diagonal, so they carry no eigenvalue below
-    the spectrum of Q H_s Q.
+    block (M = N - 1) or of the full space (M = N), or on the first half of
+    them for a flip sector (see flip_lift), which the eigensolvers and the
+    shifted linear solves use as it is.  `diagonal` holds H_Z in that order,
+    and `xk_scale` (for K >= 2, or any K in a flip sector) the
+    Walsh-Hadamard spectrum of (X/N)^K, built once for all of its products.
+    QHSQ keeps its block's coordinates: the rows and columns of its
+    `ground_coords` are zeroed and norm_bound() is put on their diagonal, so
+    they carry no eigenvalue below the spectrum of Q H_s Q.  In a flip sector
+    the ground coordinate of a pair {g, 2^M - 1 - g} is the smaller one.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
@@ -277,20 +311,32 @@ class MatrixFreeOperator(LinearOperator):
         self.spec = spec
         self.table = table
         self.n_qubits = n = table.n_qubits
-        block = spec.parity_block
-        dim = 1 << coordinate_qubits(n, block)
+        block, flip = spec.parity_block, spec.flip_sector
+        full = 1 << coordinate_qubits(n, block)
+        dim = full >> (flip is not None)
         if spec.kind == "QHSQ" and ground is None:
             raise ValueError("QHSQ requires ground-space info")
+        if flip is not None and block is not None and n % 2:
+            raise ValueError(f"the global flip maps each parity block of N={n} onto "
+                             "the other, so a block has no flip sectors")
         self.diagonal = table.energies
         if block is not None:
-            self.diagonal = table.energies[basis_indices(np.arange(dim), n, block)]
+            self.diagonal = table.energies[basis_indices(np.arange(full), n, block)]
+        if flip is not None:
+            if np.max(np.abs(self.diagonal - self.diagonal[::-1])) > DEGENERACY_TOL:
+                raise ValueError("H_Z is not symmetric under the global flip (an odd "
+                                 "degree D), so it has no flip sectors")
+            self.diagonal = self.diagonal[:dim]
         self.ground_coords = np.zeros(0, dtype=np.int64)
         if spec.kind == "QHSQ":
             self.ground_coords = ground.coordinates(block)
+            if flip is not None:
+                self.ground_coords = np.unique(np.minimum(self.ground_coords,
+                                                          full - 1 - self.ground_coords))
             self.diagonal = self.diagonal.copy()
             self.diagonal[self.ground_coords] = self.norm_bound()
-        self.xk_scale = (_xk_scale(n, spec.k, coordinate_qubits(n, block))
-                         if spec.big_b != 0.0 and spec.k > 1 else None)
+        self.xk_scale = (_xk_scale(n, spec.k, coordinate_qubits(n, block, flip), flip)
+                         if spec.big_b != 0.0 and (spec.k > 1 or flip is not None) else None)
         super().__init__(np.float64, (dim, dim))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
@@ -303,7 +349,7 @@ class MatrixFreeOperator(LinearOperator):
         out = diag * amps
         if spec.big_b != 0.0:
             xk = _apply_xk_over_n(amps, self.n_qubits, spec.k, spec.parity_block, g,
-                                  self.xk_scale)
+                                  self.xk_scale, spec.flip_sector)
             xk[g] = 0.0
             out -= spec.big_b * xk
         return out

@@ -74,6 +74,61 @@ def test_effective_hamiltonian_matches_dense_oracle(make, k):
     assert np.allclose(h, expect, rtol=0, atol=1e-12 * abs(a.table.e0))
 
 
+def _h_per_column(a, omega):
+    """h(omega) with one Q-subspace solve for every ground coordinate."""
+    n, spec = a.table.n_qubits, a.spec
+    idx = a.block_ground_coords
+    qhsq = a.operator(a.qhsq_spec)
+    h = a.table.e0 * np.eye(idx.size)
+    for col, u in enumerate(idx):
+        e_u = np.zeros(a.block_dim)
+        e_u[u] = 1.0
+        v_u = -spec.big_b * hilbert._apply_xk_over_n(e_u, n, spec.k, a.block)
+        x_u = eigensolve.solve_shifted(qhsq, omega, v_u)
+        h[:, col] += (v_u - spec.big_b * hilbert._apply_xk_over_n(x_u, n, spec.k, a.block))[idx]
+    return 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("make, k", [
+    pytest.param(lambda: disjoint_pairs(10), 2, id="pairs10-K2-block"),
+    pytest.param(lambda: disjoint_pairs(8), 3, id="pairs8-K3"),
+    pytest.param(lambda: instances.generate("sk_pm", 10, seed=3), 2, id="sk_pm10-K2-block"),
+    pytest.param(lambda: instances.generate("sk_pm", 10, seed=3), 3, id="sk_pm10-K3"),
+])
+def test_effective_hamiltonian_solves_one_column_per_flip_pair(make, k, monkeypatch):
+    # the global flip reverses the block's coordinates and commutes with
+    # QH_sQ and V, so the column of 2^M - 1 - u is u's reversed: one shifted
+    # solve per ground pair, and h equals the one-solve-per-column build
+    a = _setup(make(), b=0.1, k=k)
+    assert a.flip_sectors
+    g = a.block_ground_coords
+    assert np.array_equal(g[::-1], a.block_dim - 1 - g)
+    omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
+    solves = []
+    solve = eigensolve.solve_shifted
+    monkeypatch.setattr(eigensolve, "solve_shifted",
+                        lambda *args: solves.append(1) or solve(*args))
+    h = bwpt.effective_hamiltonian(a, omega)
+    assert len(solves) == g.size // 2
+    want = _h_per_column(a, omega)
+    assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_xi0_comes_from_the_flip_symmetric_block_of_h():
+    # sk_pm N=8 seed 2 at B=0.2, K=1: h's lowest level is a global-flip pair
+    # split by less than 1e-12, but its F = +1 block's lowest is simple
+    inst = instances.generate("sk_pm", 8, seed=2)
+    table = hilbert.evaluate_hz(inst)
+    a = Analysis(inst, table, OperatorSpec("HS", big_b=0.2, k=1))
+    ctx = bwpt.solve_self_consistent(a)
+    vals = np.linalg.eigvalsh(bwpt.effective_hamiltonian(a, ctx.omega))
+    assert vals[1] - vals[0] < 1e-9 < vals[2] - vals[0]
+    assert np.max(np.abs(ctx.xi0 - ctx.xi0[::-1])) <= 1e-15
+    assert ctx.fixed_point_residual < 1e-12
+    _phi, overlap = bwpt.phi_exact(ctx, a)
+    assert overlap.xi0_l1 == pytest.approx(float(ctx.xi0.sum()))
+
+
 def test_effective_hamiltonian_rejects_omega_above_q_spectrum():
     inst = hand_single_term()
     a = _setup(inst, b=0.1, k=1)

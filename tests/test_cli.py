@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,30 @@ def test_walk_command(tmp_path):
     doc = _load(rep)
     assert doc["bw"]["walk"]["samples"] == 1000
     assert "series_exact" in doc["bw"]
+
+
+def test_walk_on_a_flip_pair_of_h_writes_its_overlap(tmp_path):
+    # h(omega)'s lowest level is a global-flip pair here; xi0 is taken from
+    # its F = +1 block, so phi aligns with the H_s ground state
+    inst = _gen(tmp_path, n=8, seed=2)
+    rep = tmp_path / "walk.json"
+    assert run_cli(["walk", "--in", inst, "--B", 0.2, "--K", 1,
+                    "--samples", 300, "--out", rep]) == 0
+    bw = _load(rep)["bw"]
+    assert "overlap" in bw and "overlap_error" not in bw
+
+
+@pytest.mark.parametrize("n,seed,k", [(16, 3, 2), (12, 0, 1), (10, 0, 1)])
+def test_report_on_a_near_degenerate_flip_pair_writes_its_overlap(tmp_path, n, seed, k):
+    # H_s's ground state and the F = -1 level above it are split by 1.6e-10
+    # at N=16 (K=2); an eigensolve of the whole block returned a mix of the
+    # two, and phi_exact's alignment check failed on it
+    inst = _gen(tmp_path, n=n, seed=seed)
+    rep = tmp_path / "report.json"
+    assert run_cli(["report", "--in", inst, "--b", 0.1, "--K", k,
+                    "--samples", 100, "--out", rep]) == 0
+    bw = _load(rep)["bw"]
+    assert "overlap" in bw and "overlap_error" not in bw
 
 
 def test_report_leaves_the_baseline_out_when_d_is_not_2(tmp_path):
@@ -354,8 +379,9 @@ def test_simulate_accepts_a_parity_block_it_does_not_use(tmp_path):
 @pytest.mark.parametrize("k,solves", [(1, 2), (2, 3), (3, 2)])
 def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
     # H_s (for even K in the ground states' block, then in the other block
-    # for simulate) and QH_sQ; E_{0,1} is read from the H_s band solve, and
-    # for even K no solve spans the 2^N full space
+    # for simulate) and QH_sQ; E_{0,1} is read from the H_s band solve.  D = 2
+    # and N = 8 is even, so each spectrum is one solve in each global-flip
+    # sector, on 2^(M-1) coordinates: for even K no solve spans the block
     calls = []
     solve = eigensolve.extreme_eigs
 
@@ -367,9 +393,14 @@ def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
     inst = _gen(tmp_path, n=8, seed=2)
     assert run_cli(["report", "--in", inst, "--B", 0.2, "--K", k,
                     "--samples", 300, "--out", tmp_path / "report.json"]) == 0
-    assert len(calls) == solves, calls
-    if k % 2 == 0:
-        assert all(shape == (1 << 7, 1 << 7) for *_, shape in calls), calls
+    assert len(calls) == 2 * solves, calls
+    specs = [spec for spec, *_ in calls]
+    assert len(set(specs)) == len(specs), calls
+    spectra = [replace(spec, flip_sector=None) for spec in specs]
+    assert all(spectra.count(spec) == 2 for spec in spectra), calls
+    assert sorted(spec.flip_sector for spec in specs) == [-1] * solves + [1] * solves
+    half = 1 << (8 - 1 - (k % 2 == 0))
+    assert all(shape == (half, half) for *_, shape in calls), calls
 
 
 def test_even_k_simulate_reads_the_band_of_its_report(sk8_report):

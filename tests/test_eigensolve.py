@@ -1,5 +1,7 @@
 """Eigensolvers (iterative vs dense oracle), shifted solves, block lemma."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -335,21 +337,33 @@ def _record_eigsh_k(monkeypatch, tamper=None):
     # 33 pairs: the 32 above the lowest come from one wide run
     ("pairs", 10, 0, 2)])
 def test_memo_prefix_equals_a_fresh_solve(model, n, seed, k, monkeypatch):
-    # the lowest pair served from a larger solve carries the same bits as a
-    # solve for that pair alone, residual included
+    # D = 2 and N is even, so the block's spectrum is merged from one solve
+    # per global-flip sector of 2^(M-1) coordinates.  The lowest pair served
+    # from a larger solve is H_s's Perron ground state, in F = +1: it carries
+    # the bits of a solve of that sector for that pair alone, residual
+    # included, lifted to the block's coordinates
     inst = disjoint_pairs(n) if model == "pairs" else instances.generate(model, n, seed=seed)
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=0.1 * abs(table.e0), k=k))
     ks = _record_eigsh_k(monkeypatch)
     big = a.lowest(a.hs_spec, a.block_ground_coords.size + 1)
     if model == "pairs":
-        assert ks == [1, 32, 1]
+        # 17 pairs per sector: the 16 above the lowest come from one wide run
+        assert ks == [1, 16, 1] * 2
+    runs = len(ks)
+    plus_spec = replace(a.hs_spec, flip_sector=1)
+    plus = a.lowest(plus_spec, 1)
     one = a.lowest(a.hs_spec, 1)
+    assert len(ks) == runs
     assert np.shares_memory(one.eigenvectors, big.eigenvectors)
     assert not one.eigenvalues.flags.writeable
-    fresh = extreme_eigs(a.operator(a.hs_spec), 1)
+    fresh = extreme_eigs(a.operator(plus_spec), 1)
+    assert fresh.eigenvectors.shape == (a.block_dim // 2, 1)
     for name in ("eigenvalues", "eigenvectors", "residuals"):
-        assert np.array_equal(getattr(one, name), getattr(fresh, name)), name
+        assert np.array_equal(getattr(plus, name), getattr(fresh, name)), name
+    assert np.array_equal(one.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(one.residuals, fresh.residuals)
+    assert np.array_equal(one.eigenvectors, hilbert.flip_lift(fresh.eigenvectors, 1))
 
 
 def _count_applies(monkeypatch):
@@ -479,3 +493,69 @@ def test_three_pairs_or_fewer_run_one_at_a_time(monkeypatch):
     ks.clear()
     extreme_eigs(op, 5, extreme_eigs(op, 2))
     assert ks == [1, 1, 3, 1]
+
+
+@pytest.mark.parametrize("make, k", [
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 1, id="sk_pm8-K1"),
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 2, id="sk_pm8-K2-block"),
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 3, id="sk_pm8-K3"),
+    pytest.param(lambda: disjoint_pairs(8), 2, id="pairs8-K2-block"),
+    pytest.param(lambda: disjoint_pairs(8), 3, id="pairs8-K3"),
+    pytest.param(lambda: instances.generate("sk_pm", 9, seed=1), 1, id="sk_pm9-K1"),
+    pytest.param(hand_triangle, 1, id="triangle-K1"),
+])
+def test_merged_flip_sectors_match_the_dense_block_spectrum(make, k):
+    # H_s in the block (and for even K in the other block) and QH_sQ, merged
+    # from their two flip sectors, against the dense spectrum of the block
+    # operator with QH_sQ's ground coordinates cut out: eigenvalues to 1e-12
+    # relative, and the same projector on every eigenspace of the m lowest
+    inst = make()
+    table = hilbert.evaluate_hz(inst)
+    a = Analysis(inst, table, OperatorSpec("HS", big_b=0.3 * abs(table.e0), k=k))
+    assert a.flip_sectors
+    other = {"even": "odd", "odd": "even"}.get(a.block)
+    specs = [a.hs_spec, a.qhsq_spec] + ([replace(a.hs_spec, parity_block=other)]
+                                        if other else [])
+    for spec in specs:
+        op = a.operator(spec)
+        keep = np.setdiff1d(np.arange(op.shape[0]), op.ground_coords)
+        vals, vecs = np.linalg.eigh(operator_matrix(op)[np.ix_(keep, keep)])
+        # the most pairs up to 8 past n0 that cut no level
+        m = min(keep.size, a.block_ground_coords.size + 8)
+        while m < keep.size and vals[m] - vals[m - 1] < 1e-6:
+            m -= 1
+        got = a.lowest(spec, m)
+        np.testing.assert_allclose(got.eigenvalues, vals[:m], rtol=1e-12, atol=0)
+        for grp in np.split(np.arange(m), np.flatnonzero(np.diff(vals[:m]) > 1e-8) + 1):
+            u = got.eigenvectors[np.ix_(keep, grp)]
+            w = vecs[:, grp]
+            assert np.max(np.abs(u @ u.T - w @ w.T)) < 1e-8, (spec, grp)
+
+
+def _hand_d3():
+    return instances.build_instance(
+        6, 3, [((0, 1, 2), 1.0), ((1, 3, 5), -2.0), ((2, 4, 5), 3.0), ((0, 3, 4), -1.0)])
+
+
+@pytest.mark.parametrize("make, k", [
+    pytest.param(_hand_d3, 1, id="D3-K1"),
+    pytest.param(_hand_d3, 2, id="D3-K2-block"),
+    pytest.param(lambda: instances.generate("sk_pm", 9, seed=1), 2, id="oddN-K2-block"),
+])
+def test_odd_degree_and_odd_n_blocks_solve_the_block(make, k, monkeypatch):
+    # F anticommutes with an odd-D H_Z, and for odd N it swaps the parity
+    # blocks, so these spectra are the block's own solve, bit for bit
+    inst = make()
+    table = hilbert.evaluate_hz(inst)
+    a = Analysis(inst, table, OperatorSpec("HS", big_b=0.3 * abs(table.e0), k=k))
+    assert not a.flip_sectors
+    calls = []
+    solve = eigensolve.extreme_eigs
+    monkeypatch.setattr(eigensolve, "extreme_eigs",
+                        lambda op, m, *args: calls.append(op.spec) or solve(op, m, *args))
+    got = a.lowest(a.hs_spec, 3)
+    assert np.isfinite(a.eq01)
+    assert calls == [a.hs_spec, a.qhsq_spec]
+    fresh = solve(a.operator(a.hs_spec), 3)
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(got, name), getattr(fresh, name)), name

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,47 @@ def test_xk_over_n_matches_dense_power(n):
         np.testing.assert_allclose(got_c, expect @ batch, rtol=0, atol=1e-13)
         got_f = hilbert._apply_xk_over_n(np.asfortranarray(batch), n, k, block)
         assert np.array_equal(got_f, got_c), (k, block)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_flip_sector_operator_is_the_projected_block_operator(n):
+    # a flip-sector operator is L^T op L, L = flip_lift: the isometry onto
+    # (|h> + f|2^M - 1 - h>)/sqrt(2); F keeps a block's coordinates for even N
+    table = evaluate_hz(instances.generate("sk_pm", n, seed=2))
+    ground = ground_space(table)
+    assert ground.n0 > 1
+    cases = 0
+    for k, kind, f in itertools.product([1, 2, 3, 8, 27], ["HS", "QHSQ"], [1, -1]):
+        blocks = [None] + (["even", "odd"] if k % 2 == 0 and n % 2 == 0 else [])
+        for block in blocks:
+            spec = OperatorSpec(kind, big_b=1.3, k=k, parity_block=block)
+            whole = _dense(MatrixFreeOperator(spec, table, ground))
+            op = MatrixFreeOperator(replace(spec, flip_sector=f), table, ground)
+            lift = hilbert.flip_lift(np.eye(op.shape[0]), f)
+            assert op.shape[0] == whole.shape[0] // 2
+            want = lift.T @ whole @ lift
+            np.testing.assert_allclose(_dense(op), want, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(want)))
+            cases += 1
+    assert cases == (36 if n % 2 == 0 else 20)
+
+
+def _dense(op):
+    return op.apply(np.eye(op.shape[0]))
+
+
+def test_flip_sectors_need_a_flip_symmetric_coordinate_space():
+    table = evaluate_hz(instances.generate("sk_pm", 7, seed=1))
+    with pytest.raises(ValueError, match="onto the other"):
+        MatrixFreeOperator(OperatorSpec("HS", big_b=1.0, k=2, parity_block="even",
+                                        flip_sector=1), table)
+    with pytest.raises(ValueError, match="odd degree"):
+        MatrixFreeOperator(OperatorSpec("HS", big_b=1.0, k=1, flip_sector=-1),
+                           evaluate_hz(_hand_d3()))
+    with pytest.raises(ValueError, match="flip_sector"):
+        OperatorSpec("HS", flip_sector=0)
+    with pytest.raises(ValueError, match="not X"):
+        OperatorSpec("X", flip_sector=1)
 
 
 def test_operator_bits_do_not_depend_on_blas_threads():
