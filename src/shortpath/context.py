@@ -8,7 +8,9 @@ The pipelines in `analyze` and `bwpt` take an Analysis rather than an
 instance, so H_Z is tabulated once and each spectrum is computed once per
 analysis: `lowest` keeps one solve per operator spec, serves every request
 for its m lowest pairs from it, and extends it when more pairs are asked.
-The memo lives and dies with the Analysis object.
+The memo lives and dies with the Analysis object.  Building an Analysis and
+its operators needs numpy alone; scipy is imported by the first solve that
+runs ARPACK (see eigensolve).
 
 For an even D the global flip F commutes with H_s, and where it keeps the
 block's coordinates (odd K on the full space, or even K on a block of even

@@ -1,8 +1,10 @@
 """Eigenpairs and shifted linear solves for the matrix-free operators.
 
-Both solvers use the operator as the LinearOperator it is on its 2^M
-coordinates and speak those coordinates to their callers: eigenvectors,
-right-hand sides and solutions are never expanded to 2^N.
+Both solvers work on the operator's 2^M coordinates and speak those
+coordinates to their callers: eigenvectors, right-hand sides and solutions are
+never expanded to 2^N.  Each product with the operator is one call of its
+`apply`, looked up at call time, so a wrapper of MatrixFreeOperator.apply sees
+every product.
 
 extreme_eigs runs ARPACK (scipy's eigsh, seeded for its restarts too; Lehoucq,
 Sorensen and Yang, ARPACK Users' Guide, 1998) with the converged vectors
@@ -10,7 +12,11 @@ lifted out of the way, so every copy of a degenerate level is found.  The
 lowest pair has a run of its own.  When at least 3 pairs remain and a wide
 Krylov basis for them fits a byte budget, one run finds them all and one more
 run checks that nothing below them was missed; otherwise, or when the wide run
-fails to converge or the check fails, each pair is one run.
+fails to converge or the check fails, each pair is one run.  scipy is
+imported on the first ARPACK run, not with this module, so a command that
+solves no eigenproblem never loads it; `eigsh`, `LinearOperator` and
+`ArpackNoConvergence` are module attributes from their first access on
+(PEP 562), and a stand-in bound to one of them beforehand is kept.
 
 solve_shifted solves (shift - op) x = rhs for a shift below the spectrum of
 op, where op - shift is positive definite, by conjugate gradients (Hestenes
@@ -26,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .hilbert import MatrixFreeOperator, basis_indices
 
@@ -39,6 +44,24 @@ _CHECK_TOL = 1e-8              # ARPACK tolerance of the completeness check
 _CHECK_SLACK = 1e-9            # its room below the top pair, relative to max(1, |top|)
 _SHIFTED_REL_TOL = 1e-10  # certified true residual of solve_shifted
 _CG_REL_TOL = 1e-13       # recurrence residual at which its iteration stops
+_SCIPY_NAMES = ("ArpackNoConvergence", "LinearOperator", "eigsh")  # see _load_scipy
+
+
+def _load_scipy() -> None:
+    """Bind _SCIPY_NAMES from scipy.sparse.linalg into this module, keeping
+    any name already bound."""
+    import scipy.sparse.linalg
+
+    for name in _SCIPY_NAMES:
+        globals().setdefault(name, getattr(scipy.sparse.linalg, name))
+
+
+def __getattr__(name: str):
+    """The names of _SCIPY_NAMES, imported on first access (PEP 562)."""
+    if name not in _SCIPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_scipy()
+    return globals()[name]
 
 
 class EigensolveError(RuntimeError):
@@ -64,7 +87,7 @@ def operator_matrix(op: MatrixFreeOperator) -> np.ndarray:
             f"dimension {1 << op.n_qubits} exceeds the dense cap {DENSE_DIM_CAP}; "
             "use extreme_eigs for the low spectrum"
         )
-    return op.matmat(np.eye(op.shape[0]))
+    return op.apply(np.eye(op.shape[0]))
 
 
 def dense_spectrum(op: MatrixFreeOperator, want_vectors: bool = True) -> EigenResult:
@@ -107,16 +130,23 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
         found = EigenResult(np.zeros(0), np.zeros((op.shape[0], 0)), np.zeros(0))
     known = found.eigenvalues.size
     if op.shape[0] < 2:  # ARPACK needs k < n; here how_many == free_dim == 1
-        vals, ys = np.linalg.eigh(op.matmat(np.eye(1)))
+        vals, ys = np.linalg.eigh(op.apply(np.eye(1)))
     else:
+        _load_scipy()
         dim = op.shape[0]
         rng = np.random.default_rng(_START_SEED)
         lift = 2.0 * op.norm_bound()
         ys = found.eigenvectors
         vals = np.zeros(0)
-        # reads ys at call time, so each run sees every vector found before it
-        lifted = LinearOperator(op.shape, dtype=np.float64,
-                                matvec=lambda y: op.matvec(y) + lift * (ys @ (ys.T @ y)))
+
+        def lifted_matvec(y):
+            # reads ys at call time, so each run sees every vector found before it
+            out = op.apply(y)
+            if ys.shape[1]:
+                out += lift * (ys @ (ys.T @ y))
+            return out
+
+        lifted = LinearOperator(op.shape, dtype=np.float64, matvec=lifted_matvec)
 
         def run(k, tol, ncv=None):
             v0 = rng.standard_normal(dim)
@@ -161,7 +191,7 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     order = np.argsort(vals, kind="stable")
     vals, ys = vals[order], ys[:, order]
     # one norm per vector, so a pair's residual does not depend on how_many
-    residuals = np.array([np.linalg.norm(op.matvec(y) - lam * y)
+    residuals = np.array([np.linalg.norm(op.apply(y) - lam * y)
                           for lam, y in zip(vals, ys.T)])
     return EigenResult(eigenvalues=np.concatenate([found.eigenvalues, vals]),
                        eigenvectors=np.hstack([found.eigenvectors, ys]),
@@ -201,7 +231,7 @@ def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.n
     precond = 1.0 / denom
 
     def shifted(y: np.ndarray) -> np.ndarray:
-        return op.matvec(y) - shift * y
+        return op.apply(y) - shift * y
 
     x = np.zeros_like(b)
     r = b.copy()

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .instances import Instance
 
@@ -291,19 +290,20 @@ def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int,
     return _walsh_hadamard(c, low)
 
 
-class MatrixFreeOperator(LinearOperator):
+class MatrixFreeOperator:
     """Bound operator: an OperatorSpec attached to an instance's diagonal table.
 
-    It is the LinearOperator of its spec on the 2^M coordinates of its parity
-    block (M = N - 1) or of the full space (M = N), or on the first half of
-    them for a flip sector (see flip_lift), which the eigensolvers and the
-    shifted linear solves use as it is.  `diagonal` holds H_Z in that order,
-    and `xk_scale` (for K >= 2, or any K in a flip sector) the
-    Walsh-Hadamard spectrum of (X/N)^K, built once for all of its products.
-    QHSQ keeps its block's coordinates: the rows and columns of its
-    `ground_coords` are zeroed and norm_bound() is put on their diagonal, so
-    they carry no eigenvalue below the spectrum of Q H_s Q.  In a flip sector
-    the ground coordinate of a pair {g, 2^M - 1 - g} is the smaller one.
+    It acts by `apply` on the 2^M coordinates of its parity block (M = N - 1)
+    or of the full space (M = N), or on the first half of them for a flip
+    sector (see flip_lift), and `shape` is (dim, dim) for that dimension;
+    every solver in `eigensolve` calls `apply` for each of its products.
+    `diagonal` holds H_Z in that order, and `xk_scale` (for K >= 2, or any K
+    in a flip sector) the Walsh-Hadamard spectrum of (X/N)^K, built once for
+    all of its products.  QHSQ keeps its block's coordinates: the rows and
+    columns of its `ground_coords` are zeroed and norm_bound() is put on their
+    diagonal, so they carry no eigenvalue below the spectrum of Q H_s Q.  In a
+    flip sector the ground coordinate of a pair {g, 2^M - 1 - g} is the
+    smaller one.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
@@ -337,7 +337,7 @@ class MatrixFreeOperator(LinearOperator):
             self.diagonal[self.ground_coords] = self.norm_bound()
         self.xk_scale = (_xk_scale(n, spec.k, coordinate_qubits(n, block, flip), flip)
                          if spec.big_b != 0.0 and (spec.k > 1 or flip is not None) else None)
-        super().__init__(np.float64, (dim, dim))
+        self.shape = (dim, dim)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Apply to amplitudes in the operator's coordinates, a vector or a
@@ -353,16 +353,6 @@ class MatrixFreeOperator(LinearOperator):
             xk[g] = 0.0
             out -= spec.big_b * xk
         return out
-
-    # these call apply rather than alias it, so a wrapper of apply sees every product
-    def _matvec(self, y: np.ndarray) -> np.ndarray:
-        return self.apply(y.ravel())
-
-    def _matmat(self, ys: np.ndarray) -> np.ndarray:
-        return self.apply(ys)
-
-    def _adjoint(self) -> MatrixFreeOperator:
-        return self  # real symmetric
 
     def norm_bound(self) -> float:
         """Cheap upper bound on the spectral radius (|H_Z| <= J_tot, |(X/N)^K| <= 1)."""

@@ -284,6 +284,39 @@ def test_console_entry_point_runs():
     assert doc["parameter_choice"]["regime"] == "low"
 
 
+_SCIPY_PROBE = """
+import json, sys
+from shortpath import cli
+d = sys.argv[1]
+inst = d + "/inst.txt"
+loaded = {"import": "scipy.sparse" in sys.modules}
+for argv in (
+    ["gen", "--model", "sk_pm", "--n", "6", "--seed", "1", "--out", inst],
+    ["dos", "--in", inst, "--out", d + "/dos.json"],
+    ["baseline", "--in", inst, "--out", d + "/baseline.json"],
+    ["thm3", "--alpha", "1.5", "--c", "1", "--n", "1000", "--C", "1", "--out", d + "/t3.json"],
+    ["spectrum", "--in", inst, "--b", "0.1", "--K", "2", "--out", d + "/spec.json"],
+):
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = "scipy.sparse" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_an_eigensolve_imports_scipy(tmp_path):
+    # the test process has imported scipy already, so a fresh interpreter runs the
+    # commands in order; only spectrum, the first to run ARPACK, may load it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": False, "gen": False, "dos": False,
+                                       "baseline": False, "thm3": False,
+                                       "spectrum": True}
+
+
 def test_max_qubits_reaches_every_pipeline(tmp_path, monkeypatch):
     # the library default budget is lowered below N; each command must use
     # the table built under its own --max-qubits instead of tabulating again

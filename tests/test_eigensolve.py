@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from shortpath import bwpt, cli, eigensolve, hilbert, instances
 from shortpath.context import Analysis
@@ -493,6 +493,35 @@ def test_three_pairs_or_fewer_run_one_at_a_time(monkeypatch):
     ks.clear()
     extreme_eigs(op, 5, extreme_eigs(op, 2))
     assert ks == [1, 1, 3, 1]
+
+
+def test_each_product_is_an_arpack_matvec_or_a_residual(monkeypatch):
+    # perfbench divides the apply calls under extreme_eigs by the pairs it
+    # returns: each call must be one product ARPACK asked for, or the one
+    # residual product of a returned pair
+    applies, matvecs = [], []
+    apply = MatrixFreeOperator.apply
+    monkeypatch.setattr(MatrixFreeOperator, "apply",
+                        lambda self, amps: applies.append(1) or apply(self, amps))
+    real = eigensolve.eigsh
+
+    def counted(a, k, **kwargs):
+        def matvec(y):
+            matvecs.append(1)
+            return a.matvec(y)
+
+        return real(LinearOperator(a.shape, dtype=a.dtype, matvec=matvec), k=k, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "eigsh", counted)
+    op = _pairs10(2, "even")
+    found = extreme_eigs(op, 2)
+    # a fresh solve, whose first run has nothing to lift, and an extended one
+    for prior, how_many, new in ((None, 4, 4), (found, 5, 3)):
+        applies.clear()
+        matvecs.clear()
+        extreme_eigs(op, how_many, prior)
+        assert matvecs
+        assert len(applies) == len(matvecs) + new
 
 
 @pytest.mark.parametrize("make, k", [
