@@ -18,7 +18,6 @@ from .hilbert import (
     DiagonalTable,
     GroundSpaceInfo,
     OperatorSpec,
-    _apply_x,
     _apply_xk_over_n,
     _walsh_hadamard,
 )
@@ -160,13 +159,14 @@ def state_entropy_checks(amps: np.ndarray, k: int) -> EntropyCheckReport:
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise BoundsError("state must be normalized")
     s_comp = shannon_entropy_bits(amps**2)
-    x_exp = float(amps @ _apply_x(amps, n))
+    x_exp = n * float(amps @ _apply_xk_over_n(amps, n, 1))
     sx_ok = tau(min(1.0, s_comp / n)) >= x_exp / n - 1e-9
 
+    # the sequence normalizes X^i psi, so it can apply X/N
     entropies = [s_comp]
     cur = amps
     for _ in range(k):
-        nxt = _apply_x(cur, n)
+        nxt = _apply_xk_over_n(cur, n, 1)
         nrm = np.linalg.norm(nxt)
         if nrm == 0.0:
             raise BoundsError("X annihilated the state (N = 0 edge case)")

@@ -16,7 +16,7 @@ and E^Q_{0,1} are the Analysis's memoized solves, shared with `analyze`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,7 +98,8 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
 
     def v_apply(amps: np.ndarray) -> np.ndarray:
         """V = -B (X/N)^K applied to amplitudes in the block's coordinates."""
-        return -spec.big_b * _apply_xk_over_n(amps, table.n_qubits, spec.k, analysis.block)
+        return -spec.big_b * _apply_xk_over_n(amps, table.n_qubits, spec.k, analysis.block,
+                                              scale=qhsq.xk_scale)
 
     half = n // 2 if analysis.flip_sectors else n
     for col, u in enumerate(idx[:half]):
@@ -202,8 +203,14 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
             f"exceeds 1e-8 * |phi|"
         )
     # a contiguous copy: the memo may hold more pairs, and BLAS sums a
-    # strided column in another order
-    psi01 = np.ascontiguousarray(analysis.lowest(analysis.hs_spec, 1).eigenvectors[:, 0])
+    # strided column in another order.  With flip sectors psi_{0,1} is the
+    # F = +1 sector's lowest, where psi_+ and xi0 lie: the merged lowest pair
+    # can be its F = -1 copy when the two are split at rounding level
+    if analysis.flip_sectors:
+        plus = analysis.lowest(replace(analysis.hs_spec, flip_sector=1), 1)
+        psi01 = flip_lift(plus.eigenvectors[:, 0], 1)
+    else:
+        psi01 = np.ascontiguousarray(analysis.lowest(analysis.hs_spec, 1).eigenvectors[:, 0])
     if psi01.sum() < 0:
         psi01 = -psi01
     align = float(phi @ psi01) / phi_norm

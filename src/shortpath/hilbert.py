@@ -12,12 +12,10 @@ even N) it reverses them, u -> 2^M - 1 - u, and a flip sector f = +1 or -1 has
 2^(M-1) coordinates: h < 2^(M-1) stands for (|h> + f|2^M - 1 - h>)/sqrt(2).
 
 H_Z is tabulated by one Walsh-Hadamard transform of the term weights, a matmul
-per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.  X = sum_i X_i
-applies its low min(N, 5) qubits as one matmul against the 32 x 32 hypercube
-adjacency matrix and each higher qubit as an in-place add of a reversed view.
-X is diagonal in the Walsh-Hadamard basis, so for every K >= 2
-(X/N)^K = H diag(((N - 2|h|)/N)^K) H / 2^M is one pair of those transforms,
-whatever K is; K = 1 is one X step.
+per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.  X = sum_i X_i is
+diagonal in the Walsh-Hadamard basis, so X and every (X/N)^K,
+H diag(((N - 2|h|)/N)^K) H / 2^M, are one pair of those transforms, whatever
+K is.
 """
 
 from __future__ import annotations
@@ -31,13 +29,10 @@ from .instances import Instance
 DEFAULT_MAX_QUBITS = 26  # dense-vector ceiling: 0.5 GiB per vector, 1 GiB for a tabulation
 DEGENERACY_TOL = 1e-9
 
-# X on the low _BLOCK_BITS qubits is one matmul against the adjacency matrix
-# of the 5-cube, A[u, v] = 1 iff u ^ v is a single bit, and each 5-qubit chunk
-# of the Walsh-Hadamard transform one against H[u, v] = (-1)^popcount(u & v).
-# The top-left 2^b x 2^b block of either is its b-qubit table, for every N.
+# Each 5-qubit chunk of the Walsh-Hadamard transform is one matmul against
+# H[u, v] = (-1)^popcount(u & v); its top-left 2^b x 2^b block is the b-qubit
+# table, for every N.
 _BLOCK_BITS = 5
-_CUBE_ADJACENCY = (np.bitwise_count(np.arange(1 << _BLOCK_BITS)[:, None]
-                                    ^ np.arange(1 << _BLOCK_BITS)) == 1).astype(np.float64)
 _HADAMARD = (-1.0) ** np.bitwise_count(np.arange(1 << _BLOCK_BITS)[:, None]
                                        & np.arange(1 << _BLOCK_BITS))
 _NO_COORDS = np.zeros(0, dtype=np.int64)
@@ -117,6 +112,9 @@ class OperatorSpec:
             raise ValueError(f"flip_sector must be +1 or -1, got {self.flip_sector!r}")
         if self.flip_sector is not None and self.kind == "X":
             raise ValueError("flip sectors restrict HS or QHSQ, not X")
+        if self.kind == "X" and (self.k != 1 or self.parity_block or self.big_b):
+            raise ValueError("X is the plain sum of X_i on the full space: it takes "
+                             "no K, parity block or field")
 
 
 def _walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -208,34 +206,6 @@ def basis_indices(coords: np.ndarray, n_qubits: int, parity_block: str | None) -
     return coords | top.astype(coords.dtype) << (n_qubits - 1)
 
 
-def _apply_x(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """X = sum_i of the bit-i flip.  Accepts a vector or a (2^N, m) batch.
-
-    The low b = min(N, 5) qubits go in one matmul against the b-cube's
-    adjacency matrix: a (2^(N-b), 2^b) view of a vector times it, or it times
-    each (2^b, m) slab of a (2^(N-b), 2^b, m) view of a batch (columns stay
-    their own axis instead of merging into the low-bit axis).  Each higher
-    bit i reverses the middle axis of the (2^(N-1-i), 2, 2^i, ...) view and is
-    added in place.  Sums are taken in matmul order, so non-integer
-    amplitudes can differ from a per-bit flip sum in the last bits."""
-    # BLAS sums in an order that depends on the strides; one layout keeps
-    # the bits independent of how the caller stores its batch
-    amps = np.ascontiguousarray(amps)
-    b = min(n_qubits, _BLOCK_BITS)
-    cube = _CUBE_ADJACENCY[:1 << b, :1 << b]
-    cols = amps.shape[1:]
-    if amps.ndim == 1:
-        out = amps.reshape(-1, 1 << b) @ cube  # cube is symmetric
-    else:
-        out = np.matmul(cube, amps.reshape((-1, 1 << b) + cols))
-    out = out.reshape(amps.shape)  # a C-order view, owned by the matmul result
-    for i in range(b, n_qubits):
-        shape = (-1, 2, 1 << i) + cols
-        acc = out.reshape(shape)
-        acc += amps.reshape(shape)[:, ::-1]
-    return out
-
-
 def _xk_scale(n_qubits: int, k: int, low: int,
               flip_sector: int | None = None) -> np.ndarray:
     """((N - 2|h|)/N)^K / 2^M for every h < 2^M, |h| = popcount(h): (X/N)^K
@@ -265,22 +235,12 @@ def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int,
     In block coordinates X_i (i < N-1) flips bit i and X_{N-1} keeps them
     all, so X is the M-qubit X plus the identity: it maps a block onto the
     other's same coordinates.  Either way X has eigenvalue N - 2|h| on the
-    Walsh-Hadamard vector h of the M coordinate bits.  K = 1 is one X step,
-    outside a flip sector.  Every other K is one copy, a transform, a
-    multiply by _xk_scale (`scale`, or built here) and a transform.  The copy
-    is column-major, so a batch gives the same bits in either layout.
-    Besides the input, two arrays of its size are the peak; a scale built
-    here adds under half of one."""
+    Walsh-Hadamard vector h of the M coordinate bits.  Every K is one copy,
+    a transform, a multiply by _xk_scale (`scale`, or built here) and a
+    transform.  The copy is column-major, so a batch gives the same bits in
+    either layout.  Besides the input, two arrays of its size are the peak;
+    a scale built here adds under half of one."""
     low = coordinate_qubits(n_qubits, parity_block, flip_sector)
-    if k == 1 and flip_sector is None:
-        if zero.size:
-            amps = amps.copy()
-            amps[zero] = 0.0
-        out = _apply_x(amps, low)
-        if low < n_qubits:
-            out += amps
-        out /= n_qubits
-        return out
     c = np.array(amps, order="F")
     c[zero] = 0.0
     c = _walsh_hadamard(c, low)
@@ -297,13 +257,14 @@ class MatrixFreeOperator:
     or of the full space (M = N), or on the first half of them for a flip
     sector (see flip_lift), and `shape` is (dim, dim) for that dimension;
     every solver in `eigensolve` calls `apply` for each of its products.
-    `diagonal` holds H_Z in that order, and `xk_scale` (for K >= 2, or any K
-    in a flip sector) the Walsh-Hadamard spectrum of (X/N)^K, built once for
-    all of its products.  QHSQ keeps its block's coordinates: the rows and
-    columns of its `ground_coords` are zeroed and norm_bound() is put on their
-    diagonal, so they carry no eigenvalue below the spectrum of Q H_s Q.  In a
-    flip sector the ground coordinate of a pair {g, 2^M - 1 - g} is the
-    smaller one.
+    `diagonal` holds H_Z in that order, and `xk_scale` (for a non-zero field)
+    the Walsh-Hadamard spectrum of (X/N)^K, built once for all of its
+    products; the X kind's is (N - 2|h|)/2^N, so X is exact on small
+    integers.  QHSQ keeps its block's coordinates: the rows and columns of
+    its `ground_coords` are zeroed and norm_bound() is put on their diagonal,
+    so they carry no eigenvalue below the spectrum of Q H_s Q.  In a flip
+    sector the ground coordinate of a pair {g, 2^M - 1 - g} is the smaller
+    one.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
@@ -336,7 +297,9 @@ class MatrixFreeOperator:
             self.diagonal = self.diagonal.copy()
             self.diagonal[self.ground_coords] = self.norm_bound()
         self.xk_scale = (_xk_scale(n, spec.k, coordinate_qubits(n, block, flip), flip)
-                         if spec.big_b != 0.0 and (spec.k > 1 or flip is not None) else None)
+                         if spec.big_b != 0.0 else None)
+        if spec.kind == "X":
+            self.xk_scale = (n - 2.0 * np.bitwise_count(np.arange(full))) / full
         self.shape = (dim, dim)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
@@ -344,7 +307,7 @@ class MatrixFreeOperator:
         (2^M, m) batch."""
         spec, g = self.spec, self.ground_coords
         if spec.kind == "X":
-            return _apply_x(amps, self.n_qubits)
+            return _apply_xk_over_n(amps, self.n_qubits, 1, scale=self.xk_scale)
         diag = self.diagonal if amps.ndim == 1 else self.diagonal[:, None]
         out = diag * amps
         if spec.big_b != 0.0:

@@ -186,11 +186,13 @@ def test_walk_on_a_flip_pair_of_h_writes_its_overlap(tmp_path):
     assert "overlap" in bw and "overlap_error" not in bw
 
 
-@pytest.mark.parametrize("n,seed,k", [(16, 3, 2), (12, 0, 1), (10, 0, 1)])
+@pytest.mark.parametrize("n,seed,k", [(16, 3, 2), (12, 0, 1), (10, 0, 1), (14, 0, 1)])
 def test_report_on_a_near_degenerate_flip_pair_writes_its_overlap(tmp_path, n, seed, k):
     # H_s's ground state and the F = -1 level above it are split by 1.6e-10
     # at N=16 (K=2); an eigensolve of the whole block returned a mix of the
-    # two, and phi_exact's alignment check failed on it
+    # two, and phi_exact's alignment check failed on it.  At N=14 (K=1) the
+    # split is at rounding level and the merged lowest pair can be the F = -1
+    # copy, so phi_exact reads psi_{0,1} from the F = +1 sector
     inst = _gen(tmp_path, n=n, seed=seed)
     rep = tmp_path / "report.json"
     assert run_cli(["report", "--in", inst, "--b", 0.1, "--K", k,

@@ -213,41 +213,50 @@ def test_ground_space_reads_the_gap_from_the_table():
     assert ground.gap_certified == (table.gap >= 1 - 1e-9)
 
 
+def _x_operator(n):
+    """The X kind on N qubits; it reads nothing of the table but N."""
+    table = hilbert.DiagonalTable(n_qubits=n, energies=np.zeros(1 << n), e0=0.0, gap=None)
+    return MatrixFreeOperator(OperatorSpec("X"), table).apply
+
+
 def test_x_operator_matches_dense_matrix():
-    # N = 1, 2, 3 use a corner of the low-bit block, N = 5 the whole block,
-    # and N = 6, 9 the block plus per-bit flips above it
+    # N = 1, 2, 3 use a corner of the 5-bit Hadamard chunk, N = 5 the whole
+    # chunk, and N = 6, 9 more chunks above it
     rng = np.random.default_rng(0)
     for n in (1, 2, 3, 5, 6, 9):
         xd = dense_x(n)
+        apply_x = _x_operator(n)
         v = rng.standard_normal(1 << n)
-        got = hilbert._apply_x(v, n)
+        got = apply_x(v)
         assert np.allclose(got, xd @ v, atol=1e-12)
         # batch form agrees column by column
         batch = rng.standard_normal((1 << n, 3))
-        got_b = hilbert._apply_x(batch, n)
+        got_b = apply_x(batch)
         assert np.allclose(got_b, xd @ batch, atol=1e-12)
         # a column-major batch gives the same columns
-        got_f = hilbert._apply_x(np.asfortranarray(batch), n)
+        got_f = apply_x(np.asfortranarray(batch))
         assert np.array_equal(got_f, got_b)
 
 
 def test_x_operator_is_exact_on_small_integers():
-    # every partial sum is a small integer, so any summation order is exact
+    # the transforms of integers are integers, and the scale (N - 2|h|)/2^N
+    # is an integer over a power of two, so every partial sum is exact
     n = 12
     rng = np.random.default_rng(1)
     u = np.arange(1 << n)
+    apply_x = _x_operator(n)
 
     def gathered(v):
         return sum(v[u ^ (1 << i)] for i in range(n))
 
     v = rng.integers(-4, 5, 1 << n).astype(np.float64)
-    assert np.array_equal(hilbert._apply_x(v, n), gathered(v))
+    assert np.array_equal(apply_x(v), gathered(v))
     batch = rng.integers(-4, 5, (1 << n, 3)).astype(np.float64)
-    assert np.array_equal(hilbert._apply_x(batch, n), gathered(batch))
-    assert np.array_equal(hilbert._apply_x(np.asfortranarray(batch), n), gathered(batch))
+    assert np.array_equal(apply_x(batch), gathered(batch))
+    assert np.array_equal(apply_x(np.asfortranarray(batch)), gathered(batch))
 
 
-@pytest.mark.parametrize("k", [2, 27])
+@pytest.mark.parametrize("k", [1, 2, 27])
 @pytest.mark.parametrize("block", [None, "even"], ids=["full", "even"])
 def test_xk_chain_holds_at_most_two_iterates(block, k):
     # the pair transforms one copy of the input and its transform ping-pongs
@@ -266,8 +275,8 @@ def test_xk_chain_holds_at_most_two_iterates(block, k):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_xk_over_n_matches_dense_power(n):
-    # K = 1 is the X step and every K >= 2 the transform pair; on a block, an
-    # odd K maps its coordinates onto the other block's
+    # every K is the transform pair; on a block, an odd K maps its
+    # coordinates onto the other block's
     rng = np.random.default_rng(n)
     xd = dense_x(n) / n
     for k, block in itertools.product([1, 2, 3, 8, 27], [None, "even", "odd"]):
@@ -328,14 +337,15 @@ def test_flip_sectors_need_a_flip_symmetric_coordinate_space():
 
 
 def test_operator_bits_do_not_depend_on_blas_threads():
-    # HS at K=2 on the even block and QHSQ at K=3 on the full space: the
-    # transform pair and the diagonal, under 1 and 2 OpenBLAS threads
+    # HS at K=2 on the even block and QHSQ at K=3 and K=1 on the full space:
+    # the transform pair and the diagonal, under 1 and 2 OpenBLAS threads
     script = ("import hashlib; import numpy as np; "
               "from shortpath import hilbert, instances; "
               "table = hilbert.evaluate_hz(instances.generate('sk_gaussian', 14, seed=1)); "
               "ground = hilbert.ground_space(table); "
               "specs = [hilbert.OperatorSpec('HS', big_b=1.3, k=2, parity_block='even'), "
-              "hilbert.OperatorSpec('QHSQ', big_b=1.3, k=3)]; "
+              "hilbert.OperatorSpec('QHSQ', big_b=1.3, k=3), "
+              "hilbert.OperatorSpec('QHSQ', big_b=1.3, k=1)]; "
               "digest = hashlib.sha256(); "
               "ops = [hilbert.MatrixFreeOperator(s, table, ground) for s in specs]; "
               "[digest.update(op.apply(np.random.default_rng(4).standard_normal(op.shape[0]))"
@@ -471,6 +481,10 @@ def test_hs_spec_validation():
         OperatorSpec("HS", big_b=1.0, k=3, parity_block="even")
     with pytest.raises(ValueError, match="even K"):
         OperatorSpec("X", parity_block="odd")
+    # X is the plain sum of X_i: no power, block or field
+    for bad in ({"k": 3}, {"k": 2, "parity_block": "even"}, {"big_b": 1.0}):
+        with pytest.raises(ValueError, match="no K, parity block or field"):
+            OperatorSpec("X", **bad)
 
 
 @pytest.mark.parametrize("kind", ["HS", "QHSQ"])
