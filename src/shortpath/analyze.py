@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds
 from .bounds import TheoremConstants
 from .context import Analysis
-from .hilbert import _apply_xk_over_n, coordinate_qubits, psi_plus_overlap
+from .hilbert import coordinate_qubits, psi_plus_overlap
 from .hilbert import evaluate_hz  # noqa: F401  (stays importable from analyze)
 
 TOL = 1e-9
@@ -250,7 +250,7 @@ def mainconst_decide(analysis: Analysis,
     eig = analysis.lowest(replace(analysis.hs_spec, big_b=2.5 * spec.big_b), 1)
     lam = float(eig.eigenvalues[0])
     psi = eig.eigenvectors[:, 0]
-    x_exp = spec.big_b * float(psi @ _apply_xk_over_n(psi, n, spec.k, analysis.block))
+    x_exp = spec.big_b * float(psi @ analysis.operator(analysis.hs_spec).xk(psi))
     report.conclusions.append(
         ("h52_below_quarter", bool(lam < e0 - 0.25 + TOL), float((e0 - 0.25) - lam)))
     report.conclusions.append(

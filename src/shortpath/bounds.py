@@ -14,13 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import eigensolve
-from .hilbert import (
-    DiagonalTable,
-    GroundSpaceInfo,
-    OperatorSpec,
-    _apply_xk_over_n,
-    _walsh_hadamard,
-)
+from .hilbert import DiagonalTable, GroundSpaceInfo, OperatorSpec, walsh_hadamard, xk_over_n
 from .instances import Instance
 
 
@@ -159,14 +153,14 @@ def state_entropy_checks(amps: np.ndarray, k: int) -> EntropyCheckReport:
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise BoundsError("state must be normalized")
     s_comp = shannon_entropy_bits(amps**2)
-    x_exp = n * float(amps @ _apply_xk_over_n(amps, n, 1))
+    x_exp = n * float(amps @ xk_over_n(amps, n, 1))
     sx_ok = tau(min(1.0, s_comp / n)) >= x_exp / n - 1e-9
 
     # the sequence normalizes X^i psi, so it can apply X/N
     entropies = [s_comp]
     cur = amps
     for _ in range(k):
-        nxt = _apply_xk_over_n(cur, n, 1)
+        nxt = xk_over_n(cur, n, 1)
         nrm = np.linalg.norm(nxt)
         if nrm == 0.0:
             raise BoundsError("X annihilated the state (N = 0 edge case)")
@@ -178,7 +172,7 @@ def state_entropy_checks(amps: np.ndarray, k: int) -> EntropyCheckReport:
         genineq_bound *= _tau_clamped(
             ((entropies[i] + entropies[i + 1]) / 2.0 + 1.0) / n) ** 2
 
-    xk = _apply_xk_over_n(amps, n, k)
+    xk = xk_over_n(amps, n, k)
     exact_x2k = float(xk @ xk)
 
     support = int(np.count_nonzero(amps))
@@ -488,7 +482,7 @@ def classical_baseline(instance: Instance, table: DiagonalTable) -> BaselineRepo
         # F_i(u) = sum_j J_ij (-1)^u_j is the transform of c[1 << j] = J_ij
         f_all = np.zeros(1 << n)
         f_all[1 << neighbors] = coupling[best_i, neighbors]
-        f_all = _walsh_hadamard(f_all, n)
+        f_all = walsh_hadamard(f_all, n)
         free_of_i = (np.arange(1 << n) >> best_i) & 1 == 0
         brute = int(np.count_nonzero(free_of_i & (f_all >= threshold - 1e-12)))
 

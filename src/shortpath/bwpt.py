@@ -6,7 +6,9 @@ index.  The eigenvector series phi uses the shifted reference J_0 = H_Z +
 zeta*P, which removes the excited-space projector from the series and lets the
 series be re-expressed as a random walk with strictly positive weights.  The
 walk moves on the parity block's coordinates, and its weights 1/(E'_u - omega)
-read the diagonal of J_0 + V, the operator the exact resummation solves with.
+read the diagonal of J_0 + V, H_s's with zeta added on the ground coordinates.
+The exact resummation is the H_s eigenvector xi0 + (omega - QH_sQ)^{-1} QV xi0,
+rescaled: one more solve with h(omega)'s QH_sQ operator, no J_0 + V operator.
 
 Every function takes a `context.Analysis`, which supplies the table, the
 ground space, the parity block and the spectra: omega = E_{0,1}, psi_{0,1}
@@ -23,13 +25,7 @@ import numpy as np
 from . import bounds, eigensolve
 from .context import Analysis
 from .context import choose_parity_block  # noqa: F401  (stays importable from bwpt)
-from .hilbert import (
-    MatrixFreeOperator,
-    _apply_xk_over_n,
-    basis_indices,
-    flip_lift,
-    psi_plus_overlap,
-)
+from .hilbert import basis_indices, flip_lift, psi_plus_overlap
 
 DEFAULT_ZETA = 0.5
 _WALK_CUTOFF = 1e-16  # relative size of the last walk term kept
@@ -95,21 +91,17 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
     if spec.big_b == 0.0:
         return h
     qhsq = analysis.operator(analysis.qhsq_spec)
-
-    def v_apply(amps: np.ndarray) -> np.ndarray:
-        """V = -B (X/N)^K applied to amplitudes in the block's coordinates."""
-        return -spec.big_b * _apply_xk_over_n(amps, table.n_qubits, spec.k, analysis.block,
-                                              scale=qhsq.xk_scale)
+    xk = analysis.operator(analysis.hs_spec).xk
 
     half = n // 2 if analysis.flip_sectors else n
     for col, u in enumerate(idx[:half]):
         e_u = np.zeros(analysis.block_dim)
         e_u[u] = 1.0
-        v_u = v_apply(e_u)
+        v_u = -spec.big_b * xk(e_u)  # V = -B (X/N)^K
         h[:, col] += v_u[idx]
         # the solve ignores v_u on the ground coordinates, so Q v_u is implied
         x_u = eigensolve.solve_shifted(qhsq, omega, v_u)
-        h[:, col] += v_apply(x_u)[idx]
+        h[:, col] += (-spec.big_b * xk(x_u))[idx]
     if half < n:  # x and v of 2^M - 1 - u are those of u reversed
         h[:, half:] = h[::-1, :half][:, ::-1]
     asym = np.max(np.abs(h - h.T), initial=0.0)
@@ -158,9 +150,9 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
             )
         xi0 = np.clip(xi0, 0.0, None)
         xi0 /= np.linalg.norm(xi0)
-    # Q(J0 + V)Q = QH_sQ lies above omega, so by Haynsworth inertia additivity
-    # J0 + V - omega is positive definite iff its Schur complement h + zeta - omega is
-    if not omega < lam + zeta - 1e-12:
+    # Q(J0 + V)Q = QH_sQ lies above omega, so by Haynsworth inertia additivity J0 + V - omega
+    # is positive definite iff h + zeta - omega is; never for zeta <= 0, as then <= H_s - omega
+    if not (zeta > 0 and omega < lam + zeta - 1e-12):
         raise BwptError(
             f"omega={omega} is not below lambda_0(h(omega)) + zeta = {lam + zeta}: "
             f"the series does not converge at zeta={zeta}; use a larger, positive --zeta"
@@ -170,31 +162,28 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
     )
 
 
-def _j0_plus_v_operator(analysis: Analysis, zeta: float) -> MatrixFreeOperator:
-    """J0 + V: the block's H_s operator with zeta added to its ground diagonal."""
-    op = analysis.operator(analysis.hs_spec)
-    op.diagonal = op.diagonal.copy()
-    op.diagonal[analysis.block_ground_coords] += zeta
-    return op
-
-
 def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapReport]:
-    """Resum the phi series exactly: solve (omega - J0 - V) x = (omega - J0) xi0.
-
-    The right-hand side is ground-supported, so (omega - J0) xi0 collapses to
-    (omega - E0 - zeta) * xi0.  omega lies below the spectrum of J0 + V, as
-    solve_self_consistent certified for ctx.  Verifies that x is the H_s
-    eigenvector at omega and fills the overlap report.  phi is in the block's
-    coordinates.
+    """Resum the phi series exactly: phi solves (omega - J0 - V) phi =
+    (omega - E0 - zeta) xi0.  At h(omega)'s fixed point xi0, psi = xi0 +
+    R(omega) Q V xi0, R(omega) = (omega - Q H_s Q)^{-1}, is the H_s eigenvector
+    at omega (Loewdin partitioning), so (omega - J0 - V) psi = -zeta xi0 and
+    phi = ((E0 + zeta - omega)/zeta) psi: one solve with h(omega)'s QH_sQ
+    operator, at the omega < E^Q and zeta > 0 solve_self_consistent certified.
+    Verifies that phi is the H_s eigenvector at omega and fills the overlap
+    report.  phi is in the block's coordinates.
     """
     table, spec = analysis.table, analysis.spec
     n = table.n_qubits
-    op = _j0_plus_v_operator(analysis, ctx.zeta)
-    rhs = np.zeros(analysis.block_dim)
-    rhs[analysis.block_ground_coords] = (ctx.omega - table.e0 - ctx.zeta) * ctx.xi0
-    phi = eigensolve.solve_shifted(op, ctx.omega, rhs)
-
     hs = analysis.operator(analysis.hs_spec)
+    g = analysis.block_ground_coords
+    xi0 = np.zeros(analysis.block_dim)
+    xi0[g] = ctx.xi0
+    # the solve ignores V xi0 on the ground coordinates, so Q V xi0 is implied
+    phi = eigensolve.solve_shifted(analysis.operator(analysis.qhsq_spec), ctx.omega,
+                                   -spec.big_b * hs.xk(xi0))
+    phi[g] = ctx.xi0
+    phi *= (table.e0 + ctx.zeta - ctx.omega) / ctx.zeta
+
     phi_norm = float(np.linalg.norm(phi))
     eig_residual = float(np.linalg.norm(hs.apply(phi) - ctx.omega * phi))
     if eig_residual > 1e-8 * phi_norm:
@@ -242,10 +231,10 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
     The walk runs on the block's coordinates (basis indices for odd K).
     Start states are drawn proportional to the xi0 entries; each macro-step is
     K independent uniformly random spin flips (the same spin may repeat), and
-    a flip of qubit N-1 keeps a block coordinate, as in (X/N)^K.  E'_u is the
-    diagonal of J0 + V, the operator phi_exact solves with.  One length-t_max
-    walk per sample estimates every truncation level via partial products,
-    stopped once the next term falls below _WALK_CUTOFF of the running sum.
+    a flip of qubit N-1 keeps a block coordinate, as in (X/N)^K.  E'_u is J0 +
+    V's diagonal, H_s's plus zeta on the ground.  One length-t_max walk per
+    sample estimates every truncation level via partial products, stopped
+    once the next term falls below _WALK_CUTOFF of the running sum.
     """
     if samples < 1:
         raise BwptError("samples must be >= 1")
@@ -264,7 +253,8 @@ def walk_estimate(ctx: BwContext, analysis: Analysis, samples: int,
     probs = ctx.xi0 / ctx.xi0.sum()
     states = rng.choice(analysis.block_ground_coords, size=samples, p=probs)
     coord_mask = analysis.block_dim - 1
-    e_prime = _j0_plus_v_operator(analysis, ctx.zeta).diagonal
+    e_prime = analysis.operator(analysis.hs_spec).diagonal.copy()  # J0 + V's
+    e_prime[analysis.block_ground_coords] += ctx.zeta
 
     partial = np.ones(samples)
     totals = np.ones(samples)  # t = 0 term

@@ -14,8 +14,8 @@ Krylov basis for them fits a byte budget, one run finds them all and one more
 run checks that nothing below them was missed; otherwise, or when the wide run
 fails to converge or the check fails, each pair is one run.  scipy is
 imported on the first ARPACK run, not with this module, so a command that
-solves no eigenproblem never loads it; `eigsh`, `LinearOperator` and
-`ArpackNoConvergence` are module attributes from their first access on
+solves no eigenproblem never loads it; `eigsh`, `LinearOperator` and the
+two ARPACK errors are module attributes from their first access on
 (PEP 562), and a stand-in bound to one of them beforehand is kept.
 
 solve_shifted solves (shift - op) x = rhs for a shift below the spectrum of
@@ -44,7 +44,7 @@ _CHECK_TOL = 1e-8              # ARPACK tolerance of the completeness check
 _CHECK_SLACK = 1e-9            # its room below the top pair, relative to max(1, |top|)
 _SHIFTED_REL_TOL = 1e-10  # certified true residual of solve_shifted
 _CG_REL_TOL = 1e-13       # recurrence residual at which its iteration stops
-_SCIPY_NAMES = ("ArpackNoConvergence", "LinearOperator", "eigsh")  # see _load_scipy
+_SCIPY_NAMES = ("ArpackError", "ArpackNoConvergence", "LinearOperator", "eigsh")
 
 
 def _load_scipy() -> None:
@@ -117,7 +117,9 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     of them; if one does, or the wide run does not converge, its pairs are
     dropped.  Each pair still missing is then a run of its own.  `found`, an
     earlier result for op with fewer pairs, is extended rather than redone:
-    its pairs come first, bit for bit, and only the missing ones are solved."""
+    its pairs come first, bit for bit, and only the missing ones are solved.
+    ARPACK cannot run on one coordinate, nor on a zero operator, whose range
+    it exhausts: within DENSE_DIM_CAP those are one dense eigh instead."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
     free_dim = op.shape[0] - op.ground_coords.size
@@ -128,66 +130,20 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
         )
     if found is None:
         found = EigenResult(np.zeros(0), np.zeros((op.shape[0], 0)), np.zeros(0))
-    known = found.eigenvalues.size
-    if op.shape[0] < 2:  # ARPACK needs k < n; here how_many == free_dim == 1
-        vals, ys = np.linalg.eigh(op.apply(np.eye(1)))
-    else:
+    missing = how_many - found.eigenvalues.size
+    dense = op.shape[0] < 2  # ARPACK needs k < n; here how_many == free_dim == 1
+    if not dense:
         _load_scipy()
-        dim = op.shape[0]
-        rng = np.random.default_rng(_START_SEED)
-        lift = 2.0 * op.norm_bound()
+        try:
+            vals, ys = _arpack_pairs(op, how_many, found)
+        except ArpackError as exc:  # not ArpackNoConvergence, handled there
+            if (1 << op.n_qubits) > DENSE_DIM_CAP:
+                raise EigensolveError(f"ARPACK stopped above the dense cap: {exc}") from exc
+            dense = True  # it exhausted op's range: a zero operator has none
+    if dense:  # one eigh of op lifted past the pairs found, as ARPACK sees it
         ys = found.eigenvectors
-        vals = np.zeros(0)
-
-        def lifted_matvec(y):
-            # reads ys at call time, so each run sees every vector found before it
-            out = op.apply(y)
-            if ys.shape[1]:
-                out += lift * (ys @ (ys.T @ y))
-            return out
-
-        lifted = LinearOperator(op.shape, dtype=np.float64, matvec=lifted_matvec)
-
-        def run(k, tol, ncv=None):
-            v0 = rng.standard_normal(dim)
-            v0[op.ground_coords] = 0.0  # keeps the Krylov space off their eigenvalue
-            return eigsh(lifted, k=k, which="SA", tol=tol, ncv=ncv, v0=v0, rng=rng)
-
-        def one_at_a_time(count):
-            nonlocal vals, ys
-            for _ in range(count):
-                try:
-                    lam, y = run(1, tol=0)
-                except ArpackNoConvergence as exc:
-                    best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
-                                for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
-                               default=np.inf)
-                    raise EigensolveError(
-                        f"ARPACK failed to converge on eigenpair {ys.shape[1] + 1} of "
-                        f"{how_many}; best residual {best:.3e}; dense_spectrum "
-                        f"covers dimensions up to {DENSE_DIM_CAP}") from exc
-                vals = np.append(vals, lam)
-                ys = np.column_stack([ys, y])
-
-        if known == 0:
-            one_at_a_time(1)
-        need = how_many - ys.shape[1]
-        ncv = min(dim, max(_NCV_FLOOR, 4 * need))
-        if need >= _BLOCK_MIN_PAIRS and ncv * dim * 8 <= _BLOCK_BUDGET_BYTES:
-            before = vals, ys
-            try:
-                lam, y = run(need, tol=0, ncv=ncv)
-                vals, ys = np.append(vals, lam), np.hstack([ys, y])
-                top = float(vals.max())
-                # the lowest Ritz value of op lifted past every pair found
-                (nxt,), _ = run(1, tol=_CHECK_TOL, ncv=min(dim, _NCV_FLOOR))
-                complete = nxt >= top - _CHECK_SLACK * max(1.0, abs(top))
-            except ArpackNoConvergence:
-                complete = False
-            if not complete:
-                vals, ys = before
-        one_at_a_time(how_many - ys.shape[1])
-        ys = ys[:, known:]
+        vals, ys = np.linalg.eigh(operator_matrix(op) + 2.0 * op.norm_bound() * (ys @ ys.T))
+        vals, ys = vals[:missing], ys[:, :missing]
     order = np.argsort(vals, kind="stable")
     vals, ys = vals[order], ys[:, order]
     # one norm per vector, so a pair's residual does not depend on how_many
@@ -196,6 +152,67 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     return EigenResult(eigenvalues=np.concatenate([found.eigenvalues, vals]),
                        eigenvectors=np.hstack([found.eigenvectors, ys]),
                        residuals=np.concatenate([found.residuals, residuals]))
+
+
+def _arpack_pairs(op: MatrixFreeOperator, how_many: int,
+                  found: EigenResult) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs extreme_eigs adds to `found`, by ARPACK runs (see there)."""
+    known = found.eigenvalues.size
+    dim = op.shape[0]
+    rng = np.random.default_rng(_START_SEED)
+    lift = 2.0 * op.norm_bound()
+    ys = found.eigenvectors
+    vals = np.zeros(0)
+
+    def lifted_matvec(y):
+        # reads ys at call time, so each run sees every vector found before it
+        out = op.apply(y)
+        if ys.shape[1]:
+            out += lift * (ys @ (ys.T @ y))
+        return out
+
+    lifted = LinearOperator(op.shape, dtype=np.float64, matvec=lifted_matvec)
+
+    def run(k, tol, ncv=None):
+        v0 = rng.standard_normal(dim)
+        v0[op.ground_coords] = 0.0  # keeps the Krylov space off their eigenvalue
+        return eigsh(lifted, k=k, which="SA", tol=tol, ncv=ncv, v0=v0, rng=rng)
+
+    def one_at_a_time(count):
+        nonlocal vals, ys
+        for _ in range(count):
+            try:
+                lam, y = run(1, tol=0)
+            except ArpackNoConvergence as exc:
+                best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
+                            for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
+                           default=np.inf)
+                raise EigensolveError(
+                    f"ARPACK failed to converge on eigenpair {ys.shape[1] + 1} of "
+                    f"{how_many}; best residual {best:.3e}; dense_spectrum "
+                    f"covers dimensions up to {DENSE_DIM_CAP}") from exc
+            vals = np.append(vals, lam)
+            ys = np.column_stack([ys, y])
+
+    if known == 0:
+        one_at_a_time(1)
+    need = how_many - ys.shape[1]
+    ncv = min(dim, max(_NCV_FLOOR, 4 * need))
+    if need >= _BLOCK_MIN_PAIRS and ncv * dim * 8 <= _BLOCK_BUDGET_BYTES:
+        before = vals, ys
+        try:
+            lam, y = run(need, tol=0, ncv=ncv)
+            vals, ys = np.append(vals, lam), np.hstack([ys, y])
+            top = float(vals.max())
+            # the lowest Ritz value of op lifted past every pair found
+            (nxt,), _ = run(1, tol=_CHECK_TOL, ncv=min(dim, _NCV_FLOOR))
+            complete = nxt >= top - _CHECK_SLACK * max(1.0, abs(top))
+        except ArpackNoConvergence:
+            complete = False
+        if not complete:
+            vals, ys = before
+    one_at_a_time(how_many - ys.shape[1])
+    return vals, ys[:, known:]
 
 
 def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.ndarray:

@@ -99,8 +99,8 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in ("X", "HS", "QHSQ"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("HS", "QHSQ") and self.big_b < 0:
-            raise ValueError(f"B={self.big_b} must be non-negative")
+        if self.kind in ("HS", "QHSQ") and not 0.0 <= self.big_b < np.inf:
+            raise ValueError(f"B={self.big_b} must be finite and non-negative")
         if self.k < 1:
             raise ValueError(f"K={self.k} must be >= 1")
         if self.parity_block not in (None, "even", "odd"):
@@ -117,7 +117,7 @@ class OperatorSpec:
                              "no K, parity block or field")
 
 
-def _walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
+def walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform c[u] <- sum_m c[m] (-1)^popcount(u & m)
     of a contiguous 2^N vector, or of each column of a column-major (2^N, m)
     batch.  c is scratch: the result is returned, in c or in one new array of
@@ -163,7 +163,7 @@ def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> Dia
     energies = np.zeros(1 << n, dtype=np.float64)
     masks = np.array([t.mask for t in instance.terms], dtype=np.int64)
     np.add.at(energies, masks, instance.weights())
-    energies = _walsh_hadamard(energies, n)
+    energies = walsh_hadamard(energies, n)
     e0 = float(energies.min())
     first_above = float(np.min(energies, where=energies > e0 + DEGENERACY_TOL,
                                initial=np.inf))
@@ -223,31 +223,22 @@ def _xk_scale(n_qubits: int, k: int, low: int,
     return per_weight[weight]
 
 
-def _apply_xk_over_n(amps: np.ndarray, n_qubits: int, k: int,
-                     parity_block: str | None = None, zero: np.ndarray = _NO_COORDS,
-                     scale: np.ndarray | None = None,
-                     flip_sector: int | None = None) -> np.ndarray:
-    """(X/N)^K on a vector or a (2^M, m) batch of amplitudes in the
-    coordinates of a parity block (M = N-1) or of the full space (M = N),
-    or of a flip sector of either (one bit fewer), reading the coordinates
-    in `zero` as 0.  amps is not changed.
-
-    In block coordinates X_i (i < N-1) flips bit i and X_{N-1} keeps them
-    all, so X is the M-qubit X plus the identity: it maps a block onto the
-    other's same coordinates.  Either way X has eigenvalue N - 2|h| on the
-    Walsh-Hadamard vector h of the M coordinate bits.  Every K is one copy,
-    a transform, a multiply by _xk_scale (`scale`, or built here) and a
-    transform.  The copy is column-major, so a batch gives the same bits in
-    either layout.  Besides the input, two arrays of its size are the peak;
-    a scale built here adds under half of one."""
-    low = coordinate_qubits(n_qubits, parity_block, flip_sector)
+def _transform_pair(amps: np.ndarray, scale: np.ndarray, low: int, zero: np.ndarray) -> np.ndarray:
+    """H diag(scale) H amps for the Walsh-Hadamard transform H on `low` bits,
+    reading the coordinates in `zero` as 0.  The copy is column-major, so a
+    batch gives the same bits in either layout, and it is dropped once the
+    first transform returns: two arrays of the input's size besides it are the peak."""
     c = np.array(amps, order="F")
     c[zero] = 0.0
-    c = _walsh_hadamard(c, low)
-    # a batch's c.T is (m, 2^M); a scale built here is gone before the transform
-    np.multiply(c.T, _xk_scale(n_qubits, k, low, flip_sector) if scale is None else scale,
-                out=c.T)
-    return _walsh_hadamard(c, low)
+    c = walsh_hadamard(c, low)
+    np.multiply(c.T, scale, out=c.T)  # a batch's c.T is (m, 2^M)
+    return walsh_hadamard(c, low)
+
+
+def xk_over_n(amps: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
+    """(X/N)^K on a full-space vector or (2^N, m) batch, amps unchanged: the
+    pair of MatrixFreeOperator.xk, with a scale built per call."""
+    return _transform_pair(amps, _xk_scale(n_qubits, k, n_qubits), n_qubits, _NO_COORDS)
 
 
 class MatrixFreeOperator:
@@ -257,9 +248,9 @@ class MatrixFreeOperator:
     or of the full space (M = N), or on the first half of them for a flip
     sector (see flip_lift), and `shape` is (dim, dim) for that dimension;
     every solver in `eigensolve` calls `apply` for each of its products.
-    `diagonal` holds H_Z in that order, and `xk_scale` (for a non-zero field)
-    the Walsh-Hadamard spectrum of (X/N)^K, built once for all of its
-    products; the X kind's is (N - 2|h|)/2^N, so X is exact on small
+    `diagonal` holds H_Z in that order, and `xk_scale` the Walsh-Hadamard
+    spectrum of (X/N)^K on those coordinates, built once for all of its
+    products (`xk`); the X kind's is (N - 2|h|)/2^N, so X is exact on small
     integers.  QHSQ keeps its block's coordinates: the rows and columns of
     its `ground_coords` are zeroed and norm_bound() is put on their diagonal,
     so they carry no eigenvalue below the spectrum of Q H_s Q.  In a flip
@@ -296,23 +287,29 @@ class MatrixFreeOperator:
                                                           full - 1 - self.ground_coords))
             self.diagonal = self.diagonal.copy()
             self.diagonal[self.ground_coords] = self.norm_bound()
-        self.xk_scale = (_xk_scale(n, spec.k, coordinate_qubits(n, block, flip), flip)
-                         if spec.big_b != 0.0 else None)
+        self.xk_scale = _xk_scale(n, spec.k, coordinate_qubits(n, block, flip), flip)
         if spec.kind == "X":
             self.xk_scale = (n - 2.0 * np.bitwise_count(np.arange(full))) / full
         self.shape = (dim, dim)
+
+    def xk(self, amps: np.ndarray) -> np.ndarray:
+        """(X/N)^K (X for the X kind) on a vector or (2^M, m) batch in the
+        operator's coordinates, reading its ground coordinates as 0.  In a
+        block X_{N-1} keeps every coordinate, so X is the M-qubit X plus the
+        identity; either way (X/N)^K is xk_scale between two transforms."""
+        return _transform_pair(amps, self.xk_scale, self.shape[0].bit_length() - 1,
+                               self.ground_coords)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Apply to amplitudes in the operator's coordinates, a vector or a
         (2^M, m) batch."""
         spec, g = self.spec, self.ground_coords
         if spec.kind == "X":
-            return _apply_xk_over_n(amps, self.n_qubits, 1, scale=self.xk_scale)
+            return self.xk(amps)
         diag = self.diagonal if amps.ndim == 1 else self.diagonal[:, None]
         out = diag * amps
         if spec.big_b != 0.0:
-            xk = _apply_xk_over_n(amps, self.n_qubits, spec.k, spec.parity_block, g,
-                                  self.xk_scale, spec.flip_sector)
+            xk = self.xk(amps)
             xk[g] = 0.0
             out -= spec.big_b * xk
         return out

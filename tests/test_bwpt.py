@@ -76,16 +76,17 @@ def test_effective_hamiltonian_matches_dense_oracle(make, k):
 
 def _h_per_column(a, omega):
     """h(omega) with one Q-subspace solve for every ground coordinate."""
-    n, spec = a.table.n_qubits, a.spec
+    spec = a.spec
     idx = a.block_ground_coords
     qhsq = a.operator(a.qhsq_spec)
+    xk = a.operator(a.hs_spec).xk
     h = a.table.e0 * np.eye(idx.size)
     for col, u in enumerate(idx):
         e_u = np.zeros(a.block_dim)
         e_u[u] = 1.0
-        v_u = -spec.big_b * hilbert._apply_xk_over_n(e_u, n, spec.k, a.block)
+        v_u = -spec.big_b * xk(e_u)
         x_u = eigensolve.solve_shifted(qhsq, omega, v_u)
-        h[:, col] += (v_u - spec.big_b * hilbert._apply_xk_over_n(x_u, n, spec.k, a.block))[idx]
+        h[:, col] += (v_u - spec.big_b * xk(x_u))[idx]
     return 0.5 * (h + h.T)
 
 
@@ -183,7 +184,7 @@ def test_phi_proportional_to_bw_series_sum():
     dim = 1 << 5
     energies = table.energies.copy()
     energies[ground.ground_indices] += ctx.zeta
-    xk = hilbert._apply_xk_over_n(np.eye(dim), 5, spec.k)
+    xk = hilbert.xk_over_n(np.eye(dim), 5, spec.k)
     v = -spec.big_b * xk
     resolvent = np.diag(1.0 / (ctx.omega - energies))
     xi_full = np.zeros(dim)
@@ -289,6 +290,52 @@ def test_walk_is_seed_deterministic():
     assert a.series_estimate == b.series_estimate
 
 
+def _zeta_p(a, zeta):
+    """zeta P, dense in the block's coordinates."""
+    p = np.zeros(a.block_dim)
+    p[a.block_ground_coords] = zeta
+    return np.diag(p)
+
+
+def _j0_plus_v_matrix(a, zeta):
+    """J0 + V = H_s + zeta P, dense in the block's coordinates."""
+    return eigensolve.operator_matrix(a.operator(a.hs_spec)) + _zeta_p(a, zeta)
+
+
+def _random_d3(n, seed):
+    """3N random +-1 triples on N qubits: an odd degree, so no flip sectors."""
+    rng = np.random.default_rng(seed)
+    terms = [(tuple(int(q) for q in rng.choice(n, 3, replace=False)),
+              float(rng.choice([-1.0, 1.0]))) for _ in range(3 * n)]
+    return instances.build_instance(n, 3, terms)
+
+
+@pytest.mark.parametrize("make, k", [
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 1, id="sk_pm8-K1-flip"),
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 2, id="sk_pm8-K2-block-flip"),
+    pytest.param(lambda: instances.generate("sk_pm", 9, seed=1), 2, id="sk_pm9-K2-block"),
+    pytest.param(lambda: instances.generate("sk_gaussian", 9, seed=3), 3, id="gaussian9-K3-flip"),
+    pytest.param(lambda: disjoint_pairs(8), 2, id="pairs8-K2-block-flip"),
+    pytest.param(lambda: _random_d3(9, seed=4), 1, id="d3-9-K1"),
+    pytest.param(lambda: _random_d3(8, seed=5), 2, id="d3-8-K2-block"),
+    pytest.param(lambda: _random_d3(9, seed=6), 3, id="d3-9-K3"),
+])
+@pytest.mark.parametrize("zeta", [0.5, 2.0])
+def test_phi_matches_the_dense_j0_plus_v_solve(make, k, zeta):
+    # the old resummation, (omega - J0 - V) phi = (omega - J0) xi0 solved
+    # densely, is the reference for phi from the Q-resolvent
+    a = _setup(make(), b=0.1, k=k)
+    ctx = bwpt.solve_self_consistent(a, zeta=zeta)
+    phi, report = bwpt.phi_exact(ctx, a)
+    xi0 = np.zeros(a.block_dim)
+    xi0[a.block_ground_coords] = ctx.xi0
+    j0 = np.diag(a.operator(a.hs_spec).diagonal) + _zeta_p(a, zeta)
+    omega_i = ctx.omega * np.eye(a.block_dim)
+    want = np.linalg.solve(omega_i - _j0_plus_v_matrix(a, zeta), (omega_i - j0) @ xi0)
+    assert np.linalg.norm(phi - want) <= 1e-10 * np.linalg.norm(want)
+    assert report.phi_norm == pytest.approx(np.linalg.norm(want), rel=1e-10)
+
+
 def test_convergence_check_agrees_with_the_dense_j0_plus_v_spectrum():
     # the series converges iff J0 + V - omega is positive definite; the check
     # reads it from h(omega) and must agree with the dense spectrum of J0 + V
@@ -298,7 +345,7 @@ def test_convergence_check_agrees_with_the_dense_j0_plus_v_spectrum():
         a = _setup(instances.generate(model, n, seed=1), b=b, k=k)
         omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
         for zeta in (0.5, 1e-3, 0.0, -0.1):
-            dense = eigensolve.operator_matrix(bwpt._j0_plus_v_operator(a, zeta))
+            dense = _j0_plus_v_matrix(a, zeta)
             diverges = np.linalg.eigvalsh(dense)[0] <= omega + 1e-12
             try:
                 bwpt.solve_self_consistent(a, zeta=zeta)

@@ -1,5 +1,6 @@
 """CLI subcommands, report serialization, reproducibility contract."""
 
+import ast
 import json
 import math
 import os
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import shortpath
 from shortpath import bwpt, cli, eigensolve, hilbert, instances
+
+from conftest import disjoint_pairs
 
 
 def run_cli(argv):
@@ -317,6 +321,55 @@ def test_only_an_eigensolve_imports_scipy(tmp_path):
     assert json.loads(proc.stdout) == {"import": False, "gen": False, "dos": False,
                                        "baseline": False, "thm3": False,
                                        "spectrum": True}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name belongs to its module; a name another module needs
+    # is public
+    private = []
+    for path in sorted(Path(shortpath.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("shortpath")):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_field_is_a_one_line_error(tmp_path, value):
+    # NaN passed the B < 0 check, and ARPACK then failed with a traceback
+    inst = _gen(tmp_path, n=6)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shortpath.cli", "spectrum", "--in", str(inst),
+         "--B", value, "--K", "2", "--out", str(tmp_path / "spec.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+    assert errors == [f"ERROR B={value} must be finite and non-negative"]
+
+
+def test_small_report_sweep_exits_zero(tmp_path):
+    # 228 reports: disjoint pairs N in {2, 4, 6, 8} and sk_pm N = 3..7 at
+    # seeds 0..2, each at b in {0, 0.05, 0.3} and K = 1..4.  At b = 0 and an
+    # even K, the odd block of N = 4 pairs (and of sk_pm N = 4 seeds 0 and 2)
+    # has a zero flip sector, on which ARPACK stops with "starting vector is
+    # zero"
+    paths = []
+    for inst in ([disjoint_pairs(n) for n in (2, 4, 6, 8)]
+                 + [instances.generate("sk_pm", n, seed=seed)
+                    for n in range(3, 8) for seed in range(3)]):
+        paths.append(tmp_path / f"inst{len(paths)}.txt")
+        instances.save_instance(inst, str(paths[-1]))
+    failed = [(path.name, b, k) for path in paths for b in (0, 0.05, 0.3)
+              for k in (1, 2, 3, 4)
+              if run_cli(["report", "--in", path, "--b", b, "--K", k,
+                          "--out", tmp_path / "report.json"]) != 0]
+    assert len(paths) * 12 == 228
+    assert failed == []
 
 
 def test_max_qubits_reaches_every_pipeline(tmp_path, monkeypatch):

@@ -98,6 +98,21 @@ def test_extreme_eigs_no_convergence_is_typed(monkeypatch, tmp_path, caplog):
     assert "best residual" in caplog.text
 
 
+def test_a_zero_operator_is_solved_densely_within_the_cap(monkeypatch):
+    # ARPACK stops on an operator with no range ("starting vector is zero"):
+    # H_s at B = 0 of an instance whose terms cancel
+    op = _hs_op(instances.build_instance(6, 2, [((0, 1), 1.0), ((0, 1), -1.0)]), 0.0, 1)
+    three = extreme_eigs(op, 3)
+    assert np.array_equal(three.eigenvalues, np.zeros(3))
+    five = extreme_eigs(op, 5, three)
+    assert np.array_equal(five.eigenvectors[:, :3], three.eigenvectors)
+    np.testing.assert_allclose(five.eigenvectors.T @ five.eigenvectors, np.eye(5),
+                               rtol=0, atol=1e-12)
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 32)
+    with pytest.raises(EigensolveError, match="ARPACK stopped above the dense cap"):
+        extreme_eigs(op, 1)
+
+
 def test_extreme_eigs_small_full_spectrum():
     # N=2: requesting all 4 eigenpairs exercises the krylov-exhaustion path
     op = _hs_op(hand_single_term(), 1.0, 1)
@@ -193,13 +208,17 @@ def test_solve_shifted_on_a_block_is_exactly_zero_on_its_ground_coordinates():
 
 
 def test_solve_shifted_against_dense_solve_on_j0_plus_v():
-    # the phi_exact system: J0 + V with the ground diagonal raised by zeta,
-    # solved at omega = E_{0,1} below its spectrum
+    # the old phi_exact system: J0 + V, H_s with the ground diagonal raised
+    # by zeta, solved at omega = E_{0,1} below its spectrum; as an operator
+    # it is H_s on the table of the walk's energies E'_u
     inst = instances.generate("sk_pm", 8, seed=2)
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=0.2 * abs(table.e0), k=1))
-    op = bwpt._j0_plus_v_operator(a, bwpt.DEFAULT_ZETA)
-    mat = operator_matrix(op)
+    zeta_p = np.zeros(table.energies.size)
+    zeta_p[a.ground.ground_indices] = bwpt.DEFAULT_ZETA
+    op = MatrixFreeOperator(a.hs_spec, replace(table, energies=table.energies + zeta_p))
+    mat = operator_matrix(a.operator(a.hs_spec)) + np.diag(zeta_p)
+    np.testing.assert_allclose(operator_matrix(op), mat, rtol=0, atol=1e-12)
     omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
     assert omega < np.linalg.eigvalsh(mat)[0]
     rhs = np.random.default_rng(3).standard_normal(op.shape[0])

@@ -14,6 +14,7 @@ import pytest
 from shortpath import hilbert, instances
 from shortpath.hilbert import (
     BudgetError,
+    DiagonalTable,
     MatrixFreeOperator,
     OperatorSpec,
     energy_of,
@@ -87,10 +88,10 @@ def test_walsh_hadamard_matches_dense_hadamard():
                           for u in range(1 << n)])
         c = rng.integers(-7, 8, size=1 << n).astype(np.float64)
         expected = signs @ c
-        assert np.array_equal(hilbert._walsh_hadamard(c, n), expected), n
+        assert np.array_equal(hilbert.walsh_hadamard(c, n), expected), n
         c = rng.standard_normal(1 << n)
         expected = signs @ c
-        assert np.allclose(hilbert._walsh_hadamard(c, n), expected, atol=1e-12), n
+        assert np.allclose(hilbert.walsh_hadamard(c, n), expected, atol=1e-12), n
 
 
 def test_walsh_hadamard_allocates_at_most_one_extra_vector():
@@ -99,7 +100,7 @@ def test_walsh_hadamard_allocates_at_most_one_extra_vector():
     tracemalloc.start()
     try:
         before, _peak = tracemalloc.get_traced_memory()
-        hilbert._walsh_hadamard(c, n)
+        hilbert.walsh_hadamard(c, n)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -256,17 +257,21 @@ def test_x_operator_is_exact_on_small_integers():
     assert np.array_equal(apply_x(np.asfortranarray(batch)), gathered(batch))
 
 
-@pytest.mark.parametrize("k", [1, 2, 27])
-@pytest.mark.parametrize("block", [None, "even"], ids=["full", "even"])
+@pytest.mark.parametrize("block, k", [
+    pytest.param(None, 1, id="full-1"), pytest.param(None, 2, id="full-2"),
+    pytest.param(None, 27, id="full-27"), pytest.param("even", 2, id="even-2"),
+    pytest.param("even", 28, id="even-28")])
 def test_xk_chain_holds_at_most_two_iterates(block, k):
     # the pair transforms one copy of the input and its transform ping-pongs
-    # with one more array; a scale built inside the call is dropped before the
-    # second transform, so two vectors besides the input are the peak
+    # with one more array, with the operator's cached scale: two vectors
+    # besides the input are the peak
     n = 16
-    amps = np.random.default_rng(2).standard_normal(1 << hilbert.coordinate_qubits(n, block))
+    op = MatrixFreeOperator(OperatorSpec("HS", big_b=1.0, k=k, parity_block=block),
+                            DiagonalTable(n, np.zeros(1 << n), 0.0, None))
+    amps = np.random.default_rng(2).standard_normal(op.shape[0])
     tracemalloc.start()
     try:
-        hilbert._apply_xk_over_n(amps, n, k, block)
+        op.xk(amps)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -275,24 +280,28 @@ def test_xk_chain_holds_at_most_two_iterates(block, k):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_xk_over_n_matches_dense_power(n):
-    # every K is the transform pair; on a block, an odd K maps its
-    # coordinates onto the other block's
+    # every K is the transform pair: xk_over_n on the full space, and an
+    # operator's xk on its own coordinates, a parity block's for even K
     rng = np.random.default_rng(n)
     xd = dense_x(n) / n
+    table = DiagonalTable(n, np.zeros(1 << n), 0.0, None)
     for k, block in itertools.product([1, 2, 3, 8, 27], [None, "even", "odd"]):
+        if block is not None and k % 2:
+            continue
         power = np.linalg.matrix_power(xd, k)
         cols = _block_basis(n, block) if block else np.arange(1 << n)
-        rows = cols if block is None or k % 2 == 0 else _block_basis(
-            n, {"even": "odd", "odd": "even"}[block])
-        expect = power[np.ix_(rows, cols)]
+        expect = power[np.ix_(cols, cols)]
+        xk = MatrixFreeOperator(OperatorSpec("HS", big_b=1.0, k=k, parity_block=block),
+                                table).xk
         v = rng.standard_normal(cols.size)
-        got = hilbert._apply_xk_over_n(v, n, k, block)
-        np.testing.assert_allclose(got, expect @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(xk(v), expect @ v, rtol=0, atol=1e-13)
         batch = rng.standard_normal((cols.size, 3))
-        got_c = hilbert._apply_xk_over_n(batch, n, k, block)
+        got_c = xk(batch)
         np.testing.assert_allclose(got_c, expect @ batch, rtol=0, atol=1e-13)
-        got_f = hilbert._apply_xk_over_n(np.asfortranarray(batch), n, k, block)
-        assert np.array_equal(got_f, got_c), (k, block)
+        assert np.array_equal(xk(np.asfortranarray(batch)), got_c), (k, block)
+        if block is None:
+            assert np.array_equal(hilbert.xk_over_n(v, n, k), xk(v)), k
+            assert np.array_equal(hilbert.xk_over_n(batch, n, k), got_c), k
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -472,8 +481,10 @@ def test_psi_plus_overlap_is_l1_for_nonnegative_states():
 
 
 def test_hs_spec_validation():
-    with pytest.raises(ValueError):
-        OperatorSpec("HS", big_b=-1.0, k=1)
+    for bad in (-1.0, float("nan"), float("inf")):
+        for kind in ("HS", "QHSQ"):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                OperatorSpec(kind, big_b=bad, k=1)
     with pytest.raises(ValueError):
         OperatorSpec("HS", big_b=1.0, k=0)
     # X^K for odd K maps each parity block to the other
