@@ -388,8 +388,8 @@ def thm3_parameters(alpha: float, c: float, n_qubits: int, c_big: float) -> Para
         raise BoundsError(f"alpha={alpha} outside (10/7, 2]")
     if n_qubits < 3:
         raise BoundsError(f"N={n_qubits} must be >= 3")
-    if c <= 0 or c_big <= 0:
-        raise BoundsError("c and C must be positive")
+    if not (0 < c < math.inf and 0 < c_big < math.inf):  # NaN fails too
+        raise BoundsError(f"c={c} and C={c_big} must be positive and finite")
     ln_n = math.log(n_qubits)
     if alpha > 11.0 / 7.0:
         regime = "high"

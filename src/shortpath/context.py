@@ -18,6 +18,7 @@ N) it reverses them.  There every level comes as an F = +1 and F = -1 copy,
 often split by less than 1e-9, so `lowest` solves the two flip sectors of
 2^(M-1) coordinates apart and merges their spectra; the caller still gets
 the block's pairs in the block's coordinates (see hilbert.flip_lift).
+`psi_plus_spec` names the one sector that psi_+ and H_s's ground state lie in.
 """
 
 from __future__ import annotations
@@ -90,11 +91,30 @@ class Analysis:
         """Number of basis states in the block (2^N for odd K)."""
         return 1 << coordinate_qubits(self.table.n_qubits, self.block)
 
-    @property
-    def flip_sectors(self) -> bool:
-        """Whether the block's spectra are solved in the two flip sectors:
-        H_s commutes with the global flip F, which reverses its coordinates."""
-        return self._in_flip_sectors(self.hs_spec)
+    @cached_property
+    def psi_plus_spec(self) -> OperatorSpec:
+        """H_s in psi_+'s space: the block's F = +1 sector, or the block where
+        it has no flip sectors.  H_s is stoquastic and irreducible on the
+        block, so its ground state is positive, and F fixes a positive state."""
+        hs = self.hs_spec
+        return replace(hs, flip_sector=1) if self._in_flip_sectors(hs) else hs
+
+    @cached_property
+    def psi_plus_ground_coords(self) -> np.ndarray:
+        """psi_plus_spec's ground coordinates, in the order `lift` maps onto
+        block_ground_coords (see GroundSpaceInfo.coordinates)."""
+        return self.ground.coordinates(self.block, self.psi_plus_spec.flip_sector)
+
+    def lift(self, amps: np.ndarray) -> np.ndarray:
+        """Amplitudes over psi_plus_spec's coordinates (psi_plus_ground_coords)
+        in the block's (block_ground_coords): flip_lift(amps, 1) or amps."""
+        return amps if self.psi_plus_spec.flip_sector is None else flip_lift(amps, 1)
+
+    def restrict(self, amps: np.ndarray) -> np.ndarray:
+        """The transpose of lift: block amplitudes onto psi_plus_spec's coordinates."""
+        if self.psi_plus_spec.flip_sector is None:
+            return amps
+        return (amps + amps[::-1])[:amps.shape[0] // 2] * np.sqrt(0.5)
 
     def _in_flip_sectors(self, spec: OperatorSpec) -> bool:
         """An even D, and odd K on the full space or even K on a block of

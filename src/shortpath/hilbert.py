@@ -67,14 +67,20 @@ class GroundSpaceInfo:
     gap_certified: bool
     n_qubits: int
 
-    def coordinates(self, parity_block: str | None) -> np.ndarray:
+    def coordinates(self, parity_block: str | None,
+                    flip_sector: int | None = None) -> np.ndarray:
         """The block's coordinates u & (2^(N-1) - 1) of the ground states u of
-        its parity, in index order (all u for no block); see basis_indices."""
+        its parity, in index order (all u for no block); see basis_indices.
+        The global flip reverses that list, u -> 2^M - 1 - u, and a flip
+        sector keeps the smaller of each pair, in the order of its first half."""
         u = self.ground_indices
-        if parity_block is None:
+        if parity_block is not None:
+            top = 1 << (self.n_qubits - 1)
+            u = u[np.bitwise_count(u) % 2 == (parity_block == "odd")] & (top - 1)
+        if flip_sector is None:
             return u
-        top = 1 << (self.n_qubits - 1)
-        return u[np.bitwise_count(u) % 2 == (parity_block == "odd")] & (top - 1)
+        last = (1 << coordinate_qubits(self.n_qubits, parity_block)) - 1
+        return np.minimum(u, last - u)[:u.size // 2]
 
 
 @dataclass(frozen=True)
@@ -253,9 +259,7 @@ class MatrixFreeOperator:
     products (`xk`); the X kind's is (N - 2|h|)/2^N, so X is exact on small
     integers.  QHSQ keeps its block's coordinates: the rows and columns of
     its `ground_coords` are zeroed and norm_bound() is put on their diagonal,
-    so they carry no eigenvalue below the spectrum of Q H_s Q.  In a flip
-    sector the ground coordinate of a pair {g, 2^M - 1 - g} is the smaller
-    one.
+    so they carry no eigenvalue below the spectrum of Q H_s Q.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
@@ -281,10 +285,7 @@ class MatrixFreeOperator:
             self.diagonal = self.diagonal[:dim]
         self.ground_coords = np.zeros(0, dtype=np.int64)
         if spec.kind == "QHSQ":
-            self.ground_coords = ground.coordinates(block)
-            if flip is not None:
-                self.ground_coords = np.unique(np.minimum(self.ground_coords,
-                                                          full - 1 - self.ground_coords))
+            self.ground_coords = ground.coordinates(block, flip)
             self.diagonal = self.diagonal.copy()
             self.diagonal[self.ground_coords] = self.norm_bound()
         self.xk_scale = _xk_scale(n, spec.k, coordinate_qubits(n, block, flip), flip)

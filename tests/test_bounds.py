@@ -246,6 +246,10 @@ def test_thm3_parameter_regimes():
         thm3_parameters(1.0, 1.0, 1000, 1.0)
     with pytest.raises(BoundsError):
         thm3_parameters(2.5, 1.0, 1000, 1.0)
+    for c, c_big in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+                     (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(BoundsError, match="positive and finite"):
+            thm3_parameters(1.5, c, 14, c_big)
 
 
 def test_hassoln_example_not_violated():

@@ -1,14 +1,16 @@
 """Brillouin-Wigner effective Hamiltonian, exact resummation, walk estimator."""
 
+import ast
 import dataclasses
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shortpath import bwpt, context, eigensolve, hilbert, instances
+from shortpath import analyze, bwpt, context, eigensolve, hilbert, instances
 from shortpath.bwpt import BwptError
 from shortpath.context import Analysis
 from shortpath.hilbert import MatrixFreeOperator, OperatorSpec
@@ -51,31 +53,47 @@ def test_effective_hamiltonian_unique_ground_by_hand():
     assert h[0, 0] == pytest.approx(expect, abs=1e-9)
 
 
-@pytest.mark.parametrize("make, k", [
-    pytest.param(lambda: disjoint_pairs(8), 2, id="pairs8-K2-block"),
-    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 3, id="sk_pm8-K3"),
-])
-def test_effective_hamiltonian_matches_dense_oracle(make, k):
-    # h(omega) = E0 I + PVP + PVQ (omega - Q H_s Q)^{-1} QVP on the block,
-    # with V = H_s - H_Z taken from the dense H_s in the block's coordinates;
-    # h's rows follow the ground coordinates in basis-index order
-    a = _setup(make(), b=0.1, k=k)
+def _dense_h(a, omega):
+    """h(omega) over the block's ground coordinates, dense: E0 I + PVP +
+    PVQ (omega - Q H_s Q)^{-1} QVP, with V = H_s - H_Z taken from the dense
+    H_s in the block's coordinates; rows follow the ground coordinates in
+    index order."""
     g = a.block_ground_coords
-    assert g.size > 1
     hs = a.operator(a.hs_spec)
     mat = eigensolve.operator_matrix(hs)
     v = mat - np.diag(hs.diagonal)
     q = np.setdiff1d(np.arange(a.block_dim), g)
+    resolvent = omega * np.eye(q.size) - mat[np.ix_(q, q)]
+    return (a.table.e0 * np.eye(g.size) + v[np.ix_(g, g)]
+            + v[np.ix_(g, q)] @ np.linalg.solve(resolvent, v[np.ix_(q, g)]))
+
+
+@pytest.mark.parametrize("make, k, flip", [
+    pytest.param(lambda: disjoint_pairs(8), 2, True, id="pairs8-K2-block"),
+    pytest.param(lambda: disjoint_pairs(10), 2, True, id="pairs10-K2-block"),
+    # block coordinates 112, 121, 6, 15: not in index order, and 112 pairs with 15
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 2, True, id="sk_pm8-K2-block"),
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 3, True, id="sk_pm8-K3"),
+    pytest.param(lambda: instances.generate("sk_pm", 9, seed=1), 2, False, id="sk_pm9-K2-block"),
+    pytest.param(lambda: _random_d3(9, seed=4), 1, False, id="d3-9-K1"),
+])
+def test_effective_hamiltonian_matches_dense_oracle(make, k, flip):
+    # h(omega) in psi_+'s space is L^T h L, h the block's dense one and L the
+    # lift from psi_+'s ground coordinates: flip_lift(., 1) with flip
+    # sectors (odd N has none in a block, odd D none at all), else the identity
+    a = _setup(make(), b=0.1, k=k)
+    assert (a.psi_plus_spec.flip_sector == 1) == flip
     omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
     h = bwpt.effective_hamiltonian(a, omega)
-    resolvent = omega * np.eye(q.size) - mat[np.ix_(q, q)]
-    expect = (a.table.e0 * np.eye(g.size) + v[np.ix_(g, g)]
-              + v[np.ix_(g, q)] @ np.linalg.solve(resolvent, v[np.ix_(q, g)]))
-    assert np.allclose(h, expect, rtol=0, atol=1e-12 * abs(a.table.e0))
+    lift = a.lift(np.eye(a.psi_plus_ground_coords.size))
+    want = lift.T @ _dense_h(a, omega) @ lift
+    assert h.shape == want.shape == (a.block_ground_coords.size >> flip,) * 2
+    assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _h_per_column(a, omega):
-    """h(omega) with one Q-subspace solve for every ground coordinate."""
+    """h(omega) over the block's ground coordinates, with one Q-subspace
+    solve for every column."""
     spec = a.spec
     idx = a.block_ground_coords
     qhsq = a.operator(a.qhsq_spec)
@@ -97,37 +115,63 @@ def _h_per_column(a, omega):
     pytest.param(lambda: instances.generate("sk_pm", 10, seed=3), 3, id="sk_pm10-K3"),
 ])
 def test_effective_hamiltonian_solves_one_column_per_flip_pair(make, k, monkeypatch):
-    # the global flip reverses the block's coordinates and commutes with
-    # QH_sQ and V, so the column of 2^M - 1 - u is u's reversed: one shifted
-    # solve per ground pair, and h equals the one-solve-per-column build
+    # the ground states come in global-flip pairs, one F = +1 state per pair:
+    # one shifted solve per pair, on the F = +1 sector's 2^(M-1) coordinates,
+    # and h is the F = +1 block of the one-solve-per-column build
     a = _setup(make(), b=0.1, k=k)
-    assert a.flip_sectors
+    assert a.psi_plus_spec.flip_sector == 1
     g = a.block_ground_coords
     assert np.array_equal(g[::-1], a.block_dim - 1 - g)
     omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
-    solves = []
+    rhs_sizes = []
     solve = eigensolve.solve_shifted
     monkeypatch.setattr(eigensolve, "solve_shifted",
-                        lambda *args: solves.append(1) or solve(*args))
+                        lambda op, shift, rhs: rhs_sizes.append(rhs.size)
+                        or solve(op, shift, rhs))
     h = bwpt.effective_hamiltonian(a, omega)
-    assert len(solves) == g.size // 2
-    want = _h_per_column(a, omega)
+    assert rhs_sizes == [a.block_dim // 2] * (g.size // 2)
+    lift = hilbert.flip_lift(np.eye(g.size // 2), 1)
+    want = lift.T @ _h_per_column(a, omega) @ lift
     assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_xi0_comes_from_the_flip_symmetric_block_of_h():
-    # sk_pm N=8 seed 2 at B=0.2, K=1: h's lowest level is a global-flip pair
-    # split by less than 1e-12, but its F = +1 block's lowest is simple
+    # sk_pm N=8 seed 2 at B=0.2, K=1: the lowest level of the block's dense h
+    # is a global-flip pair split by less than 1e-9, one copy in the F = -1
+    # block; h in psi_+'s space is the F = +1 block, whose lowest is simple
     inst = instances.generate("sk_pm", 8, seed=2)
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=0.2, k=1))
     ctx = bwpt.solve_self_consistent(a)
+    dense = _dense_h(a, ctx.omega)
+    lifts = [hilbert.flip_lift(np.eye(a.block_ground_coords.size // 2), f) for f in (1, -1)]
+    plus, minus = (np.linalg.eigvalsh(lift.T @ dense @ lift) for lift in lifts)
+    assert abs(minus[0] - plus[0]) < 1e-9 < plus[1] - plus[0]
     vals = np.linalg.eigvalsh(bwpt.effective_hamiltonian(a, ctx.omega))
-    assert vals[1] - vals[0] < 1e-9 < vals[2] - vals[0]
+    assert vals[0] == pytest.approx(plus[0], rel=1e-12)
+    assert vals[1] - vals[0] > 1e-9
     assert np.max(np.abs(ctx.xi0 - ctx.xi0[::-1])) <= 1e-15
     assert ctx.fixed_point_residual < 1e-12
     _phi, overlap = bwpt.phi_exact(ctx, a)
     assert overlap.xi0_l1 == pytest.approx(float(ctx.xi0.sum()))
+
+
+def test_bwpt_and_analyze_name_no_flip_sector():
+    # psi_+'s space is named once, by context.Analysis.psi_plus_spec
+    banned = {"flip_sector", "flip_lift", "flip_sectors"}
+    for module in (bwpt, analyze):
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & banned, module.__name__
 
 
 def test_effective_hamiltonian_rejects_omega_above_q_spectrum():
@@ -224,7 +268,7 @@ def _full_index_walk(ctx, a, samples, seed):
     is_ground = np.zeros(1 << n, dtype=bool)
     is_ground[a.ground.ground_indices] = True
     partial, totals = np.ones(samples), np.ones(samples)
-    b_pow, t_used, top_flipped = 1.0, 0, False
+    t_used, top_flipped = 0, False
     for t in range(1, t_max + 1):
         flips = rng.integers(0, n, size=(spec.k, samples))
         top_flipped |= bool(np.any(flips == n - 1))
@@ -233,11 +277,10 @@ def _full_index_walk(ctx, a, samples, seed):
         denom = (table.energies[states] + np.where(is_ground[states], ctx.zeta, 0.0)
                  - ctx.omega)
         assert np.all(denom > 0.0)
-        partial /= denom
-        b_pow *= spec.big_b
-        totals += b_pow * partial
+        partial *= spec.big_b / denom
+        totals += partial
         t_used = t
-        if b_pow * float(partial.max()) < 1e-16 * float(totals.mean()):
+        if float(partial.max()) < 1e-16 * float(totals.mean()):
             break
     return (float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(samples)),
             t_used, top_flipped)
@@ -356,3 +399,40 @@ def test_convergence_check_agrees_with_the_dense_j0_plus_v_spectrum():
             assert raised == diverges, (model, n, k, b, zeta)
             verdicts.add(raised)
     assert verdicts == {True, False}
+
+
+def _sk8_seed3(big_b):
+    inst = instances.generate("sk_pm", 8, seed=3)
+    return Analysis(inst, hilbert.evaluate_hz(inst), OperatorSpec("HS", big_b=big_b, k=2))
+
+
+def test_a_large_field_walk_stays_finite():
+    # at B = 100 the walk runs 190 steps: B^t overflowed to inf while the
+    # product of the 1/(E'_u - omega) underflowed, and the estimate read NaN
+    a = _sk8_seed3(100.0)
+    ctx = bwpt.solve_self_consistent(a)
+    est = bwpt.walk_estimate(ctx, a, samples=200, seed=0)
+    assert est.t_truncation > 154  # 100^155 overflows a double
+    assert math.isfinite(est.series_estimate) and est.series_estimate > 1.0
+    assert math.isfinite(est.std_error) and est.std_error > 0.0
+
+
+def test_an_overflowing_analytic_bound_is_infinite():
+    # at B = 1e4 the bound's exponent BN / (2DK|E0|) is past exp's range
+    a = _sk8_seed3(1e4)
+    ctx = bwpt.solve_self_consistent(a)
+    _phi, overlap = bwpt.phi_exact(ctx, a)
+    assert overlap.analytic_bound == math.inf
+    assert math.isfinite(overlap.inner_psi_plus_phi)
+
+
+@pytest.mark.parametrize("zeta", [math.inf, math.nan])
+def test_a_non_finite_zeta_is_rejected(zeta):
+    a = _sk8_seed3(0.1 * 10)
+    with pytest.raises(BwptError, match="--zeta"):
+        bwpt.solve_self_consistent(a, zeta=zeta)
+    # past that check, an infinite zeta makes phi NaN, which phi_exact's
+    # residual check rejects
+    ctx = dataclasses.replace(bwpt.solve_self_consistent(a), zeta=zeta)
+    with pytest.raises(BwptError, match="not an H_s eigenvector"):
+        bwpt.phi_exact(ctx, a)

@@ -352,6 +352,47 @@ def test_a_non_finite_field_is_a_one_line_error(tmp_path, value):
     assert errors == [f"ERROR B={value} must be finite and non-negative"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["walk", "--b", 0.1, "--K", 2, "--zeta", "inf"],
+                 "--zeta inf is not finite", id="zeta-inf"),
+    pytest.param(["thm3", "--alpha", 1.5, "--c", "nan", "--n", 14, "--C", 1],
+                 "c=nan and C=1.0 must be positive and finite", id="c-nan"),
+    pytest.param(["thm3", "--alpha", 1.5, "--c", "inf", "--n", 14, "--C", 1],
+                 "c=inf and C=1.0 must be positive and finite", id="c-inf"),
+    pytest.param(["thm3", "--alpha", 1.5, "--c", 0.7, "--n", 14, "--C", "nan"],
+                 "c=0.7 and C=nan must be positive and finite", id="C-nan"),
+])
+def test_a_non_finite_parameter_is_a_one_line_error(tmp_path, caplog, argv, message):
+    # each exited 0 with NaN or null leaves, and --C nan with a conversion error
+    if argv[0] == "walk":
+        argv = [*argv, "--in", _gen(tmp_path, n=8, seed=3)]
+    assert run_cli([*argv, "--out", tmp_path / "out.json"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith(message)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_large_field_writes_finite_walk_leaves_and_an_infinite_bound(tmp_path):
+    # sk_pm N=8 seed 3, K=2: at B = 100 the walk's B^t overflowed and its
+    # estimate and error were null; at B = 1e4 exp overflowed in the analytic
+    # bound, and walk and report died with a traceback
+    inst = _gen(tmp_path, n=8, seed=3)
+    out = tmp_path / "walk.json"
+    assert run_cli(["walk", "--in", inst, "--B", 100, "--K", 2, "--samples", 200,
+                    "--out", out]) == 0
+    est = _load(out)["bw"]["walk"]
+    assert math.isfinite(est["series_estimate"]["dec"])
+    assert math.isfinite(est["std_error"]["dec"])
+    for verb in ("walk", "report"):
+        out = tmp_path / f"{verb}.json"
+        assert run_cli([verb, "--in", inst, "--B", "1e4", "--K", 2, "--samples", 200,
+                        "--out", out]) == 0
+        bw = _load(out)["bw"]
+        assert bw["overlap"]["analytic_bound"] == {"dec": None, "hex": "inf"}
+        assert math.isfinite(bw["walk"]["series_estimate"]["dec"])
+
+
 def test_small_report_sweep_exits_zero(tmp_path):
     # 228 reports: disjoint pairs N in {2, 4, 6, 8} and sk_pm N = 3..7 at
     # seeds 0..2, each at b in {0, 0.05, 0.3} and K = 1..4.  At b = 0 and an

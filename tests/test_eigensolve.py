@@ -560,7 +560,7 @@ def test_merged_flip_sectors_match_the_dense_block_spectrum(make, k):
     inst = make()
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=0.3 * abs(table.e0), k=k))
-    assert a.flip_sectors
+    assert a.psi_plus_spec.flip_sector == 1
     other = {"even": "odd", "odd": "even"}.get(a.block)
     specs = [a.hs_spec, a.qhsq_spec] + ([replace(a.hs_spec, parity_block=other)]
                                         if other else [])
@@ -596,7 +596,7 @@ def test_odd_degree_and_odd_n_blocks_solve_the_block(make, k, monkeypatch):
     inst = make()
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=0.3 * abs(table.e0), k=k))
-    assert not a.flip_sectors
+    assert a.psi_plus_spec.flip_sector is None
     calls = []
     solve = eigensolve.extreme_eigs
     monkeypatch.setattr(eigensolve, "extreme_eigs",
