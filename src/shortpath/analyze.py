@@ -5,8 +5,8 @@ the one-step algorithm with speedup accounting in bits.
 Every pipeline takes a `context.Analysis`: the H_Z table, the ground space
 and the parity block come from it, and so does every spectrum (H_1 in each
 parity block for even K or in the full space for odd K, QH_1Q, mainconst's
-H_{5/2} in psi_+'s space), solved once per analysis and shared between the
-pipelines and `bwpt`.
+H_{5/2}), solved once per analysis and shared between the pipelines and
+`bwpt`.
 
 Asymptotic statements (B = omega(log N), the (1 - o(1)) exponent corrections)
 are reported as measured ratios, never converted into pass/fail on a single N.
@@ -247,12 +247,12 @@ def mainconst_decide(analysis: Analysis,
     report.details["item2"] = item2
 
     # H_{5/2} = H_Z - (5/2) B (X/N)^K; its ground state must dip below
-    # E0 - 1/4 and carry at least 1/4 of B(X/N)^K expectation; that ground
-    # state is positive, so it is solved in psi_+'s space alone
-    eig = analysis.lowest(replace(analysis.psi_plus_spec, big_b=2.5 * spec.big_b), 1)
+    # E0 - 1/4 and carry at least 1/4 of B(X/N)^K expectation; a lowest pair
+    # is one sector solve (see Analysis.lowest)
+    eig = analysis.lowest(replace(analysis.hs_spec, big_b=2.5 * spec.big_b), 1)
     lam = float(eig.eigenvalues[0])
-    psi = eig.eigenvectors[:, 0]
-    x_exp = spec.big_b * float(psi @ analysis.operator(analysis.psi_plus_spec).xk(psi))
+    psi = eig.eigenvectors[:, 0].copy()
+    x_exp = spec.big_b * float(psi @ analysis.operator(analysis.hs_spec).xk(psi))
     report.conclusions.append(
         ("h52_below_quarter", bool(lam < e0 - 0.25 + TOL), float((e0 - 0.25) - lam)))
     report.conclusions.append(

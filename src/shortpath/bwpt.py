@@ -11,9 +11,9 @@ The exact resummation is the H_s eigenvector xi0 + (omega - QH_sQ)^{-1} QV xi0,
 rescaled: one more solve with h(omega)'s QH_sQ operator, no J_0 + V operator.
 
 Every function takes a `context.Analysis`, which supplies the table, the
-ground space, the parity block and the spectra: omega = E_{0,1}, psi_{0,1}
-and E^Q_{0,1} are the Analysis's memoized solves, shared with `analyze`.
-h(omega), phi and psi_{0,1} are worked in psi_+'s space, `psi_plus_spec`.
+ground space, the parity block and the spectra: omega = E_{0,1} with
+psi_{0,1}, and E^Q_{0,1}, are the Analysis's lowest pairs, shared with
+`analyze`.  h(omega) and phi are worked in psi_+'s space, `psi_plus_spec`.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class WalkEstimate:
 
 
 def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
-    """h(omega) over psi_plus_ground_coords at the Analysis's field B,
+    """h(omega) over psi_+'s ground coordinates at the Analysis's field B,
     geometric series resummed: h = E0*I + M1 + M2 with M2 from one Q-subspace
     solve per column.  With flip sectors it is the block's h on F = +1.
 
@@ -82,11 +82,11 @@ def effective_hamiltonian(analysis: Analysis, omega: float) -> np.ndarray:
         raise BwptError(
             f"omega={omega} is not below the Q-restricted spectrum (E^Q={eq0})"
         )
-    idx = analysis.psi_plus_ground_coords
+    qhsq = analysis.operator(replace(analysis.psi_plus_spec, kind="QHSQ"))
+    idx = qhsq.ground_coords
     h = table.e0 * np.eye(idx.size)
     if spec.big_b == 0.0:
         return h
-    qhsq = analysis.operator(replace(analysis.psi_plus_spec, kind="QHSQ"))
     xk = analysis.operator(analysis.psi_plus_spec).xk
 
     for col, u in enumerate(idx):
@@ -131,8 +131,8 @@ def solve_self_consistent(analysis: Analysis, zeta: float = DEFAULT_ZETA) -> BwC
         xi0 = -xi0
     if np.min(xi0) < -1e-10:
         raise BwptError(
-            "ground vector of h has mixed signs after the global flip; "
-            "the even-K parity block was probably not applied"
+            f"h(omega)'s lowest vector is not non-negative: xi0's most negative "
+            f"entry is {np.min(xi0):.3e}"
         )
     xi0 = np.clip(xi0, 0.0, None)
     xi0 /= np.linalg.norm(xi0)
@@ -162,7 +162,7 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
     n = table.n_qubits
     hs = analysis.operator(analysis.psi_plus_spec)
     qhsq = analysis.operator(replace(analysis.psi_plus_spec, kind="QHSQ"))
-    g = analysis.psi_plus_ground_coords
+    g = qhsq.ground_coords
     xi0 = np.zeros(hs.shape[0])
     xi0[g] = analysis.restrict(ctx.xi0)
     # the solve ignores V xi0 on the ground coordinates, so Q V xi0 is implied
@@ -179,13 +179,13 @@ def phi_exact(ctx: BwContext, analysis: Analysis) -> tuple[np.ndarray, OverlapRe
         )
     # a contiguous copy: the memo may hold more pairs, and BLAS sums a
     # strided column in another order
-    psi01 = analysis.lowest(analysis.psi_plus_spec, 1).eigenvectors[:, 0].copy()
+    psi01 = analysis.lowest(analysis.hs_spec, 1).eigenvectors[:, 0].copy()
     if psi01.sum() < 0:
         psi01 = -psi01
+    phi = analysis.lift(phi)
     align = float(phi @ psi01) / phi_norm
     if not align >= 1 - 1e-8:
         raise BwptError(f"phi does not align with the H_s ground state ({align})")
-    phi, psi01 = analysis.lift(phi), analysis.lift(psi01)
 
     inner_phi = float(psi_plus_overlap(phi, n))
     inner_gs = float(psi_plus_overlap(psi01, n))

@@ -16,9 +16,10 @@ For an even D the global flip F commutes with H_s, and where it keeps the
 block's coordinates (odd K on the full space, or even K on a block of even
 N) it reverses them.  There every level comes as an F = +1 and F = -1 copy,
 often split by less than 1e-9, so `lowest` solves the two flip sectors of
-2^(M-1) coordinates apart and merges their spectra; the caller still gets
-the block's pairs in the block's coordinates (see hilbert.flip_lift).
-`psi_plus_spec` names the one sector that psi_+ and H_s's ground state lie in.
+2^(M-1) coordinates apart: a lowest pair is read from F = +1 alone, and two
+or more pairs are merged from both sectors.  The caller gets the block's
+pairs in the block's coordinates either way (see hilbert.flip_lift).
+`psi_plus_spec` names the space that h(omega)'s operators act on.
 """
 
 from __future__ import annotations
@@ -93,21 +94,14 @@ class Analysis:
 
     @cached_property
     def psi_plus_spec(self) -> OperatorSpec:
-        """H_s in psi_+'s space: the block's F = +1 sector, or the block where
-        it has no flip sectors.  H_s is stoquastic and irreducible on the
-        block, so its ground state is positive, and F fixes a positive state."""
+        """H_s in psi_+'s space, where h(omega)'s operators act: the block's
+        F = +1 sector, or the block where it has no flip sectors."""
         hs = self.hs_spec
         return replace(hs, flip_sector=1) if self._in_flip_sectors(hs) else hs
 
-    @cached_property
-    def psi_plus_ground_coords(self) -> np.ndarray:
-        """psi_plus_spec's ground coordinates, in the order `lift` maps onto
-        block_ground_coords (see GroundSpaceInfo.coordinates)."""
-        return self.ground.coordinates(self.block, self.psi_plus_spec.flip_sector)
-
     def lift(self, amps: np.ndarray) -> np.ndarray:
-        """Amplitudes over psi_plus_spec's coordinates (psi_plus_ground_coords)
-        in the block's (block_ground_coords): flip_lift(amps, 1) or amps."""
+        """Amplitudes over psi_plus_spec's coordinates in the block's, or over
+        its ground ones in block_ground_coords: flip_lift(amps, 1) or amps."""
         return amps if self.psi_plus_spec.flip_sector is None else flip_lift(amps, 1)
 
     def restrict(self, amps: np.ndarray) -> np.ndarray:
@@ -140,7 +134,12 @@ class Analysis:
         """The `how_many` lowest eigenpairs of `spec` in its operator's
         coordinates.  A spec's solve is extended only when more pairs are asked of
         it than it holds; otherwise the first `how_many` pairs of that solve
-        are returned.  The arrays are shared between callers and read-only."""
+        are returned.  The arrays are shared between callers and read-only.
+        With flip sectors one pair is F = +1's, lifted: a stoquastic H_s or
+        QH_sQ has a non-negative lowest vector v, and v + Fv lies in F = +1."""
+        if how_many == 1 and self._in_flip_sectors(spec):
+            eig = self.lowest(replace(spec, flip_sector=1), 1)
+            return replace(eig, eigenvectors=flip_lift(eig.eigenvectors, 1))
         eig = self._solved.get(spec)
         if eig is None or eig.eigenvalues.size < how_many:
             if self._in_flip_sectors(spec):
@@ -161,9 +160,10 @@ class Analysis:
 
     def _merge_flip_sectors(self, spec: OperatorSpec,
                             how_many: int) -> eigensolve.EigenResult:
-        """At least `how_many` lowest pairs of `spec` from its F = +1 and F = -1
-        sectors, each solved and memoized under its own spec, with the
-        vectors lifted to the block's coordinates; F = +1 first on a tie.
+        """At least `how_many` >= 2 lowest pairs of `spec` from its F = +1 and
+        F = -1 sectors, each solved and memoized under its own spec, with the
+        vectors lifted to the block's coordinates; F = +1 first on a tie.  One
+        pair needs no merge: a lowest vector v >= 0 gives v + Fv in F = +1.
 
         A fresh request asks ceil(how_many / 2) pairs of each sector.  The
         merged values up to the lowest highest-found value of a sector that

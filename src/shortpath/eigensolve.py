@@ -138,7 +138,10 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
             vals, ys = _arpack_pairs(op, how_many, found)
         except ArpackError as exc:  # not ArpackNoConvergence, handled there
             if (1 << op.n_qubits) > DENSE_DIM_CAP:
-                raise EigensolveError(f"ARPACK stopped above the dense cap: {exc}") from exc
+                why = (f"the instance's terms cancel, so H_s is zero and every eigenvalue "
+                       f"is 0 ({exc})" if op.spec.kind == "HS" and op.spec.big_b == 0.0
+                       and not op.table.energies.any() else exc)
+                raise EigensolveError(f"ARPACK stopped above the dense cap: {why}") from exc
             dense = True  # it exhausted op's range: a zero operator has none
     if dense:  # one eigh of op lifted past the pairs found, as ARPACK sees it
         ys = found.eigenvectors

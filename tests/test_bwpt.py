@@ -85,7 +85,8 @@ def test_effective_hamiltonian_matches_dense_oracle(make, k, flip):
     assert (a.psi_plus_spec.flip_sector == 1) == flip
     omega = float(a.lowest(a.hs_spec, 1).eigenvalues[0])
     h = bwpt.effective_hamiltonian(a, omega)
-    lift = a.lift(np.eye(a.psi_plus_ground_coords.size))
+    qhsq = a.operator(dataclasses.replace(a.psi_plus_spec, kind="QHSQ"))
+    lift = a.lift(np.eye(qhsq.ground_coords.size))
     want = lift.T @ _dense_h(a, omega) @ lift
     assert h.shape == want.shape == (a.block_ground_coords.size >> flip,) * 2
     assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
@@ -156,9 +157,24 @@ def test_xi0_comes_from_the_flip_symmetric_block_of_h():
     assert overlap.xi0_l1 == pytest.approx(float(ctx.xi0.sum()))
 
 
+def test_a_mixed_sign_xi0_names_its_most_negative_entry(monkeypatch):
+    # h(omega)'s lowest vector (1, -1, 0, ...)/sqrt(2) on F = +1, lifted: +-1/2
+    a = _setup(disjoint_pairs(8), b=0.1, k=2)
+    size = a.block_ground_coords.size // 2
+    v = np.zeros(size)
+    v[:2] = (1.0, -1.0)
+    monkeypatch.setattr(bwpt, "effective_hamiltonian",
+                        lambda analysis, omega: a.table.e0 * np.eye(size) - np.outer(v, v))
+    with pytest.raises(BwptError, match=r"h\(omega\)'s lowest vector is not non-negative: "
+                       r"xi0's most negative entry is -5\.000e-01"):
+        bwpt.solve_self_consistent(a)
+
+
 def test_bwpt_and_analyze_name_no_flip_sector():
-    # psi_+'s space is named once, by context.Analysis.psi_plus_spec
+    # psi_+'s space is named once, by context.Analysis.psi_plus_spec, and
+    # only h(omega)'s operators use it: analyze reads lowest pairs alone
     banned = {"flip_sector", "flip_lift", "flip_sectors"}
+    extra = {bwpt: set(), analyze: {"psi_plus_spec", "psi_plus_ground_coords"}}
     for module in (bwpt, analyze):
         tree = ast.parse(Path(module.__file__).read_text())
         names = set()
@@ -171,7 +187,7 @@ def test_bwpt_and_analyze_name_no_flip_sector():
                 names.add(node.arg)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-        assert not names & banned, module.__name__
+        assert not names & (banned | extra[module]), module.__name__
 
 
 def test_effective_hamiltonian_rejects_omega_above_q_spectrum():

@@ -505,12 +505,14 @@ def test_simulate_accepts_a_parity_block_it_does_not_use(tmp_path):
                     "--out", tmp_path / "spectrum.json"]) == 1
 
 
-@pytest.mark.parametrize("k,solves", [(1, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("k,solves", [(1, 3), (2, 4), (3, 3)])
 def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
     # H_s (for even K in the ground states' block, then in the other block
     # for simulate) and QH_sQ; E_{0,1} is read from the H_s band solve.  D = 2
-    # and N = 8 is even, so each spectrum is one solve in each global-flip
-    # sector, on 2^(M-1) coordinates: for even K no solve spans the block
+    # and N = 8 is even, so each spectrum is solved in its global-flip
+    # sectors, on 2^(M-1) coordinates: for even K no solve spans the block.
+    # The band takes both sectors; a lowest pair, E^Q's and the one of
+    # simulate's block without ground states, takes F = +1 alone
     calls = []
     solve = eigensolve.extreme_eigs
 
@@ -522,12 +524,15 @@ def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
     inst = _gen(tmp_path, n=8, seed=2)
     assert run_cli(["report", "--in", inst, "--B", 0.2, "--K", k,
                     "--samples", 300, "--out", tmp_path / "report.json"]) == 0
-    assert len(calls) == 2 * solves, calls
+    assert len(calls) == solves, calls
     specs = [spec for spec, *_ in calls]
     assert len(set(specs)) == len(specs), calls
-    spectra = [replace(spec, flip_sector=None) for spec in specs]
-    assert all(spectra.count(spec) == 2 for spec in spectra), calls
-    assert sorted(spec.flip_sector for spec in specs) == [-1] * solves + [1] * solves
+    band = hilbert.OperatorSpec("HS", big_b=0.2, k=k, parity_block="odd" if k == 2 else None)
+    assert {replace(band, flip_sector=f) for f in (1, -1)} <= set(specs), calls
+    assert [spec for spec in specs if spec.flip_sector != 1] == [replace(band, flip_sector=-1)]
+    assert replace(band, kind="QHSQ", flip_sector=1) in specs, calls
+    if k == 2:
+        assert replace(band, parity_block="even", flip_sector=1) in specs, calls
     half = 1 << (8 - 1 - (k % 2 == 0))
     assert all(shape == (half, half) for *_, shape in calls), calls
 

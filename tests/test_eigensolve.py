@@ -113,6 +113,23 @@ def test_a_zero_operator_is_solved_densely_within_the_cap(monkeypatch):
         extreme_eigs(op, 1)
 
 
+def test_a_zero_operator_above_the_cap_names_its_cancelled_terms(tmp_path, monkeypatch,
+                                                                 caplog):
+    op = _hs_op(instances.build_instance(6, 2, [((0, 1), 1.0), ((0, 1), -1.0)]), 0.0, 1)
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 32)
+    with pytest.raises(EigensolveError, match="ARPACK stopped above the dense cap: "
+                       "the instance's terms cancel, so H_s is zero"):
+        extreme_eigs(op, 1)
+    monkeypatch.undo()
+    # 2^14 is above the real cap
+    inst = tmp_path / "zero.txt"
+    inst.write_text("14 2\n0 1 1\n0 1 -1\n")
+    assert cli.main(["spectrum", "--in", str(inst), "--b", "0", "--K", "2"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert "terms cancel, so H_s is zero and every eigenvalue is 0" in errors[0]
+
+
 def test_extreme_eigs_small_full_spectrum():
     # N=2: requesting all 4 eigenpairs exercises the krylov-exhaustion path
     op = _hs_op(hand_single_term(), 1.0, 1)
@@ -374,7 +391,6 @@ def test_memo_prefix_equals_a_fresh_solve(model, n, seed, k, monkeypatch):
     plus = a.lowest(plus_spec, 1)
     one = a.lowest(a.hs_spec, 1)
     assert len(ks) == runs
-    assert np.shares_memory(one.eigenvectors, big.eigenvectors)
     assert not one.eigenvalues.flags.writeable
     fresh = extreme_eigs(a.operator(plus_spec), 1)
     assert fresh.eigenvectors.shape == (a.block_dim // 2, 1)
@@ -578,6 +594,44 @@ def test_merged_flip_sectors_match_the_dense_block_spectrum(make, k):
             u = got.eigenvectors[np.ix_(keep, grp)]
             w = vecs[:, grp]
             assert np.max(np.abs(u @ u.T - w @ w.T)) < 1e-8, (spec, grp)
+
+
+@pytest.mark.parametrize("b", [0.3, 0.0])
+@pytest.mark.parametrize("make, k", [
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 2, id="sk_pm8-K2-block"),
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 3, id="sk_pm8-K3"),
+    pytest.param(lambda: disjoint_pairs(8), 2, id="pairs8-K2-block"),
+    pytest.param(lambda: disjoint_pairs(8), 3, id="pairs8-K3"),
+    pytest.param(lambda: instances.generate("sk_pm", 10, seed=3), 2, id="sk_pm10-K2-block"),
+    pytest.param(lambda: instances.generate("sk_pm", 10, seed=3), 3, id="sk_pm10-K3"),
+])
+def test_a_lowest_pair_is_one_f_plus_solve(make, k, b, monkeypatch):
+    # H_s and QH_sQ are stoquastic and commute with F, so a lowest level has
+    # an F = +1 copy, at B = 0 too, where they are reducible: one pair is one
+    # solve of the F = +1 sector, against the dense block with QH_sQ's ground
+    # coordinates cut out
+    inst = make()
+    table = hilbert.evaluate_hz(inst)
+    a = Analysis(inst, table, OperatorSpec("HS", big_b=b * abs(table.e0), k=k))
+    calls = []
+    solve = eigensolve.extreme_eigs
+    monkeypatch.setattr(eigensolve, "extreme_eigs",
+                        lambda op, m, *args: calls.append(op.spec) or solve(op, m, *args))
+    for spec in (a.hs_spec, a.qhsq_spec):
+        calls.clear()
+        got = a.lowest(spec, 1)
+        assert calls == [replace(spec, flip_sector=1)]
+        op = a.operator(spec)
+        keep = np.setdiff1d(np.arange(op.shape[0]), op.ground_coords)
+        vals, vecs = np.linalg.eigh(operator_matrix(op)[np.ix_(keep, keep)])
+        # pairs8's QH_sQ has lambda_min = 0 at B = 0: that one is to 1e-12 |E0|
+        floor = 1e-12 * abs(table.e0) if vals[0] == 0 else 0.0
+        assert got.eigenvalues[0] == pytest.approx(vals[0], rel=1e-12, abs=floor)
+        w = np.zeros((op.shape[0], np.count_nonzero(vals - vals[0] <= 1e-8)))
+        w[keep] = vecs[:, :w.shape[1]]
+        v = got.eigenvectors[:, 0]
+        assert v.shape == (op.shape[0],)
+        assert np.linalg.norm(v - w @ (w.T @ v)) <= 1e-8, spec
 
 
 def _hand_d3():
