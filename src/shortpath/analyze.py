@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class SpectralReport:
     p0_overlaps: float
     block: str | None
     n0_eff: int
-    band_vectors: np.ndarray = field(repr=False)
+    band_vectors: np.ndarray = field(repr=False)  # raw; kept out of reports
 
 
 def _cluster(values: np.ndarray) -> list[np.ndarray]:
@@ -108,11 +109,19 @@ def spectral_report(analysis: Analysis) -> SpectralReport:
     )
 
 
+class Check(NamedTuple):
+    """One precondition or conclusion of a theorem record."""
+
+    name: str
+    passed: bool | None  # None for asymptotic records, reported as a ratio
+    margin: float
+
+
 @dataclass
 class TheoremReport:
     theorem: str  # 'qgood', 'mainconst', or 'speed'
-    preconditions: list  # (name, passed or None for asymptotic records, margin)
-    conclusions: list    # same shape; populated only when preconditions pass
+    preconditions: list[Check]
+    conclusions: list[Check]  # populated only when the preconditions pass
     branch: int | None
     constants_used: TheoremConstants
     applicable: bool = True
@@ -120,7 +129,7 @@ class TheoremReport:
 
     @property
     def preconditions_pass(self) -> bool:
-        return all(p for _, p, _ in self.preconditions if p is not None)
+        return all(c.passed for c in self.preconditions if c.passed is not None)
 
 
 def _psi01_from_band(report: SpectralReport, n_qubits: int) -> np.ndarray:
@@ -154,13 +163,13 @@ def qgood_verify(analysis: Analysis,
 
     pnorm = bounds.p_xk_norm(table, ground, spec.k)
     pre = [
-        ("eq01_above_half", bool(spec_rep.eq01 >= e0 + 0.5 - TOL),
-         float(spec_rep.eq01 - (e0 + 0.5))),
-        ("b_pnorm_quarter", bool(spec.big_b * pnorm <= 0.25 + TOL),
-         float(0.25 - spec.big_b * pnorm)),
+        Check("eq01_above_half", bool(spec_rep.eq01 >= e0 + 0.5 - TOL),
+              float(spec_rep.eq01 - (e0 + 0.5))),
+        Check("b_pnorm_quarter", bool(spec.big_b * pnorm <= 0.25 + TOL),
+              float(0.25 - spec.big_b * pnorm)),
         # asymptotic: B = omega(log N) is reported as a ratio, not pass/fail
-        ("b_over_log2n", None,
-         float(spec.big_b / math.log2(n)) if n > 1 else float("inf")),
+        Check("b_over_log2n", None,
+              float(spec.big_b / math.log2(n)) if n > 1 else float("inf")),
     ]
     report = TheoremReport(theorem="qgood", preconditions=pre, conclusions=[],
                            branch=None, constants_used=constants,
@@ -184,12 +193,12 @@ def qgood_verify(analysis: Analysis,
         if spec_rep.next_eigenvalue is not None else math.inf,
     ))
     report.conclusions.append(
-        ("band_location", bool(band_margin >= -TOL), band_margin))
+        Check("band_location", bool(band_margin >= -TOL), band_margin))
 
     overlap_floor = math.sqrt(0.75)
     report.conclusions.append(
-        ("ground_overlap_3_4", bool(spec_rep.p0_overlaps >= overlap_floor - TOL),
-         float(spec_rep.p0_overlaps - overlap_floor)))
+        Check("ground_overlap_3_4", bool(spec_rep.p0_overlaps >= overlap_floor - TOL),
+              float(spec_rep.p0_overlaps - overlap_floor)))
 
     psi01 = _psi01_from_band(spec_rep, n)
     ovl = float(psi01.sum())  # 2^(N/2) <psi_+|psi01>
@@ -197,7 +206,7 @@ def qgood_verify(analysis: Analysis,
                  if e0 < 0 else 0.0)
     measured_log = math.log(ovl) if ovl > 0 else float("-inf")
     report.conclusions.append(
-        ("psi_plus_overlap_unit", bool(ovl >= 1.0 - TOL), measured_log - predicted))
+        Check("psi_plus_overlap_unit", bool(ovl >= 1.0 - TOL), measured_log - predicted))
     report.details["overlap_2n2"] = ovl
     report.details["overlap_log_measured"] = measured_log
     report.details["overlap_log_leading"] = predicted
@@ -217,8 +226,8 @@ def mainconst_decide(analysis: Analysis,
 
     kb = bounds.kbound_check(ground.n0, n, spec.k, spec.big_b)
     report = TheoremReport(theorem="mainconst", preconditions=[
-        ("kbound", kb.passes, float(0.25 - kb.lhs)),
-        ("gap_certified", ground.gap_certified, 0.0),
+        Check("kbound", kb.passes, float(0.25 - kb.lhs)),
+        Check("gap_certified", ground.gap_certified, 0.0),
     ], conclusions=[], branch=None, constants_used=constants,
         details={"kbound_lhs": kb.lhs, "kbound_saturated": kb.saturated})
     if not report.preconditions_pass:
@@ -233,7 +242,7 @@ def mainconst_decide(analysis: Analysis,
         # expected-time exponent N/2 - (b / 2DK) N log2(e), leading term only
         gain_bits = (bounds.overlap_exponent(n, instance.degree, spec.k, spec.big_b, e0)
                      * math.log2(math.e) if e0 < 0 else 0.0)
-        report.conclusions.append(("speedup_exponent_bits", True, gain_bits))
+        report.conclusions.append(Check("speedup_exponent_bits", True, gain_bits))
         report.details["query_exponent_bits"] = n / 2.0 - gain_bits
         return report
 
@@ -242,8 +251,8 @@ def mainconst_decide(analysis: Analysis,
     item2 = bounds.theorem1_item2_check(hist, instance, spec, constants)
     found = bool(item2.applicable and item2.witness_e is not None)
     report.conclusions.append(
-        ("dos_witness", found,
-         float(item2.witness_e - e0) if found else float("-inf")))
+        Check("dos_witness", found,
+              float(item2.witness_e - e0) if found else float("-inf")))
     report.details["item2"] = item2
 
     # H_{5/2} = H_Z - (5/2) B (X/N)^K; its ground state must dip below
@@ -254,9 +263,9 @@ def mainconst_decide(analysis: Analysis,
     psi = eig.eigenvectors[:, 0].copy()
     x_exp = spec.big_b * float(psi @ analysis.operator(analysis.hs_spec).xk(psi))
     report.conclusions.append(
-        ("h52_below_quarter", bool(lam < e0 - 0.25 + TOL), float((e0 - 0.25) - lam)))
+        Check("h52_below_quarter", bool(lam < e0 - 0.25 + TOL), float((e0 - 0.25) - lam)))
     report.conclusions.append(
-        ("h52_x_expectation", bool(x_exp >= 0.25 - TOL), float(x_exp - 0.25)))
+        Check("h52_x_expectation", bool(x_exp >= 0.25 - TOL), float(x_exp - 0.25)))
     report.details["h52_lambda_min"] = lam
     report.details["h52_bx_expectation"] = x_exp
     return report

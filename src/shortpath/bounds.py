@@ -44,6 +44,12 @@ class TheoremConstants:
     hassoln_c3: float = 1.0
     hassoln_c4: float = 1.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not 0.0 <= v < math.inf:  # NaN fails too
+                raise BoundsError(f"constant {f.name}={v} must be finite and non-negative")
+
     @classmethod
     def from_file(cls, path: str) -> "TheoremConstants":
         """Load from a key-value text file: one "name = value" per line,
@@ -65,11 +71,7 @@ class TheoremConstants:
                     values[name] = float(raw)
                 except ValueError:
                     raise BoundsError(f"{path}:{lineno}: non-numeric value {raw!r}") from None
-        out = cls(**values)
-        for f in fields(cls):
-            if getattr(out, f.name) < 0:
-                raise BoundsError(f"constant {f.name} must be non-negative")
-        return out
+        return cls(**values)
 
 
 def binary_entropy(x: float) -> float:

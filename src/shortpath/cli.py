@@ -39,8 +39,8 @@ def _float_leaf(x: float) -> dict:
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses, numpy types, and containers into a
-    JSON tree with exact float leaves."""
+    """Recursively convert dataclasses, named tuples, numpy types, and
+    containers into a JSON tree with exact float leaves."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -50,8 +50,11 @@ def to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # a field declared repr=False (raw eigenvectors) stays out of the report
         return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+                for f in dataclasses.fields(obj) if f.repr}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: to_jsonable(v) for name, v in zip(obj._fields, obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -127,50 +130,22 @@ def _instance_record(analysis: Analysis) -> dict:
 #
 # A section builder takes (a, args): a is the command's Analysis, or for dos
 # and baseline, which take no field, just the loaded instance and table.  It
-# returns the section's tree; None leaves the section out of the report.
+# returns the section's record; None leaves the section out of the report.
 
-def _spectral_tree(rep: analyze.SpectralReport) -> dict:
-    tree = dataclasses.asdict(rep)
-    del tree["band_vectors"]  # raw eigenvectors stay out of the report
-    return tree
-
-
-def _theorem_tree(rep: analyze.TheoremReport) -> dict:
-    details = {}
-    for key, val in rep.details.items():
-        if isinstance(val, analyze.SpectralReport):
-            details[key] = _spectral_tree(val)
-        else:
-            details[key] = val
-    return {
-        "theorem": rep.theorem,
-        "applicable": rep.applicable,
-        "branch": rep.branch,
-        "preconditions": [
-            {"name": n, "passed": p, "margin": m} for n, p, m in rep.preconditions
-        ],
-        "conclusions": [
-            {"name": n, "passed": p, "margin": m} for n, p, m in rep.conclusions
-        ],
-        "constants_used": rep.constants_used,
-        "details": details,
-    }
-
-
-def _spectrum_and_csv(a, args) -> dict:
+def _spectrum_and_csv(a, args) -> analyze.SpectralReport:
     rep = analyze.spectral_report(a)
     if args.csv:
         eigenvalues_csv(np.append(rep.band, rep.next_eigenvalue)
                         if rep.next_eigenvalue is not None else rep.band, args.csv)
-    return _spectral_tree(rep)
+    return rep
 
 
-def _qgood(a, args) -> dict:
-    return _theorem_tree(analyze.qgood_verify(a, _constants(args)))
+def _qgood(a, args) -> analyze.TheoremReport:
+    return analyze.qgood_verify(a, _constants(args))
 
 
-def _mainconst(a, args) -> dict:
-    return _theorem_tree(analyze.mainconst_decide(a, _constants(args)))
+def _mainconst(a, args) -> analyze.TheoremReport:
+    return analyze.mainconst_decide(a, _constants(args))
 
 
 def _simulate(a, args) -> analyze.SimulationResult:

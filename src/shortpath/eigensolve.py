@@ -14,9 +14,7 @@ Krylov basis for them fits a byte budget, one run finds them all and one more
 run checks that nothing below them was missed; otherwise, or when the wide run
 fails to converge or the check fails, each pair is one run.  scipy is
 imported on the first ARPACK run, not with this module, so a command that
-solves no eigenproblem never loads it; `eigsh`, `LinearOperator` and the
-two ARPACK errors are module attributes from their first access on
-(PEP 562), and a stand-in bound to one of them beforehand is kept.
+solves no eigenproblem never loads it.
 
 solve_shifted solves (shift - op) x = rhs for a shift below the spectrum of
 op, where op - shift is positive definite, by conjugate gradients (Hestenes
@@ -44,24 +42,6 @@ _CHECK_TOL = 1e-8              # ARPACK tolerance of the completeness check
 _CHECK_SLACK = 1e-9            # its room below the top pair, relative to max(1, |top|)
 _SHIFTED_REL_TOL = 1e-10  # certified true residual of solve_shifted
 _CG_REL_TOL = 1e-13       # recurrence residual at which its iteration stops
-_SCIPY_NAMES = ("ArpackError", "ArpackNoConvergence", "LinearOperator", "eigsh")
-
-
-def _load_scipy() -> None:
-    """Bind _SCIPY_NAMES from scipy.sparse.linalg into this module, keeping
-    any name already bound."""
-    import scipy.sparse.linalg
-
-    for name in _SCIPY_NAMES:
-        globals().setdefault(name, getattr(scipy.sparse.linalg, name))
-
-
-def __getattr__(name: str):
-    """The names of _SCIPY_NAMES, imported on first access (PEP 562)."""
-    if name not in _SCIPY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_scipy()
-    return globals()[name]
 
 
 class EigensolveError(RuntimeError):
@@ -133,7 +113,7 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     missing = how_many - found.eigenvalues.size
     dense = op.shape[0] < 2  # ARPACK needs k < n; here how_many == free_dim == 1
     if not dense:
-        _load_scipy()
+        from scipy.sparse.linalg import ArpackError
         try:
             vals, ys = _arpack_pairs(op, how_many, found)
         except ArpackError as exc:  # not ArpackNoConvergence, handled there
@@ -160,6 +140,7 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
 def _arpack_pairs(op: MatrixFreeOperator, how_many: int,
                   found: EigenResult) -> tuple[np.ndarray, np.ndarray]:
     """The pairs extreme_eigs adds to `found`, by ARPACK runs (see there)."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     known = found.eigenvalues.size
     dim = op.shape[0]
     rng = np.random.default_rng(_START_SEED)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from shortpath import analyze, bounds, eigensolve, hilbert, instances
 from shortpath.context import Analysis
@@ -187,14 +188,14 @@ def test_simulate_doubles_until_past_the_cutoff(monkeypatch, big_b, k):
         return got[-1]
 
     runs = []
-    eigsh = eigensolve.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def counted(*args, **kwargs):
         runs.append(1)
         return eigsh(*args, **kwargs)
 
     a.lowest = spy
-    monkeypatch.setattr(eigensolve, "eigsh", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
     sim = analyze.simulate_algorithm1(a)
     assert asked == asks
     # the second request extends the first solve: one ARPACK run per pair,

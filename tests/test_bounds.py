@@ -2,6 +2,7 @@
 classical baseline counting."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,18 @@ def test_theorem_constants_file_round_trip(tmp_path):
     bad.write_text("mystery = 1\n")
     with pytest.raises(BoundsError, match="unknown constant"):
         TheoremConstants.from_file(str(bad))
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_a_theorem_constant_must_be_finite_and_non_negative(tmp_path, value):
+    # the file's old check was < 0 alone, so nan and inf passed
+    message = re.escape(f"constant hassoln_c1={float(value)} must be finite")
+    path = tmp_path / "consts.txt"
+    path.write_text(f"hassoln_c1 = {value}\n")
+    with pytest.raises(BoundsError, match=message):
+        TheoremConstants.from_file(str(path))
+    with pytest.raises(BoundsError, match=message):
+        TheoremConstants(hassoln_c1=float(value))
 
 
 def test_item2_check_b_zero_degenerates():

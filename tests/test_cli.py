@@ -7,13 +7,15 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import shortpath
-from shortpath import bwpt, cli, eigensolve, hilbert, instances
+from shortpath import analyze, bwpt, cli, eigensolve, hilbert, instances
 
 from conftest import disjoint_pairs
 
@@ -51,6 +53,25 @@ def test_float_leaves_carry_hex(tmp_path):
     leaf = doc["instance"]["e0"]
     assert set(leaf) == {"dec", "hex"}
     assert float.fromhex(leaf["hex"]) == leaf["dec"]
+
+
+class _Pair(NamedTuple):
+    name: str
+    margin: float
+
+
+def test_a_named_tuple_serializes_as_the_dict_of_its_fields():
+    assert cli.to_jsonable([_Pair("gap", 0.5)]) == [
+        {"name": "gap", "margin": {"dec": 0.5, "hex": "0x1.0000000000000p-1"}}]
+
+
+def test_a_repr_false_field_stays_out_of_the_report():
+    @dataclass
+    class Record:
+        n0: int
+        vectors: np.ndarray = field(repr=False)
+
+    assert cli.to_jsonable(Record(2, np.eye(2))) == {"n0": 2}
 
 
 def _reject(token):
@@ -373,6 +394,18 @@ def test_a_non_finite_parameter_is_a_one_line_error(tmp_path, caplog, argv, mess
     assert not (tmp_path / "out.json").exists()
 
 
+def test_a_non_finite_constant_is_a_one_line_error(tmp_path, caplog):
+    # hassoln_c1 = nan passed the file's < 0 check: thm3 exited 0 and wrote a
+    # NaN hassoln.lhs judged not violated
+    consts = tmp_path / "c.txt"
+    consts.write_text("hassoln_c1 = nan\n")
+    assert run_cli(["thm3", "--alpha", 1.5, "--c", 0.7, "--n", 14, "--C", 1,
+                    "--constants", consts, "--out", tmp_path / "out.json"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["constant hassoln_c1=nan must be finite and non-negative"]
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_a_large_field_writes_finite_walk_leaves_and_an_infinite_bound(tmp_path):
     # sk_pm N=8 seed 3, K=2: at B = 100 the walk's B^t overflowed and its
     # estimate and error were null; at B = 1e4 exp overflowed in the analytic
@@ -464,6 +497,19 @@ def test_report_sections_equal_standalone_commands(tmp_path, sk8_report,
     standalone = _load(out)[section]
     assert (json.dumps(standalone, sort_keys=True)
             == json.dumps(report[section], sort_keys=True))
+
+
+def test_theorem_and_spectrum_sections_are_their_records(sk8_report):
+    _, report = sk8_report(1)
+    theorem = {f.name for f in fields(analyze.TheoremReport)}
+    assert set(report["qgood"]) == set(report["mainconst"]) == theorem
+    spectral = {f.name for f in fields(analyze.SpectralReport)} - {"band_vectors"}
+    assert set(report["spectrum"]) == spectral
+    assert report["qgood"]["details"]["spectral"] == report["spectrum"]
+    for key in ("qgood", "mainconst"):
+        checks = report[key]["preconditions"] + report[key]["conclusions"]
+        assert report[key]["conclusions"]
+        assert all(set(c) == {"name", "passed", "margin"} for c in checks), key
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from shortpath import bwpt, cli, eigensolve, hilbert, instances
@@ -88,7 +89,7 @@ def test_extreme_eigs_no_convergence_is_typed(monkeypatch, tmp_path, caplog):
         vec = np.ones((a.shape[0], 1)) / np.sqrt(a.shape[0])
         raise ArpackNoConvergence("no convergence", np.array([0.0]), vec)
 
-    monkeypatch.setattr(eigensolve, "eigsh", stalled)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     with pytest.raises(EigensolveError, match="best residual"):
         extreme_eigs(_hs_op(hand_triangle(), 1.0, 1), 1)
     # the CLI reports it and exits 1 instead of raising
@@ -355,7 +356,7 @@ def test_block_lemma_random_sweep():
 def _record_eigsh_k(monkeypatch, tamper=None):
     """Record the k of every eigsh call; `tamper(real, a, k, kwargs)` stands
     in for the runs with k > 1."""
-    real = eigensolve.eigsh
+    real = scipy.sparse.linalg.eigsh
     ks = []
 
     def recorded(a, k, **kwargs):
@@ -364,7 +365,7 @@ def _record_eigsh_k(monkeypatch, tamper=None):
             return tamper(real, a, k, kwargs)
         return real(a, k=k, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "eigsh", recorded)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
     return ks
 
 
@@ -538,7 +539,7 @@ def test_each_product_is_an_arpack_matvec_or_a_residual(monkeypatch):
     apply = MatrixFreeOperator.apply
     monkeypatch.setattr(MatrixFreeOperator, "apply",
                         lambda self, amps: applies.append(1) or apply(self, amps))
-    real = eigensolve.eigsh
+    real = scipy.sparse.linalg.eigsh
 
     def counted(a, k, **kwargs):
         def matvec(y):
@@ -547,7 +548,7 @@ def test_each_product_is_an_arpack_matvec_or_a_residual(monkeypatch):
 
         return real(LinearOperator(a.shape, dtype=a.dtype, matvec=matvec), k=k, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "eigsh", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
     op = _pairs10(2, "even")
     found = extreme_eigs(op, 2)
     # a fresh solve, whose first run has nothing to lift, and an extended one
