@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import eigensolve
-from .hilbert import DiagonalTable, GroundSpaceInfo, OperatorSpec, walsh_hadamard, xk_over_n
+from .hilbert import DiagonalTable, GroundSpaceInfo, OperatorSpec, walsh_table, xk_over_n
 from .instances import Instance
 
 
@@ -269,8 +269,9 @@ class DosHistogram:
 
 
 def dos_histogram(table: DiagonalTable) -> DosHistogram:
-    offs = np.floor(table.energies - table.e0).astype(np.int64)
-    offs = np.clip(offs, 0, None)  # floating fuzz below E0
+    # e0 is the minimum and subtraction is monotone: E - e0 >= 0, truncation is floor
+    offs = np.empty(table.energies.size, dtype=np.int64)
+    np.subtract(table.energies, table.e0, out=offs, casting="unsafe")
     counts = np.bincount(offs)
     return DosHistogram(e0=table.e0, counts=counts, total=int(counts.sum()))
 
@@ -481,10 +482,8 @@ def classical_baseline(instance: Instance, table: DiagonalTable) -> BaselineRepo
 
     brute = None
     if n <= BRUTE_LIMIT:
-        # F_i(u) = sum_j J_ij (-1)^u_j is the transform of c[1 << j] = J_ij
-        f_all = np.zeros(1 << n)
-        f_all[1 << neighbors] = coupling[best_i, neighbors]
-        f_all = walsh_hadamard(f_all, n)
+        # F_i(u) = sum_j J_ij (-1)^u_j, a sum over the single-bit masks 1 << j
+        f_all = walsh_table(1 << neighbors, coupling[best_i, neighbors], n)
         free_of_i = (np.arange(1 << n) >> best_i) & 1 == 0
         brute = int(np.count_nonzero(free_of_i & (f_all >= threshold - 1e-12)))
 

@@ -11,10 +11,11 @@ operator here; where it keeps those coordinates (the full space, or a block of
 even N) it reverses them, u -> 2^M - 1 - u, and a flip sector f = +1 or -1 has
 2^(M-1) coordinates: h < 2^(M-1) stands for (|h> + f|2^M - 1 - h>)/sqrt(2).
 
-H_Z is tabulated by one Walsh-Hadamard transform of the term weights, a matmul
-per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.  X = sum_i X_i is
-diagonal in the Walsh-Hadamard basis, so X and every (X/N)^K,
-H diag(((N - 2|h|)/N)^K) H / 2^M, are one pair of those transforms, whatever
+H_Z is tabulated by walsh_table: one matmul over a split of the bits into two
+halves where that counts fewer multiply-adds than the full Walsh-Hadamard
+transform, a matmul per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.
+X = sum_i X_i is diagonal in the Walsh-Hadamard basis, so X and every (X/N)^K,
+H diag(((N - 2|h|)/N)^K) H / 2^M, are one pair of full transforms, whatever
 K is.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .instances import Instance
 
-DEFAULT_MAX_QUBITS = 26  # dense-vector ceiling: 0.5 GiB per vector, 1 GiB for a tabulation
+DEFAULT_MAX_QUBITS = 26  # dense-vector ceiling: 0.5 GiB per vector, two for an unsplit tabulation
 DEGENERACY_TOL = 1e-9
 
 # Each 5-qubit chunk of the Walsh-Hadamard transform is one matmul against
@@ -144,6 +145,37 @@ def walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
     return src.reshape(c.shape, order="F")
 
 
+def _chunk_cost(bits: int) -> int:
+    """Multiply-adds per entry of walsh_hadamard on `bits` bits: 2^b per chunk."""
+    return sum(1 << min(bits - low, _BLOCK_BITS) for low in range(0, bits, _BLOCK_BITS))
+
+
+def walsh_table(masks: np.ndarray, weights: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The 2^N table sum_t w_t (-1)^popcount(u & m_t) of int64 masks m_t, as
+    a 2^high x 2^low matrix (low = ceil(N/2)): the signs of the r distinct
+    high masks of the terms with low bits, times their r columns' low-bit
+    transforms, plus the other terms' high-bit transform on every row; or the
+    full transform where that counts no more multiply-adds per entry."""
+    low, high = n_qubits - n_qubits // 2, n_qubits // 2
+    m_hi, m_lo = masks >> low, masks & ((1 << low) - 1)
+    split = m_lo != 0
+    hi_masks, column = np.unique(m_hi[split], return_inverse=True)
+    r = hi_masks.size
+    counted = r + r * _chunk_cost(low) / (1 << high) + _chunk_cost(high) / (1 << low)
+    if counted >= _chunk_cost(n_qubits):  # the full transform, with its two-table peak
+        table = np.zeros(1 << n_qubits)
+        np.add.at(table, masks, weights)
+        return walsh_hadamard(table, n_qubits)
+    g = np.zeros((1 << low, r), order="F")
+    np.add.at(g, (m_lo[split], column), weights[split])
+    signs = (-1.0) ** np.bitwise_count(np.arange(1 << high)[:, None] & hi_masks)
+    table = np.matmul(signs, walsh_hadamard(g, low).T, out=np.empty((1 << high, 1 << low)))
+    e_hi = np.zeros(1 << high)
+    np.add.at(e_hi, m_hi[~split], weights[~split])
+    table += walsh_hadamard(e_hi, high)[:, None]
+    return table.ravel()
+
+
 def energy_of(instance: Instance, u: int) -> float:
     """Streaming <u|H_Z|u> for a single basis index (no 2^N table)."""
     e = 0.0
@@ -153,23 +185,17 @@ def energy_of(instance: Instance, u: int) -> float:
 
 
 def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> DiagonalTable:
-    """Tabulate H_Z over all 2^N basis states.
-
-    <u|Z^m|u> = (-1)^popcount(u & m), so the diagonal of H_Z = sum_t w_t
-    Z^{mask_t} is the Walsh-Hadamard transform of c[mask_t] = w_t, for any
-    degree and term count.  Non-integer weights are summed in matmul order
-    and can differ from energy_of() in the last bits.
-    """
+    """Tabulate H_Z over all 2^N basis states: <u|Z^m|u> = (-1)^popcount(u & m),
+    so it is walsh_table of the term masks and weights, for any degree, and
+    can differ from energy_of() in the last bits for non-integer weights."""
     n = instance.n_qubits
     if n > max_qubits:
         raise BudgetError(
             f"N={n} exceeds the dense budget of {max_qubits} qubits; "
             "use energy_of() for streaming per-index evaluation"
         )
-    energies = np.zeros(1 << n, dtype=np.float64)
     masks = np.array([t.mask for t in instance.terms], dtype=np.int64)
-    np.add.at(energies, masks, instance.weights())
-    energies = walsh_hadamard(energies, n)
+    energies = walsh_table(masks, instance.weights(), n)
     e0 = float(energies.min())
     first_above = float(np.min(energies, where=energies > e0 + DEGENERACY_TOL,
                                initial=np.inf))

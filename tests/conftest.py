@@ -56,6 +56,20 @@ def disjoint_pairs(n=6):
     return instances.build_instance(n, 2, terms)
 
 
+# Two D=2 instances on N=5 whose four ground states differ in the last bits,
+# (id, terms): the ground band is split by 2.2e-16 when the terms are summed
+# one by one and by 4.4e-16 in the full transform's matmul order, or by
+# 2.2e-16 one by one only.
+DEGENERACY_BAND_TERMS = [
+    ("split-by-both-orders",
+     [((0, 1), 0.2), ((0, 2), 0.7), ((0, 3), 0.1), ((0, 4), 0.2), ((1, 2), 0.7),
+      ((1, 3), 0.3), ((1, 4), 0.2), ((2, 3), 0.1), ((2, 4), 0.1), ((3, 4), 0.7)]),
+    ("split-by-term-loop",
+     [((0, 1), -0.1), ((0, 2), -0.3), ((0, 3), 0.3), ((0, 4), 0.1), ((1, 2), 0.2),
+      ((1, 3), 0.7), ((1, 4), -0.2), ((2, 3), 0.1), ((2, 4), -0.3), ((3, 4), -0.3)]),
+]
+
+
 def degeneracy_ladder():
     """(label, instance, expected n0) covering n0 in {1, 2, 4, 2^(N/2)}.
 

@@ -29,7 +29,14 @@ from shortpath.bounds import (
 )
 from shortpath.hilbert import OperatorSpec, evaluate_hz, ground_space
 
-from conftest import dense_x, disjoint_pairs, hand_single_term, main_corpus
+from conftest import (
+    DEGENERACY_BAND_TERMS,
+    degeneracy_ladder,
+    dense_x,
+    disjoint_pairs,
+    hand_single_term,
+    main_corpus,
+)
 
 
 def _bisect_entropy_inverse(sigma, tol=1e-14):
@@ -185,6 +192,31 @@ def test_dos_partition_property(corpus):
         hist = dos_histogram(evaluate_hz(inst))
         assert hist.total == 1 << inst.n_qubits, label
         assert hist.counts[0] >= 1, label
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(instances.generate("sk_gaussian", 16, seed=0), id="sk_gaussian N=16"),
+    *(pytest.param(inst, id=label) for label, inst, _n0 in degeneracy_ladder()),
+    *(pytest.param(instances.build_instance(5, 2, terms), id=name)
+      for name, terms in DEGENERACY_BAND_TERMS),
+])
+def test_dos_counts_are_the_floor_of_the_offsets(inst):
+    table = evaluate_hz(inst)
+    expected = np.bincount(np.floor(table.energies - table.e0).astype(np.int64))
+    assert np.array_equal(dos_histogram(table).counts, expected)
+
+
+def test_dos_histogram_holds_one_offset_array():
+    # besides the offsets, the cast's buffer: 8192 entries, 1/32 of this table
+    table = evaluate_hz(instances.generate("sk_gaussian", 18, seed=0))
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        dos_histogram(table)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.1 * table.energies.nbytes
 
 
 def test_dos_fit_recovers_planted_slope():

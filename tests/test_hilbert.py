@@ -23,7 +23,14 @@ from shortpath.hilbert import (
     psi_plus_overlap,
 )
 
-from conftest import dense_x, hand_single_term, hand_triangle, degeneracy_ladder
+from conftest import (
+    DEGENERACY_BAND_TERMS,
+    dense_x,
+    degeneracy_ladder,
+    field_unique_ground,
+    hand_single_term,
+    hand_triangle,
+)
 
 
 def test_single_term_energies_by_hand():
@@ -80,6 +87,82 @@ def test_table_matches_energy_of_for_gaussian_weights(inst):
     assert np.max(np.abs(energies - expected)) <= 1e-12 * inst.j_tot
 
 
+def _one_term_per_high_mask(weights):
+    """N=11, D=6: for each of the 32 masks h on the high 5 qubits, one term
+    on h and the first 6 - |h| low qubits.  Every term has low bits, so the
+    split would need r = 32 columns and counts 66.5 multiply-adds per entry,
+    against the full transform's 66."""
+    terms = [(tuple(range(6 - h.bit_count())) + tuple(6 + q for q in range(5) if h >> q & 1),
+              float(w)) for h, w in zip(range(32), weights)]
+    return instances.build_instance(11, 6, terms)
+
+
+def _signs(size, seed):
+    return np.where(np.random.default_rng(seed).random(size) < 0.5, -1.0, 1.0).tolist()
+
+
+def _table_and_transform_bits(monkeypatch, inst):
+    """The instance's table and the bit counts of the transforms that made it:
+    [low, high] for the split, [N] for the full transform."""
+    bits = []
+    transform = hilbert.walsh_hadamard
+
+    def recording(c, n_qubits):
+        bits.append(n_qubits)
+        return transform(c, n_qubits)
+
+    monkeypatch.setattr(hilbert, "walsh_hadamard", recording)
+    return evaluate_hz(inst).energies, bits
+
+
+@pytest.mark.parametrize("inst, bits", [
+    pytest.param(instances.generate("sk_pm", 10, seed=1), [5, 5], id="sk_pm N=10"),
+    pytest.param(instances.generate("sk_pm", 13, seed=1), [7, 6], id="sk_pm N=13"),
+    pytest.param(instances.build_instance(9, 4, zip(itertools.combinations(range(9), 4),
+                                                    _signs(126, 9))),
+                 [5, 4], id="all 4-subsets of 9"),
+    pytest.param(_one_term_per_high_mask(_signs(32, 11)), [11], id="one term per high mask"),
+    pytest.param(instances.build_instance(1, 1, [((0,), -2.0)]), [1], id="N=1"),
+    pytest.param(hand_single_term(), [1, 1], id="N=2"),
+    pytest.param(field_unique_ground(5), [3, 2], id="D=1"),
+    pytest.param(instances.build_instance(8, 2, zip(itertools.combinations(range(4, 8), 2),
+                                                    _signs(6, 8))),
+                 [4, 4], id="high bits only"),
+    pytest.param(instances.build_instance(8, 2, [((0, j), 1.0 - 2 * (j % 3 == 0))
+                                                 for j in range(1, 8)]),
+                 [4, 4], id="no high-only term"),
+])
+def test_split_or_full_transform_equals_energy_of_bitwise(monkeypatch, inst, bits):
+    # integer weights give exact sums in any order, on either path
+    energies, transform_bits = _table_and_transform_bits(monkeypatch, inst)
+    assert transform_bits == bits
+    assert np.array_equal(energies, [energy_of(inst, u) for u in range(energies.size)])
+
+
+@pytest.mark.parametrize("inst, bits", [
+    pytest.param(instances.generate("sk_gaussian", 10, seed=4), [5, 5], id="split"),
+    pytest.param(_one_term_per_high_mask(np.random.default_rng(3).standard_normal(32)),
+                 [11], id="full"),
+])
+def test_split_or_full_transform_matches_energy_of_for_gaussian_weights(monkeypatch, inst,
+                                                                       bits):
+    energies, transform_bits = _table_and_transform_bits(monkeypatch, inst)
+    assert transform_bits == bits
+    expected = np.array([energy_of(inst, u) for u in range(energies.size)])
+    assert np.max(np.abs(energies - expected)) <= 1e-12 * inst.j_tot
+
+
+def test_full_transform_is_the_coefficient_transform_bit_for_bit():
+    # all 6-subsets of 12 qubits: r = 63 columns count 97 multiply-adds per
+    # entry against 68, so the table is walsh_hadamard of c[m_t] = w_t itself
+    masks = np.array([sum(1 << q for q in s) for s in itertools.combinations(range(12), 6)])
+    weights = np.random.default_rng(6).standard_normal(masks.size)
+    c = np.zeros(1 << 12)
+    c[masks] = weights
+    assert np.array_equal(hilbert.walsh_table(masks, weights, 12),
+                          hilbert.walsh_hadamard(c, 12))
+
+
 def test_walsh_hadamard_matches_dense_hadamard():
     # one to three 5-qubit chunks, with every remainder mod 5
     rng = np.random.default_rng(3)
@@ -132,8 +215,9 @@ def test_evaluate_hz_bits_do_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("inst", [
     instances.generate("sk_gaussian", 12, seed=5),
+    instances.generate("sk_gaussian", 13, seed=5),
     _gaussian_instance(10, 4, 60, seed=2),
-], ids=["sk_gaussian-d2", "gaussian-d4"])
+], ids=["sk_gaussian-d2", "sk_gaussian-d2-odd-n", "gaussian-d4"])
 def test_even_degree_energies_are_flip_symmetric_exactly(inst):
     # ~u = (2^N - 1) - u, so reversing the table maps E(u) to E(~u)
     energies = evaluate_hz(inst).energies
@@ -152,15 +236,22 @@ def test_evaluate_hz_peak_memory_below_three_tables():
     assert peak < 3 * (1 << n) * 8
 
 
-@pytest.mark.parametrize("terms", [
-    # ground band split by 2.2e-16 when the terms are summed one by one and
-    # by 4.4e-16 in the transform's matmul order
-    [((0, 1), 0.2), ((0, 2), 0.7), ((0, 3), 0.1), ((0, 4), 0.2), ((1, 2), 0.7),
-     ((1, 3), 0.3), ((1, 4), 0.2), ((2, 3), 0.1), ((2, 4), 0.1), ((3, 4), 0.7)],
-    # split by 2.2e-16 one by one only
-    [((0, 1), -0.1), ((0, 2), -0.3), ((0, 3), 0.3), ((0, 4), 0.1), ((1, 2), 0.2),
-     ((1, 3), 0.7), ((1, 4), -0.2), ((2, 3), 0.1), ((2, 4), -0.3), ((3, 4), -0.3)],
-], ids=["split-by-both-orders", "split-by-term-loop"])
+def test_split_tabulation_peaks_below_one_and_a_half_tables():
+    # the split writes its one matmul into the table; its other arrays have
+    # r columns of 2^low or 2^high entries
+    n = 16
+    inst = instances.generate("sk_gaussian", n, seed=1)
+    tracemalloc.start()
+    try:
+        evaluate_hz(inst)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << n) * 8
+
+
+@pytest.mark.parametrize("terms", [terms for _id, terms in DEGENERACY_BAND_TERMS],
+                         ids=[name for name, _terms in DEGENERACY_BAND_TERMS])
 def test_gap_skips_energies_inside_the_degeneracy_band(terms):
     # the gap is measured from the band edge, so it agrees with n0 = 4
     table = evaluate_hz(instances.build_instance(5, 2, terms))
