@@ -56,10 +56,11 @@ def disjoint_pairs(n=6):
     return instances.build_instance(n, 2, terms)
 
 
-# Two D=2 instances on N=5 whose four ground states differ in the last bits,
-# (id, terms): the ground band is split by 2.2e-16 when the terms are summed
-# one by one and by 4.4e-16 in the full transform's matmul order, or by
-# 2.2e-16 one by one only.
+# D=2 instances on N=5 whose four ground states differ in the last bits,
+# (id, terms).  The ground band is split by 2.2e-16 when the terms are summed
+# one by one and by 4.4e-16 in the full transform's matmul order; by 2.2e-16
+# one by one only; or by 4.4e-16 in walsh_table's split order only, the one
+# evaluate_hz uses.
 DEGENERACY_BAND_TERMS = [
     ("split-by-both-orders",
      [((0, 1), 0.2), ((0, 2), 0.7), ((0, 3), 0.1), ((0, 4), 0.2), ((1, 2), 0.7),
@@ -67,6 +68,9 @@ DEGENERACY_BAND_TERMS = [
     ("split-by-term-loop",
      [((0, 1), -0.1), ((0, 2), -0.3), ((0, 3), 0.3), ((0, 4), 0.1), ((1, 2), 0.2),
       ((1, 3), 0.7), ((1, 4), -0.2), ((2, 3), 0.1), ((2, 4), -0.3), ((3, 4), -0.3)]),
+    ("split-by-walsh-table-order",
+     [((0, 1), 0.4), ((0, 2), -0.4), ((0, 3), -0.4), ((0, 4), 0.4), ((1, 2), -0.3),
+      ((1, 3), 0.4), ((1, 4), 0.7), ((2, 3), 0.5), ((2, 4), 0.5), ((3, 4), -0.5)]),
 ]
 
 
