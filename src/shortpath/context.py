@@ -6,20 +6,19 @@ coordinates, and the Analysis lists its ground states in those coordinates.
 
 The pipelines in `analyze` and `bwpt` take an Analysis rather than an
 instance, so H_Z is tabulated once and each spectrum is computed once per
-analysis: `lowest` keeps one solve per operator spec, serves every request
-for its m lowest pairs from it, and extends it when more pairs are asked.
-The memo lives and dies with the Analysis object.  Building an Analysis and
-its operators needs numpy alone; scipy is imported by the first solve that
-runs ARPACK (see eigensolve).
-
-For an even D the global flip F commutes with H_s, and where it keeps the
-block's coordinates (odd K on the full space, or even K on a block of even
-N) it reverses them.  There every level comes as an F = +1 and F = -1 copy,
-often split by less than 1e-9, so `lowest` solves the two flip sectors of
-2^(M-1) coordinates apart: a lowest pair is read from F = +1 alone, and two
-or more pairs are merged from both sectors.  The caller gets the block's
-pairs in the block's coordinates either way (see hilbert.flip_lift).
-`psi_plus_spec` names the space that h(omega)'s operators act on.
+analysis.  `lowest` reads every spectrum from the memoized solves of its
+sectors, by one loop: a spec is its own one sector, except that for an even
+D, where the global flip F keeps the block's coordinates (odd K on the full
+space, or even K on a block of even N) and reverses them, it is the F = +1
+and F = -1 sectors of 2^(M-1) coordinates.  There every level comes as an
+F = +1 and F = -1 copy, often split by less than 1e-9, and solving the
+sectors apart keeps the pair out of one Krylov run.  A sector's solve is
+extended only when more pairs are asked than it holds.  The memo holds only
+the specs that were solved, and lives and dies with the Analysis object; the
+caller gets a spectrum in its spec's coordinates either way (see
+hilbert.flip_lift).  `psi_plus_spec` names the space that h(omega)'s
+operators act on.  Building an Analysis and its operators needs numpy alone;
+scipy is imported by the first solve that runs ARPACK (see eigensolve).
 """
 
 from __future__ import annotations
@@ -96,8 +95,7 @@ class Analysis:
     def psi_plus_spec(self) -> OperatorSpec:
         """H_s in psi_+'s space, where h(omega)'s operators act: the block's
         F = +1 sector, or the block where it has no flip sectors."""
-        hs = self.hs_spec
-        return replace(hs, flip_sector=1) if self._in_flip_sectors(hs) else hs
+        return self._sectors(self.hs_spec)[0]
 
     def lift(self, amps: np.ndarray) -> np.ndarray:
         """Amplitudes over psi_plus_spec's coordinates in the block's, or over
@@ -109,13 +107,6 @@ class Analysis:
         if self.psi_plus_spec.flip_sector is None:
             return amps
         return (amps + amps[::-1])[:amps.shape[0] // 2] * np.sqrt(0.5)
-
-    def _in_flip_sectors(self, spec: OperatorSpec) -> bool:
-        """An even D, and odd K on the full space or even K on a block of
-        even N; a spec that already names its sector is solved as it is."""
-        return (self.instance.degree % 2 == 0 and spec.flip_sector is None
-                and (spec.parity_block is None) == (spec.k % 2 == 1)
-                and (spec.parity_block is None or self.table.n_qubits % 2 == 0))
 
     @property
     def hs_spec(self) -> OperatorSpec:
@@ -132,59 +123,26 @@ class Analysis:
 
     def lowest(self, spec: OperatorSpec, how_many: int) -> eigensolve.EigenResult:
         """The `how_many` lowest eigenpairs of `spec` in its operator's
-        coordinates.  A spec's solve is extended only when more pairs are asked of
-        it than it holds; otherwise the first `how_many` pairs of that solve
-        are returned.  The arrays are shared between callers and read-only.
-        With flip sectors one pair is F = +1's, lifted: a stoquastic H_s or
-        QH_sQ has a non-negative lowest vector v, and v + Fv lies in F = +1."""
-        if how_many == 1 and self._in_flip_sectors(spec):
-            eig = self.lowest(replace(spec, flip_sector=1), 1)
-            return replace(eig, eigenvectors=flip_lift(eig.eigenvectors, 1))
-        eig = self._solved.get(spec)
-        if eig is None or eig.eigenvalues.size < how_many:
-            if self._in_flip_sectors(spec):
-                eig = self._store(spec, self._merge_flip_sectors(spec, how_many))
-            else:
-                eig = self._store(spec, eigensolve.extreme_eigs(self.operator(spec),
-                                                                how_many, eig))
-        return eigensolve.EigenResult(eig.eigenvalues[:how_many],
-                                      eig.eigenvectors[:, :how_many],
-                                      eig.residuals[:how_many])
-
-    def _store(self, spec: OperatorSpec,
-               eig: eigensolve.EigenResult) -> eigensolve.EigenResult:
-        for arr in (eig.eigenvalues, eig.eigenvectors, eig.residuals):
-            arr.flags.writeable = False
-        self._solved[spec] = eig
-        return eig
-
-    def _merge_flip_sectors(self, spec: OperatorSpec,
-                            how_many: int) -> eigensolve.EigenResult:
-        """At least `how_many` >= 2 lowest pairs of `spec` from its F = +1 and
-        F = -1 sectors, each solved and memoized under its own spec, with the
-        vectors lifted to the block's coordinates; F = +1 first on a tie.  One
-        pair needs no merge: a lowest vector v >= 0 gives v + Fv in F = +1.
-
-        A fresh request asks ceil(how_many / 2) pairs of each sector.  The
-        merged values up to the lowest highest-found value of a sector that
-        still has unsolved coordinates are the lowest of the block; while
-        fewer than `how_many` are, that sector is extended by the pairs
-        missing."""
-        sectors = [replace(spec, flip_sector=f) for f in (1, -1)]
-        ops = [self.operator(s) for s in sectors]
-        free = [op.shape[0] - op.ground_coords.size for op in ops]
+        coordinates, read-only.  One pair is read from the first sector alone:
+        a stoquastic H_s or QH_sQ has a non-negative lowest vector v, and
+        v + Fv lies in F = +1.  A fresh sector is asked ceil(how_many /
+        sectors) pairs.  The values up to the lowest highest-found value of a
+        sector with unsolved coordinates left are the lowest of the spec, and
+        while fewer than `how_many` are, that sector is extended by the pairs
+        missing.  A spec solved as itself gets prefix views of its solve; the
+        sectors' pairs are merged on each request, F = +1 first on a tie, with
+        the vectors lifted to the spec's coordinates."""
+        sectors = self._sectors(spec)
+        if how_many == 1:
+            sectors = sectors[:1]
+        free = [self._free_dim(s) for s in sectors]
         if how_many > sum(free):
             raise eigensolve.EigensolveError(
                 f"requested {how_many} eigenpairs but the deflated subspace has "
                 f"dimension {sum(free)}")
-
-        def solve(i: int, count: int) -> None:
-            self._store(sectors[i], eigensolve.extreme_eigs(ops[i], count,
-                                                            self._solved.get(sectors[i])))
-
         for i, s in enumerate(sectors):
             if s not in self._solved:
-                solve(i, min(-(-how_many // 2), free[i]))
+                self._solve(s, min(-(-how_many // len(sectors)), free[i]))
         while True:
             found = [self._solved[s] for s in sectors]
             open_tops = [(float(eig.eigenvalues[-1]), i) for i, eig in enumerate(found)
@@ -195,12 +153,42 @@ class Analysis:
             if certified >= how_many:
                 break
             i = min(open_tops)[1]
-            solve(i, min(found[i].eigenvalues.size + how_many - certified, free[i]))
-        order = np.argsort(vals, kind="stable")[:certified]
-        vectors = np.hstack([flip_lift(eig.eigenvectors, s.flip_sector)
-                             for eig, s in zip(found, sectors)])
-        return eigensolve.EigenResult(vals[order], vectors[:, order],
-                                      np.concatenate([eig.residuals for eig in found])[order])
+            self._solve(sectors[i], min(found[i].eigenvalues.size + how_many - certified,
+                                        free[i]))
+        if sectors == [spec]:
+            eig = found[0]
+            return eigensolve.EigenResult(eig.eigenvalues[:how_many],
+                                          eig.eigenvectors[:, :how_many],
+                                          eig.residuals[:how_many])
+        order = np.argsort(vals, kind="stable")[:how_many]
+        signs = np.repeat([s.flip_sector for s in sectors],
+                          [eig.eigenvalues.size for eig in found])[order]
+        vectors = np.hstack([eig.eigenvectors for eig in found])[:, order]
+        return _read_only(eigensolve.EigenResult(
+            vals[order], flip_lift(vectors, signs),
+            np.concatenate([eig.residuals for eig in found])[order]))
+
+    def _sectors(self, spec: OperatorSpec) -> list[OperatorSpec]:
+        """The F = +1 and F = -1 sectors of `spec` for an even D where F keeps
+        its coordinates, else [spec]; a spec that names its sector is solved
+        as it is."""
+        if (self.instance.degree % 2 == 0 and spec.flip_sector is None
+                and (spec.parity_block is None) == (spec.k % 2 == 1)
+                and (spec.parity_block is None or self.table.n_qubits % 2 == 0)):
+            return [replace(spec, flip_sector=f) for f in (1, -1)]
+        return [spec]
+
+    def _free_dim(self, spec: OperatorSpec) -> int:
+        """The operator's coordinates less QHSQ's ground ones, with no operator built."""
+        dim = 1 << coordinate_qubits(self.table.n_qubits, spec.parity_block, spec.flip_sector)
+        if spec.kind == "QHSQ":
+            dim -= self.ground.coordinates(spec.parity_block, spec.flip_sector).size
+        return dim
+
+    def _solve(self, spec: OperatorSpec, how_many: int) -> None:
+        """Solve or extend the memo of `spec` to `how_many` pairs."""
+        self._solved[spec] = _read_only(eigensolve.extreme_eigs(
+            self.operator(spec), how_many, self._solved.get(spec)))
 
     @property
     def eq01(self) -> float:
@@ -209,3 +197,9 @@ class Analysis:
         if self.block_dim == self.block_ground_coords.size:
             return math.inf
         return float(self.lowest(self.qhsq_spec, 1).eigenvalues[0])
+
+
+def _read_only(eig: eigensolve.EigenResult) -> eigensolve.EigenResult:
+    for arr in (eig.eigenvalues, eig.eigenvectors, eig.residuals):
+        arr.flags.writeable = False
+    return eig

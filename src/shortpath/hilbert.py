@@ -152,10 +152,11 @@ def _chunk_cost(bits: int) -> int:
 
 def walsh_table(masks: np.ndarray, weights: np.ndarray, n_qubits: int) -> np.ndarray:
     """The 2^N table sum_t w_t (-1)^popcount(u & m_t) of int64 masks m_t, as
-    a 2^high x 2^low matrix (low = ceil(N/2)): the signs of the r distinct
-    high masks of the terms with low bits, times their r columns' low-bit
-    transforms, plus the other terms' high-bit transform on every row; or the
-    full transform where that counts no more multiply-adds per entry."""
+    a 2^high x 2^low matrix (low = ceil(N/2)) written by one matmul: the
+    signs of the r distinct high masks of the terms with low bits, and the
+    other terms' high-bit transform, times their r columns' low-bit
+    transforms and a column of ones; or the full transform where that counts
+    no more multiply-adds per entry."""
     low, high = n_qubits - n_qubits // 2, n_qubits // 2
     m_hi, m_lo = masks >> low, masks & ((1 << low) - 1)
     split = m_lo != 0
@@ -166,14 +167,15 @@ def walsh_table(masks: np.ndarray, weights: np.ndarray, n_qubits: int) -> np.nda
         table = np.zeros(1 << n_qubits)
         np.add.at(table, masks, weights)
         return walsh_hadamard(table, n_qubits)
-    g = np.zeros((1 << low, r), order="F")
+    g = np.zeros((1 << low, r + 1), order="F")
     np.add.at(g, (m_lo[split], column), weights[split])
-    signs = (-1.0) ** np.bitwise_count(np.arange(1 << high)[:, None] & hi_masks)
-    table = np.matmul(signs, walsh_hadamard(g, low).T, out=np.empty((1 << high, 1 << low)))
+    g[0, r] = 1.0  # its low-bit transform is a column of ones, e_hi's factor
+    g = walsh_hadamard(g, low)
     e_hi = np.zeros(1 << high)
     np.add.at(e_hi, m_hi[~split], weights[~split])
-    table += walsh_hadamard(e_hi, high)[:, None]
-    return table.ravel()
+    signs = np.column_stack([(-1.0) ** np.bitwise_count(np.arange(1 << high)[:, None] & hi_masks),
+                             walsh_hadamard(e_hi, high)])
+    return np.matmul(signs, g.T, out=np.empty((1 << high, 1 << low))).ravel()
 
 
 def energy_of(instance: Instance, u: int) -> float:
@@ -224,9 +226,10 @@ def coordinate_qubits(n_qubits: int, parity_block: str | None,
     return n_qubits - (parity_block is not None) - (flip_sector is not None)
 
 
-def flip_lift(amps: np.ndarray, flip_sector: int) -> np.ndarray:
+def flip_lift(amps: np.ndarray, flip_sector: int | np.ndarray) -> np.ndarray:
     """Amplitudes of flip-sector coordinates, a vector or a (2^(M-1), m)
-    batch, in the coordinates they are a sector of: [s; f s[::-1]] / sqrt(2)."""
+    batch, in the coordinates they are a sector of: [s; f s[::-1]] / sqrt(2),
+    with f the sector, or a batch's m sectors, one per column."""
     return np.concatenate([amps, flip_sector * amps[::-1]]) * np.sqrt(0.5)
 
 

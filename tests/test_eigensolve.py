@@ -662,3 +662,64 @@ def test_odd_degree_and_odd_n_blocks_solve_the_block(make, k, monkeypatch):
     fresh = solve(a.operator(a.hs_spec), 3)
     for name in ("eigenvalues", "eigenvectors", "residuals"):
         assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+
+
+def _analysis(make, k, b=0.3):
+    inst = make()
+    table = hilbert.evaluate_hz(inst)
+    return Analysis(inst, table, OperatorSpec("HS", big_b=b * abs(table.e0), k=k))
+
+
+@pytest.mark.parametrize("make, k", [
+    pytest.param(lambda: instances.generate("sk_pm", 9, seed=1), 2, id="oddN-K2-block"),
+    pytest.param(_hand_d3, 1, id="D3-K1"),
+])
+def test_a_spec_solved_as_itself_returns_views_of_its_memo(make, k):
+    # no copy: a fancy-indexed copy of a column sums in another order than
+    # the strided view the memo gives, which moves a report's last bits
+    a = _analysis(make, k)
+    three = a.lowest(a.hs_spec, 3)
+    one = a.lowest(a.hs_spec, 1)
+    memo = a._solved[a.hs_spec]
+    for got in (one, three):
+        for name in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.shares_memory(getattr(got, name), getattr(memo, name)), name
+            assert not getattr(got, name).flags.writeable, name
+    assert three.eigenvectors.shape == (a.block_dim, 3)
+
+
+@pytest.mark.parametrize("how_many", [1, 4])
+def test_a_merged_result_is_read_only_and_holds_no_memo_entry(how_many):
+    # sk_pm N=8 at K=2: the even block of even N is answered by its two flip
+    # sectors, and only the sectors that were solved are memoized
+    a = _analysis(lambda: instances.generate("sk_pm", 8, seed=2), 2)
+    got = a.lowest(a.hs_spec, how_many)
+    assert got.eigenvectors.shape == (a.block_dim, how_many)
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert not getattr(got, name).flags.writeable, name
+    sectors = [replace(a.hs_spec, flip_sector=f) for f in (1, -1)]
+    assert set(a._solved) == set(sectors[:1 if how_many == 1 else 2])
+
+
+@pytest.mark.parametrize("make, k", [
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 2, id="sectors-K2-block"),
+    pytest.param(lambda: instances.generate("sk_pm", 8, seed=2), 3, id="sectors-K3"),
+    pytest.param(lambda: instances.generate("sk_pm", 9, seed=1), 2, id="oddN-K2-block"),
+    pytest.param(_hand_d3, 1, id="D3-K1"),
+])
+def test_a_request_the_memo_answers_solves_and_builds_nothing(make, k, monkeypatch):
+    a = _analysis(make, k)
+    specs = (a.hs_spec, a.qhsq_spec)
+    first = {spec: a.lowest(spec, 3) for spec in specs}
+    solves, builds = [], []
+    solve = eigensolve.extreme_eigs
+    monkeypatch.setattr(eigensolve, "extreme_eigs",
+                        lambda *args: solves.append(1) or solve(*args))
+    init = MatrixFreeOperator.__init__
+    monkeypatch.setattr(MatrixFreeOperator, "__init__",
+                        lambda self, *args: builds.append(1) or init(self, *args))
+    for spec in specs:
+        for m in (3, 2, 1):
+            got = a.lowest(spec, m)
+            assert np.array_equal(got.eigenvalues, first[spec].eigenvalues[:m])
+    assert solves == [] and builds == []
