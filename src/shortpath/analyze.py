@@ -86,7 +86,8 @@ def _min_p0_overlap(vectors: np.ndarray, values: np.ndarray,
 def spectral_report(analysis: Analysis) -> SpectralReport:
     """Band structure of H_1: the n0 lowest eigenvalues, the next one, the
     excited-restricted E^Q_{0,1}, the psi_+ overlap mass P_ov, and the worst
-    ground-projector overlap over the band."""
+    ground-projector overlap over the band.  The pipelines read it as
+    Analysis.spectral, built once per analysis."""
     table, block = analysis.table, analysis.block
     n0_eff = int(analysis.block_ground_coords.size)
     how_many = min(n0_eff + 1, analysis.block_dim)
@@ -157,7 +158,7 @@ def qgood_verify(analysis: Analysis,
     """
     instance, table, ground, spec = (
         analysis.instance, analysis.table, analysis.ground, analysis.spec)
-    spec_rep = spectral_report(analysis)
+    spec_rep = analysis.spectral
     e0 = table.e0
     n = instance.n_qubits
 
@@ -235,7 +236,7 @@ def mainconst_decide(analysis: Analysis,
         report.details["note"] = "K-bound guard failed; no branch is declared"
         return report
 
-    spec_rep = spectral_report(analysis)
+    spec_rep = analysis.spectral
     report.details["spectral"] = spec_rep
     if spec_rep.eq01 >= e0 + 0.5 - TOL:
         report.branch = 1

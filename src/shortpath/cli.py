@@ -133,7 +133,7 @@ def _instance_record(analysis: Analysis) -> dict:
 # returns the section's record; None leaves the section out of the report.
 
 def _spectrum_and_csv(a, args) -> analyze.SpectralReport:
-    rep = analyze.spectral_report(a)
+    rep = a.spectral
     if args.csv:
         eigenvalues_csv(np.append(rep.band, rep.next_eigenvalue)
                         if rep.next_eigenvalue is not None else rep.band, args.csv)

@@ -6,7 +6,7 @@ coordinates, and the Analysis lists its ground states in those coordinates.
 
 The pipelines in `analyze` and `bwpt` take an Analysis rather than an
 instance, so H_Z is tabulated once and each spectrum is computed once per
-analysis.  `lowest` reads every spectrum from the memoized solves of its
+analysis; so are E^Q_{0,1} (`eq01`) and the spectral report (`spectral`).  `lowest` reads every spectrum from the memoized solves of its
 sectors, by one loop: a spec is its own one sector, except that for an even
 D, where the global flip F keeps the block's coordinates (odd K on the full
 space, or even K on a block of even N) and reverses them, it is the F = +1
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from .hilbert import (
     ground_space,
 )
 from .instances import Instance
+
+if TYPE_CHECKING:
+    from . import analyze
 
 
 def choose_parity_block(ground: GroundSpaceInfo, k: int,
@@ -168,6 +172,13 @@ class Analysis:
             vals[order], flip_lift(vectors, signs),
             np.concatenate([eig.residuals for eig in found])[order]))
 
+    @cached_property
+    def spectral(self) -> analyze.SpectralReport:
+        """analyze.spectral_report of this analysis, computed on first use;
+        every section that reads the band reads this one record."""
+        from .analyze import spectral_report  # analyze imports this module
+        return spectral_report(self)
+
     def _sectors(self, spec: OperatorSpec) -> list[OperatorSpec]:
         """The F = +1 and F = -1 sectors of `spec` for an even D where F keeps
         its coordinates, else [spec]; a spec that names its sector is solved
@@ -190,7 +201,7 @@ class Analysis:
         self._solved[spec] = _read_only(eigensolve.extreme_eigs(
             self.operator(spec), how_many, self._solved.get(spec)))
 
-    @property
+    @cached_property
     def eq01(self) -> float:
         """E^Q_{0,1}, the lowest eigenvalue of Q H_s Q in the block; infinite
         when the ground space fills the whole block (there are no Q states)."""

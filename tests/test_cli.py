@@ -16,6 +16,7 @@ import pytest
 
 import shortpath
 from shortpath import analyze, bwpt, cli, eigensolve, hilbert, instances
+from shortpath.context import Analysis
 
 from conftest import disjoint_pairs
 
@@ -581,6 +582,29 @@ def test_report_solves_each_spectrum_once(tmp_path, monkeypatch, k, solves):
         assert replace(band, parity_block="even", flip_sector=1) in specs, calls
     half = 1 << (8 - 1 - (k % 2 == 0))
     assert all(shape == (half, half) for *_, shape in calls), calls
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_report_builds_one_spectral_record(tmp_path, monkeypatch, k):
+    # the spectrum, qgood and mainconst sections read one spectral report, and
+    # every reader of E^Q (those sections and the walk) one QH_sQ request
+    records, eq_requests = [], []
+    build = analyze.spectral_report
+    monkeypatch.setattr(analyze, "spectral_report",
+                        lambda a: records.append(1) or build(a))
+    lowest = Analysis.lowest
+
+    def counted(self, spec, how_many):
+        if spec.kind == "QHSQ":
+            eq_requests.append(how_many)
+        return lowest(self, spec, how_many)
+
+    monkeypatch.setattr(Analysis, "lowest", counted)
+    inst = _gen(tmp_path, n=8, seed=2)
+    assert run_cli(["report", "--in", inst, "--B", 0.2, "--K", k,
+                    "--samples", 300, "--out", tmp_path / "report.json"]) == 0
+    assert records == [1]
+    assert eq_requests == [1]
 
 
 def test_even_k_simulate_reads_the_band_of_its_report(sk8_report):
