@@ -18,7 +18,7 @@ the specs that were solved, and lives and dies with the Analysis object; the
 caller gets a spectrum in its spec's coordinates either way (see
 hilbert.flip_lift).  `psi_plus_spec` names the space that h(omega)'s
 operators act on.  Building an Analysis and its operators needs numpy alone;
-scipy is imported by the first solve that runs ARPACK (see eigensolve).
+scipy is imported by the first solve (see eigensolve).
 """
 
 from __future__ import annotations

@@ -6,15 +6,19 @@ never expanded to 2^N.  Each product with the operator is one call of its
 `apply`, looked up at call time, so a wrapper of MatrixFreeOperator.apply sees
 every product.
 
-extreme_eigs runs ARPACK (scipy's eigsh, seeded for its restarts too; Lehoucq,
-Sorensen and Yang, ARPACK Users' Guide, 1998) with the converged vectors
-lifted out of the way, so every copy of a degenerate level is found.  The
-lowest pair has a run of its own.  When at least 3 pairs remain and a wide
-Krylov basis for them fits a byte budget, one run finds them all and one more
-run checks that nothing below them was missed; otherwise, or when the wide run
-fails to converge or the check fails, each pair is one run.  scipy is
-imported on the first ARPACK run, not with this module, so a command that
-solves no eigenproblem never loads it.
+extreme_eigs runs Krylov solvers from seeded start vectors with the converged
+vectors lifted out of the way, so every copy of a degenerate level is found.
+The lowest pair has a run of its own.  When at least 3 pairs remain and a wide
+Krylov basis for them fits a byte budget, one ARPACK run finds them all and
+one more checks that nothing below them was missed (scipy's eigsh, seeded for
+its restarts too; Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998).
+Otherwise, or when the wide run fails to converge or the check fails, each
+pair is one run of plain Lanczos (lanczos_lowest), whose own work per step
+is a few vector operations where ARPACK's is several passes over its basis; a
+run that reaches its step cap, or whose Krylov space is exhausted, is one
+ARPACK run instead.  scipy is imported by the
+first solve, not with this module, so a command that solves no eigenproblem
+never loads it.
 
 solve_shifted solves (shift - op) x = rhs for a shift below the spectrum of
 op, where op - shift is positive definite, by conjugate gradients (Hestenes
@@ -40,6 +44,8 @@ _NCV_FLOOR = 60                # Krylov basis: max(60, 4 * pairs) wide, 60 to ch
 _BLOCK_BUDGET_BYTES = 1 << 27  # the wide basis's limit; above it, one run per pair
 _CHECK_TOL = 1e-8              # ARPACK tolerance of the completeness check
 _CHECK_SLACK = 1e-9            # its room below the top pair, relative to max(1, |top|)
+_RITZ_TOL = 4                  # lanczos_lowest stops at beta |s| <= 4 eps |map|
+_RITZ_CHECK_STEPS = 5          # and checks T_j every 5 steps (see there)
 _SHIFTED_REL_TOL = 1e-10  # certified true residual of solve_shifted
 _CG_REL_TOL = 1e-13       # recurrence residual at which its iteration stops
 
@@ -86,20 +92,24 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     """The `how_many` lowest eigenpairs of op, excluding the eigenvalues
     QHSQ puts on its ground coordinates.
 
-    Every ARPACK run works on op lifted by 2*|op|*V V^T, V the vectors found
-    so far, which moves them above the rest of the spectrum; so each run
+    Every run works on op lifted by 2*|op|*V V^T, V the vectors found so
+    far, which moves them above the rest of the spectrum; so each run
     converges to the next eigenpairs, further copies of a degenerate
     eigenvalue included.  A fresh solve finds its lowest pair in a run of its
     own, so every prefix of a larger solve starts with the bits of a one-pair
-    solve.  When at least 3 pairs remain and a Krylov basis of
-    max(60, 4 * pairs) vectors fits the byte budget, one run finds them all,
-    and a run for one more eigenvalue checks that none lies below the highest
-    of them; if one does, or the wide run does not converge, its pairs are
-    dropped.  Each pair still missing is then a run of its own.  `found`, an
-    earlier result for op with fewer pairs, is extended rather than redone:
-    its pairs come first, bit for bit, and only the missing ones are solved.
-    ARPACK cannot run on one coordinate, nor on a zero operator, whose range
-    it exhausts: within DENSE_DIM_CAP those are one dense eigh instead."""
+    solve.  When at least 3 pairs remain and an ARPACK basis of
+    max(60, 4 * pairs) vectors fits the byte budget, one ARPACK run finds
+    them all, and a run for one more eigenvalue checks that none lies below
+    the highest of them; if one does, or the wide run does not converge, its
+    pairs are dropped.  Each pair still missing is then a Lanczos run of its
+    own, capped at op's free dimension, the most steps that exact arithmetic
+    needs; a run that reaches the cap, or whose Krylov space is exhausted, is
+    ARPACK's one-pair run instead.  The eigenvalue is the Ritz value, and the
+    residual is that of the returned vector.  `found`, an earlier result for
+    op with fewer pairs, is extended rather than redone: its pairs come
+    first, bit for bit, and only the missing ones are solved.  ARPACK cannot
+    run on one coordinate, nor on a zero operator, whose range it exhausts:
+    within DENSE_DIM_CAP those are one dense eigh instead."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
     free_dim = op.shape[0] - op.ground_coords.size
@@ -115,7 +125,7 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     if not dense:
         from scipy.sparse.linalg import ArpackError
         try:
-            vals, ys = _arpack_pairs(op, how_many, found)
+            vals, ys = _krylov_pairs(op, how_many, found)
         except ArpackError as exc:  # not ArpackNoConvergence, handled there
             if (1 << op.n_qubits) > DENSE_DIM_CAP:
                 why = (f"the instance's terms cancel, so H_s is zero and every eigenvalue "
@@ -137,14 +147,17 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
                        residuals=np.concatenate([found.residuals, residuals]))
 
 
-def _arpack_pairs(op: MatrixFreeOperator, how_many: int,
+def _krylov_pairs(op: MatrixFreeOperator, how_many: int,
                   found: EigenResult) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs extreme_eigs adds to `found`, by ARPACK runs (see there)."""
+    """The pairs extreme_eigs adds to `found`, by Lanczos and ARPACK runs
+    (see there)."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     known = found.eigenvalues.size
     dim = op.shape[0]
+    free_dim = dim - op.ground_coords.size
     rng = np.random.default_rng(_START_SEED)
-    lift = 2.0 * op.norm_bound()
+    norm = op.norm_bound()
+    lift = 2.0 * norm
     ys = found.eigenvectors
     vals = np.zeros(0)
 
@@ -157,26 +170,33 @@ def _arpack_pairs(op: MatrixFreeOperator, how_many: int,
 
     lifted = LinearOperator(op.shape, dtype=np.float64, matvec=lifted_matvec)
 
-    def run(k, tol, ncv=None):
+    def start():
         v0 = rng.standard_normal(dim)
         v0[op.ground_coords] = 0.0  # keeps the Krylov space off their eigenvalue
-        return eigsh(lifted, k=k, which="SA", tol=tol, ncv=ncv, v0=v0, rng=rng)
+        return v0
+
+    def run(k, tol, ncv=None):
+        return eigsh(lifted, k=k, which="SA", tol=tol, ncv=ncv, v0=start(), rng=rng)
 
     def one_at_a_time(count):
         nonlocal vals, ys
         for _ in range(count):
-            try:
-                lam, y = run(1, tol=0)
-            except ArpackNoConvergence as exc:
-                best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
-                            for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
-                           default=np.inf)
-                raise EigensolveError(
-                    f"ARPACK failed to converge on eigenpair {ys.shape[1] + 1} of "
-                    f"{how_many}; best residual {best:.3e}; dense_spectrum "
-                    f"covers dimensions up to {DENSE_DIM_CAP}") from exc
-            vals = np.append(vals, lam)
-            ys = np.column_stack([ys, y])
+            # the lifted map's bound: its products round on that scale
+            bound = norm + lift if ys.shape[1] else norm
+            pair = lanczos_lowest(lifted_matvec, start(), bound, free_dim)
+            if pair is None:  # the cap, or an exhausted Krylov space: one ARPACK run
+                try:
+                    pair = run(1, tol=0)
+                except ArpackNoConvergence as exc:
+                    best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
+                                for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
+                               default=np.inf)
+                    raise EigensolveError(
+                        f"ARPACK failed to converge on eigenpair {ys.shape[1] + 1} of "
+                        f"{how_many}; best residual {best:.3e}; dense_spectrum "
+                        f"covers dimensions up to {DENSE_DIM_CAP}") from exc
+            vals = np.append(vals, pair[0])
+            ys = np.column_stack([ys, pair[1]])
 
     if known == 0:
         one_at_a_time(1)
@@ -197,6 +217,79 @@ def _arpack_pairs(op: MatrixFreeOperator, how_many: int,
             vals, ys = before
     one_at_a_time(how_many - ys.shape[1])
     return vals, ys[:, known:]
+
+
+def _lanczos_vectors(matvec, v0: np.ndarray, tol: float, coefficients: list):
+    """Yield q_0, q_1, ... of the plain Lanczos recurrence for the symmetric
+    map `matvec` from v0, with no reorthogonalization.  The product that makes
+    q_{j+1} runs when it is asked for and appends (alpha_j, beta_{j+1}) to
+    `coefficients`; the vectors end where beta <= tol, the Krylov space
+    being exhausted.  Both passes of lanczos_lowest run this one recurrence,
+    so the second remakes the first's vectors bit for bit."""
+    q, q_prev, b = v0 / np.linalg.norm(v0), None, 0.0
+    while True:
+        yield q
+        w = matvec(q)
+        a = float(q @ w)
+        w -= a * q
+        if q_prev is not None:
+            w -= b * q_prev
+        b = float(np.linalg.norm(w))
+        coefficients.append((a, b))
+        if b <= tol:
+            return
+        q_prev, q = q, w / b
+
+
+def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
+                   cap: int) -> tuple[float, np.ndarray] | None:
+    """The lowest Ritz pair (theta, y) of the symmetric map `matvec`, with
+    |matvec| <= norm, by plain Lanczos from v0 (Lanczos, J. Res. Nat. Bur.
+    Standards 45, 1950): one `matvec` per step.  It stops at the first lowest
+    Ritz pair (theta, s) of T_j with beta_{j+1} |s_j| <= 4 eps norm, before
+    lost orthogonality makes ghost copies of it (Paige, Linear Algebra Appl.
+    34, 1980).  The factor: 1, ARPACK's tol=0, stagnated on QH_sQ sectors at
+    N = 12 and 14, taking 280 to 750 products where ARPACK took 21 to 191;
+    2 still took 180 against 111 on one of them; 4 stagnated on none of 34
+    sector solves at N = 10 to 16.  T_j's lowest pair is checked every 5
+    steps: a check (O(j), LAPACK's bisection and inverse iteration) costs one
+    to three products at 2^10 coordinates, and a late stop at most 4.
+
+    The basis is kept while (steps + 1) vectors fit _BLOCK_BUDGET_BYTES, and
+    y = sum_j s_j q_j is summed from it; above that, a second pass remakes
+    the q_j and sums y as they come, holding four vectors (Cullum and
+    Willoughby, Lanczos Algorithms for Large Symmetric Eigenvalue
+    Computations, 1985).  Both sum in the same order, so they give the same
+    bits.  None when `cap` steps pass without convergence, or when beta falls
+    to the tolerance first: then the Krylov space of v0 is invariant, and it
+    may miss the lowest level, as for a zero operator."""
+    from scipy.linalg import eigh_tridiagonal  # not at module import, as for ARPACK
+    tol = _RITZ_TOL * np.finfo(np.float64).eps * norm
+    coefficients: list[tuple[float, float]] = []
+    rows: list[np.ndarray] | None = []  # the recurrence's own vectors, not copies
+    max_rows = _BLOCK_BUDGET_BYTES // v0.nbytes
+    for q in _lanczos_vectors(matvec, v0, tol, coefficients):
+        steps = len(coefficients)
+        if steps and (steps % _RITZ_CHECK_STEPS == 0 or steps == cap):
+            alpha, beta = np.array(coefficients).T
+            (theta,), s = eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                           select_range=(0, 0))
+            if beta[-1] * abs(s[-1, 0]) <= tol:
+                break
+        if steps == cap:
+            return None
+        if rows is not None:
+            if len(rows) < max_rows:
+                rows.append(q)
+            else:
+                rows = None  # past the budget: a second pass remakes the basis
+    else:  # beta fell to the tolerance first
+        return None
+    basis = rows if rows is not None else _lanczos_vectors(matvec, v0, tol, [])
+    y = np.zeros_like(v0)
+    for s_j, q in zip(s[:, 0], basis):
+        y += s_j * q
+    return float(theta), y / np.linalg.norm(y)
 
 
 def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.ndarray:

@@ -162,7 +162,8 @@ def walsh_table(masks: np.ndarray, weights: np.ndarray, n_qubits: int) -> np.nda
     split = m_lo != 0
     hi_masks, column = np.unique(m_hi[split], return_inverse=True)
     r = hi_masks.size
-    counted = r + r * _chunk_cost(low) / (1 << high) + _chunk_cost(high) / (1 << low)
+    # per entry: the matmul and G's transform over r + 1 columns, and e_hi's transform
+    counted = (r + 1) * (1 + _chunk_cost(low) / (1 << high)) + _chunk_cost(high) / (1 << low)
     if counted >= _chunk_cost(n_qubits):  # the full transform, with its two-table peak
         table = np.zeros(1 << n_qubits)
         np.add.at(table, masks, weights)

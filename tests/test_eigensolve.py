@@ -21,7 +21,13 @@ from shortpath.eigensolve import (
 )
 from shortpath.hilbert import MatrixFreeOperator, OperatorSpec
 
-from conftest import disjoint_pairs, field_unique_ground, hand_single_term, hand_triangle
+from conftest import (
+    DEGENERACY_BAND_TERMS,
+    disjoint_pairs,
+    field_unique_ground,
+    hand_single_term,
+    hand_triangle,
+)
 
 
 def _hs_op(inst, big_b, k, block=None):
@@ -85,10 +91,14 @@ def test_extreme_eigs_matches_dense_with_degeneracy(make, rel_b, k, block, want)
 
 
 def test_extreme_eigs_no_convergence_is_typed(monkeypatch, tmp_path, caplog):
+    # a Lanczos run capped at one step falls back to ARPACK, which stalls
     def stalled(a, **kwargs):
         vec = np.ones((a.shape[0], 1)) / np.sqrt(a.shape[0])
         raise ArpackNoConvergence("no convergence", np.array([0.0]), vec)
 
+    lanczos = eigensolve.lanczos_lowest
+    monkeypatch.setattr(eigensolve, "lanczos_lowest",
+                        lambda matvec, v0, norm, cap: lanczos(matvec, v0, norm, 1))
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     with pytest.raises(EigensolveError, match="best residual"):
         extreme_eigs(_hs_op(hand_triangle(), 1.0, 1), 1)
@@ -353,10 +363,12 @@ def test_block_lemma_random_sweep():
         assert rep.all_pass, rep.items
 
 
-def _record_eigsh_k(monkeypatch, tamper=None):
-    """Record the k of every eigsh call; `tamper(real, a, k, kwargs)` stands
-    in for the runs with k > 1."""
+def _record_runs(monkeypatch, tamper=None):
+    """Record the pairs each solver run asks for: 1 for a Lanczos run, k for
+    an eigsh run; `tamper(real, a, k, kwargs)` stands in for the eigsh runs
+    with k > 1."""
     real = scipy.sparse.linalg.eigsh
+    lanczos = eigensolve.lanczos_lowest
     ks = []
 
     def recorded(a, k, **kwargs):
@@ -365,7 +377,12 @@ def _record_eigsh_k(monkeypatch, tamper=None):
             return tamper(real, a, k, kwargs)
         return real(a, k=k, **kwargs)
 
+    def recorded_lanczos(*args):
+        ks.append(1)
+        return lanczos(*args)
+
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    monkeypatch.setattr(eigensolve, "lanczos_lowest", recorded_lanczos)
     return ks
 
 
@@ -382,7 +399,7 @@ def test_memo_prefix_equals_a_fresh_solve(model, n, seed, k, monkeypatch):
     inst = disjoint_pairs(n) if model == "pairs" else instances.generate(model, n, seed=seed)
     table = hilbert.evaluate_hz(inst)
     a = Analysis(inst, table, OperatorSpec("HS", big_b=0.1 * abs(table.e0), k=k))
-    ks = _record_eigsh_k(monkeypatch)
+    ks = _record_runs(monkeypatch)
     big = a.lowest(a.hs_spec, a.block_ground_coords.size + 1)
     if model == "pairs":
         # 17 pairs per sector: the 16 above the lowest come from one wide run
@@ -430,7 +447,7 @@ def test_wide_run_agrees_with_one_run_per_pair(k, block, budget, monkeypatch):
     # against 1476 and 2476 with one run per pair; the bounds leave 50% headroom
     op = _pairs10(k, block)
     calls = _count_applies(monkeypatch)
-    ks = _record_eigsh_k(monkeypatch)
+    ks = _record_runs(monkeypatch)
     wide = extreme_eigs(op, 33)
     assert ks == [1, 32, 1]
     assert len(calls) <= budget
@@ -456,7 +473,7 @@ def test_wide_basis_keeps_a_near_degenerate_level_cheap(monkeypatch):
     inst = instances.generate("sk_pm", 10, seed=5)
     op = _hs_op(inst, 0.05 * abs(hilbert.evaluate_hz(inst).e0), 3)
     calls = _count_applies(monkeypatch)
-    ks = _record_eigsh_k(monkeypatch)
+    ks = _record_runs(monkeypatch)
     it = extreme_eigs(op, 7)
     assert ks == [1, 6, 1]
     assert len(calls) <= 960
@@ -474,7 +491,7 @@ def test_completeness_check_recovers_a_dropped_copy(monkeypatch):
         return np.delete(vals, 0), np.delete(vecs, 0, axis=1)
 
     op = _pairs10(2, "even")
-    ks = _record_eigsh_k(monkeypatch, drop_a_copy)
+    ks = _record_runs(monkeypatch, drop_a_copy)
     it = extreme_eigs(op, 33)
     assert ks == [1, 32, 1] + [1] * 32
     np.testing.assert_allclose(it.eigenvalues, dense_spectrum(op, False).eigenvalues[:33],
@@ -487,7 +504,7 @@ def test_unconverged_wide_run_falls_back_to_one_run_per_pair(monkeypatch):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((a.shape[0], 0)))
 
     op = _pairs10(3, None)
-    ks = _record_eigsh_k(monkeypatch, stalled)
+    ks = _record_runs(monkeypatch, stalled)
     it = extreme_eigs(op, 33)
     assert ks == [1, 32] + [1] * 32
     np.testing.assert_allclose(it.eigenvalues, dense_spectrum(op, False).eigenvalues[:33],
@@ -499,7 +516,7 @@ def test_wide_run_respects_the_byte_budget(monkeypatch):
     # run is for one eigenvalue
     op = _pairs10(2, "even")
     monkeypatch.setattr(eigensolve, "_BLOCK_BUDGET_BYTES", 128 * 512 * 8 - 1)
-    ks = _record_eigsh_k(monkeypatch)
+    ks = _record_runs(monkeypatch)
     it = extreme_eigs(op, 33)
     assert ks == [1] * 33
     np.testing.assert_allclose(it.eigenvalues, dense_spectrum(op, False).eigenvalues[:33],
@@ -514,7 +531,7 @@ def test_three_pairs_or_fewer_run_one_at_a_time(monkeypatch):
     # a fresh solve of m <= 3 pairs (every solve of an n0 = 2 report) is the
     # per-pair path, run for run; the wide run starts at 3 pairs above the lowest
     op = _pairs10(2, "even")
-    ks = _record_eigsh_k(monkeypatch)
+    ks = _record_runs(monkeypatch)
     for m in (1, 2, 3):
         ks.clear()
         extreme_eigs(op, m)
@@ -533,22 +550,25 @@ def test_three_pairs_or_fewer_run_one_at_a_time(monkeypatch):
 
 def test_each_product_is_an_arpack_matvec_or_a_residual(monkeypatch):
     # perfbench divides the apply calls under extreme_eigs by the pairs it
-    # returns: each call must be one product ARPACK asked for, or the one
-    # residual product of a returned pair
+    # returns: each call must be one product a Lanczos or ARPACK run asked
+    # for, or the one residual product of a returned pair
     applies, matvecs = [], []
     apply = MatrixFreeOperator.apply
     monkeypatch.setattr(MatrixFreeOperator, "apply",
                         lambda self, amps: applies.append(1) or apply(self, amps))
     real = scipy.sparse.linalg.eigsh
+    lanczos = eigensolve.lanczos_lowest
+
+    def counted_matvec(matvec):
+        return lambda y: matvecs.append(1) or matvec(y)
 
     def counted(a, k, **kwargs):
-        def matvec(y):
-            matvecs.append(1)
-            return a.matvec(y)
-
-        return real(LinearOperator(a.shape, dtype=a.dtype, matvec=matvec), k=k, **kwargs)
+        return real(LinearOperator(a.shape, dtype=a.dtype, matvec=counted_matvec(a.matvec)),
+                    k=k, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    monkeypatch.setattr(eigensolve, "lanczos_lowest",
+                        lambda matvec, *args: lanczos(counted_matvec(matvec), *args))
     op = _pairs10(2, "even")
     found = extreme_eigs(op, 2)
     # a fresh solve, whose first run has nothing to lift, and an extended one
@@ -558,6 +578,99 @@ def test_each_product_is_an_arpack_matvec_or_a_residual(monkeypatch):
         extreme_eigs(op, how_many, prior)
         assert matvecs
         assert len(applies) == len(matvecs) + new
+
+
+def _record_lanczos(monkeypatch, cap=None):
+    """Wrap the Lanczos hook, with its cap replaced by `cap` if given; the
+    list it returns gets True for each run that converged."""
+    lanczos = eigensolve.lanczos_lowest
+    converged = []
+
+    def recorded(matvec, v0, norm, run_cap):
+        pair = lanczos(matvec, v0, norm, run_cap if cap is None else cap)
+        converged.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(eigensolve, "lanczos_lowest", recorded)
+    return converged
+
+
+def _sector_ops(a):
+    """H_s and QH_sQ in the analysis's block, each in its flip sectors."""
+    return [a.operator(s) for spec in (a.hs_spec, a.qhsq_spec) for s in a._sectors(spec)]
+
+
+def _dense_lowest(op):
+    keep = np.setdiff1d(np.arange(op.shape[0]), op.ground_coords)
+    return np.linalg.eigvalsh(operator_matrix(op)[np.ix_(keep, keep)])
+
+
+def _assert_pairs_match(got, want):
+    # eigenvalues to rounding, orthonormal vectors, true residuals of 1e-12 relative
+    scale = np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(got.eigenvalues - want) <= 1e-12 * scale), got.eigenvalues - want
+    m = want.size
+    assert np.allclose(got.eigenvectors.T @ got.eigenvectors, np.eye(m), rtol=0, atol=1e-8)
+    assert np.all(got.residuals <= 1e-12 * scale), got.residuals
+
+
+@pytest.mark.parametrize("make, k", [
+    *(pytest.param(lambda terms=terms: instances.build_instance(5, 2, terms), k,
+                   id=f"{name}-K{k}")
+      for name, terms in DEGENERACY_BAND_TERMS for k in (1, 2, 3, 27)),
+    *(pytest.param(lambda: instances.generate("sk_pm", 11, seed=1), k, id=f"sk_pm11-K{k}")
+      for k in (1, 2, 3, 27)),
+    pytest.param(lambda: instances.generate("sk_pm", 12, seed=2), 2, id="sk_pm12-K2"),
+])
+def test_lanczos_pairs_match_the_dense_spectrum(make, k, monkeypatch):
+    # three pairs of H_s and of QH_sQ per flip sector (both, where the flip
+    # splits the block): a fresh run, then two runs on the lifted operator.
+    # The band instances' ground bands are split at rounding level; on their
+    # 8 to 32 coordinates a run may exhaust its Krylov space and hand the
+    # pair to ARPACK, while at N = 11 and 12 every pair is a Lanczos pair
+    a = _analysis(make, k, b=0.1)
+    converged = _record_lanczos(monkeypatch)
+    for op in _sector_ops(a):
+        want = _dense_lowest(op)[:3]
+        _assert_pairs_match(extreme_eigs(op, want.size), want)
+    if a.table.n_qubits > 5:
+        assert converged and all(converged)
+
+
+def test_two_passes_give_the_bits_of_the_stored_basis(monkeypatch):
+    # with room for 8 vectors, no run keeps its basis: a second pass remakes
+    # it and sums the same Ritz vector.  A pair of j steps then takes j - 1
+    # more products; the 3 residual products are the same
+    a = _analysis(lambda: instances.generate("sk_pm", 11, seed=1), 3, b=0.1)
+    op = a.operator(a._sectors(a.hs_spec)[0])
+    calls = _count_applies(monkeypatch)
+    converged = _record_lanczos(monkeypatch)
+    stored = extreme_eigs(op, 3)
+    products = len(calls)
+    calls.clear()
+    monkeypatch.setattr(eigensolve, "_BLOCK_BUDGET_BYTES", 8 * op.shape[0] * 8)
+    two = extreme_eigs(op, 3)
+    assert converged == [True] * 6
+    assert len(calls) == 2 * (products - 3)
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(two, name), getattr(stored, name)), name
+
+
+def test_a_run_at_its_cap_falls_back_to_arpack(monkeypatch):
+    # capped at 10 steps, no Lanczos run converges: ARPACK's run takes each
+    # pair, which still meets the residual bound
+    a = _analysis(lambda: instances.generate("sk_pm", 11, seed=1), 2, b=0.1)
+    converged = _record_lanczos(monkeypatch, cap=10)
+    real = scipy.sparse.linalg.eigsh
+    ks = []
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda op, k, **kwargs: ks.append(k) or real(op, k=k, **kwargs))
+    for op in _sector_ops(a):
+        want = _dense_lowest(op)[:2]
+        converged.clear()
+        ks.clear()
+        _assert_pairs_match(extreme_eigs(op, 2), want)
+        assert converged == [False, False] and ks == [1, 1]
 
 
 @pytest.mark.parametrize("make, k", [

@@ -88,10 +88,11 @@ def test_table_matches_energy_of_for_gaussian_weights(inst):
 
 
 def _one_term_per_high_mask(weights):
-    """N=11, D=6: for each of the 32 masks h on the high 5 qubits, one term
-    on h and the first 6 - |h| low qubits.  Every term has low bits, so the
-    split would need r = 32 columns and counts 66.5 multiply-adds per entry,
-    against the full transform's 66."""
+    """N=11, D=6: for each of the first len(weights) of the 32 masks h on the
+    high 5 qubits, one term on h and the first 6 - |h| low qubits.  Every term
+    has low bits, so the split needs r = len(weights) columns, and its matmul
+    and G have r + 1: at r = 32 it counts 68.6 multiply-adds per entry, at
+    r = 31 66.5 and at r = 30 64.4, against the full transform's 66."""
     terms = [(tuple(range(6 - h.bit_count())) + tuple(6 + q for q in range(5) if h >> q & 1),
               float(w)) for h, w in zip(range(32), weights)]
     return instances.build_instance(11, 6, terms)
@@ -118,12 +119,16 @@ def _table_and_transform_bits(monkeypatch, inst):
 @pytest.mark.parametrize("inst, bits", [
     pytest.param(instances.generate("sk_pm", 10, seed=1), [5, 5], id="sk_pm N=10"),
     pytest.param(instances.generate("sk_pm", 13, seed=1), [7, 6], id="sk_pm N=13"),
+    # r = 15 high masks: 16 columns count 48.5 against 48
     pytest.param(instances.build_instance(9, 4, zip(itertools.combinations(range(9), 4),
                                                     _signs(126, 9))),
-                 [5, 4], id="all 4-subsets of 9"),
+                 [9], id="all 4-subsets of 9"),
     pytest.param(_one_term_per_high_mask(_signs(32, 11)), [11], id="one term per high mask"),
+    # the margin: r columns would count under 66 at r = 31, r + 1 do not
+    pytest.param(_one_term_per_high_mask(_signs(31, 12)), [11], id="31 high masks"),
+    pytest.param(_one_term_per_high_mask(_signs(30, 13)), [6, 5], id="30 high masks"),
     pytest.param(instances.build_instance(1, 1, [((0,), -2.0)]), [1], id="N=1"),
-    pytest.param(hand_single_term(), [1, 1], id="N=2"),
+    pytest.param(hand_single_term(), [2], id="N=2"),  # 2 columns count 5 against 4
     pytest.param(field_unique_ground(5), [3, 2], id="D=1"),
     pytest.param(instances.build_instance(8, 2, zip(itertools.combinations(range(4, 8), 2),
                                                     _signs(6, 8))),
