@@ -6,13 +6,14 @@ coordinates, and the Analysis lists its ground states in those coordinates.
 
 The pipelines in `analyze` and `bwpt` take an Analysis rather than an
 instance, so H_Z is tabulated once and each spectrum is computed once per
-analysis; so are E^Q_{0,1} (`eq01`) and the spectral report (`spectral`).  `lowest` reads every spectrum from the memoized solves of its
-sectors, by one loop: a spec is its own one sector, except that for an even
-D, where the global flip F keeps the block's coordinates (odd K on the full
-space, or even K on a block of even N) and reverses them, it is the F = +1
-and F = -1 sectors of 2^(M-1) coordinates.  There every level comes as an
-F = +1 and F = -1 copy, often split by less than 1e-9, and solving the
-sectors apart keeps the pair out of one Krylov run.  A sector's solve is
+analysis; so are E^Q_{0,1} (`eq01`) and the spectral report (`spectral`).
+`lowest` reads every spectrum from the memoized solves of its sectors, by one
+loop: a spec is its own one sector, except that for an even D, where the
+global flip F keeps the block's coordinates (odd K on the full space, or even
+K on a block of even N) and reverses them, it is the F = +1 and F = -1
+sectors of 2^(M-1) coordinates.  There every level comes as an F = +1 and
+F = -1 copy, often split by less than 1e-9, and solving the sectors apart
+keeps the pair out of one Krylov run.  A sector's solve is
 extended only when more pairs are asked than it holds.  The memo holds only
 the specs that were solved, and lives and dies with the Analysis object; the
 caller gets a spectrum in its spec's coordinates either way (see

@@ -443,8 +443,9 @@ def _clusters(vals, tol=1e-8):
     pytest.param(3, None, 650, id="K3-full-space"),
 ])
 def test_wide_run_agrees_with_one_run_per_pair(k, block, budget, monkeypatch):
-    # the solve takes 330 and 427 products, 33 of them for the residuals,
-    # against 1476 and 2476 with one run per pair; the bounds leave 50% headroom
+    # the solve takes 321 and 422 products, 33 of them for the residuals,
+    # against 998 and 1663 with one Lanczos run per pair; the bounds leave 50%
+    # headroom
     op = _pairs10(k, block)
     calls = _count_applies(monkeypatch)
     ks = _record_runs(monkeypatch)
@@ -467,9 +468,10 @@ def test_wide_run_agrees_with_one_run_per_pair(k, block, budget, monkeypatch):
 
 def test_wide_basis_keeps_a_near_degenerate_level_cheap(monkeypatch):
     # sk_pm N=10 seed 5 at K=3 and b=0.05: two of the 7 lowest eigenvalues lie
-    # 3.2e-7 apart.  The solve takes 640 products; with ARPACK's default basis
-    # of 2k + 1 vectors for the wide run it took 50388, and one run per pair
-    # 9154.  The bound leaves 50% headroom over 640.
+    # 3.2e-7 apart.  The solve takes 604 products, and 640 with ARPACK's
+    # lowest-pair run; with ARPACK's default basis of 2k + 1 vectors for the
+    # wide run it took 50388, and one ARPACK run per pair 9154.  The bound
+    # leaves 50% headroom over 640.
     inst = instances.generate("sk_pm", 10, seed=5)
     op = _hs_op(inst, 0.05 * abs(hilbert.evaluate_hz(inst).e0), 3)
     calls = _count_applies(monkeypatch)
