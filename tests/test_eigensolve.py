@@ -665,8 +665,8 @@ def test_a_run_at_its_cap_falls_back_to_arpack(monkeypatch):
     converged = _record_lanczos(monkeypatch, cap=10)
     real = scipy.sparse.linalg.eigsh
     ks = []
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        lambda op, k, **kwargs: ks.append(k) or real(op, k=k, **kwargs))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda lifted, k, **kwargs:
+                        ks.append(k) or real(lifted, k=k, **kwargs))
     for op in _sector_ops(a):
         want = _dense_lowest(op)[:2]
         converged.clear()
