@@ -68,12 +68,17 @@ class Analysis:
     operators are derived from it.  The block is resolved on first use, so a
     command that never restricts to it (simulate solves both parity blocks
     for even K, the full space for odd K) does not reject a --parity choice.
+    An instance with no terms is refused: every basis state would be a
+    ground state, and a solve would ask for every pair of the block.
     """
 
     def __init__(self, instance: Instance, table: DiagonalTable, spec: OperatorSpec,
                  parity_choice: str | None = None):
         if spec.kind != "HS" or spec.parity_block is not None:
             raise ValueError(f"an Analysis takes a full-space HS spec, got {spec}")
+        if not instance.terms:
+            raise ValueError("the instance has no terms, so H_Z = 0 and every basis state "
+                             "is a ground state; give it at least one term")
         self.instance = instance
         self.table = table
         self.ground = ground_space(table)

@@ -12,13 +12,13 @@ The lowest pair has a run of its own.  When at least 3 pairs remain and a wide
 Krylov basis for them fits a byte budget, one ARPACK run finds them all and
 one more checks that nothing below them was missed (scipy's eigsh, seeded for
 its restarts too; Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998).
-Otherwise, or when the wide run fails to converge or the check fails, each
-pair is one run of plain Lanczos (lanczos_lowest), whose own work per step
-is a few vector operations where ARPACK's is several passes over its basis; a
-run that reaches its step cap, or whose Krylov space is exhausted, is one
-ARPACK run instead.  scipy is imported by the
-first solve, not with this module, so a command that solves no eigenproblem
-never loads it.
+Otherwise, or when the wide run raises an ArpackError or the check fails,
+each pair is one run of plain Lanczos (lanczos_lowest), whose own work per
+step is a few vector operations where ARPACK's is several passes over its
+basis.  A run whose Krylov space is exhausted ends on an exact pair; only a
+run that reaches its step cap is one ARPACK run instead.  scipy is imported
+by the first solve, not with this module, so a command that solves no
+eigenproblem never loads it.
 
 solve_shifted solves (shift - op) x = rhs for a shift below the spectrum of
 op, where op - shift is positive definite, by conjugate gradients (Hestenes
@@ -32,6 +32,7 @@ used by the theorem pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -100,62 +101,32 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     solve.  When at least 3 pairs remain and an ARPACK basis of
     max(60, 4 * pairs) vectors fits the byte budget, one ARPACK run finds
     them all, and a run for one more eigenvalue checks that none lies below
-    the highest of them; if one does, or the wide run does not converge, its
-    pairs are dropped.  Each pair still missing is then a Lanczos run of its
-    own, capped at op's free dimension, the most steps that exact arithmetic
-    needs; a run that reaches the cap, or whose Krylov space is exhausted, is
-    ARPACK's one-pair run instead.  The eigenvalue is the Ritz value, and the
-    residual is that of the returned vector.  `found`, an earlier result for
-    op with fewer pairs, is extended rather than redone: its pairs come
-    first, bit for bit, and only the missing ones are solved.  ARPACK cannot
-    run on one coordinate, nor on a zero operator, whose range it exhausts:
-    within DENSE_DIM_CAP those are one dense eigh instead."""
+    the highest of them; if one does, or either run raises an ArpackError,
+    its pairs are dropped.  Each pair still missing is then a Lanczos run of
+    its own, capped at op's free dimension, the most steps that exact
+    arithmetic needs; a run that reaches the cap is ARPACK's one-pair run
+    instead.  The eigenvalue is the Ritz value, and the residual is that of
+    the returned vector.  `found`, an earlier result for op with fewer pairs,
+    is extended rather than redone: its pairs come first, bit for bit, and
+    only the missing ones are solved, from start vectors seeded by the
+    number of pairs in `found`."""
     if how_many < 1:
         raise EigensolveError(f"how_many must be >= 1, got {how_many}")
-    free_dim = op.shape[0] - op.ground_coords.size
+    dim = op.shape[0]
+    free_dim = dim - op.ground_coords.size
     if how_many > free_dim:
         raise EigensolveError(
             f"requested {how_many} eigenpairs but the deflated subspace has "
             f"dimension {free_dim}"
         )
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
     if found is None:
-        found = EigenResult(np.zeros(0), np.zeros((op.shape[0], 0)), np.zeros(0))
-    missing = how_many - found.eigenvalues.size
-    dense = op.shape[0] < 2  # ARPACK needs k < n; here how_many == free_dim == 1
-    if not dense:
-        from scipy.sparse.linalg import ArpackError
-        try:
-            vals, ys = _krylov_pairs(op, how_many, found)
-        except ArpackError as exc:  # not ArpackNoConvergence, handled there
-            if (1 << op.n_qubits) > DENSE_DIM_CAP:
-                why = (f"the instance's terms cancel, so H_s is zero and every eigenvalue "
-                       f"is 0 ({exc})" if op.spec.kind == "HS" and op.spec.big_b == 0.0
-                       and not op.table.energies.any() else exc)
-                raise EigensolveError(f"ARPACK stopped above the dense cap: {why}") from exc
-            dense = True  # it exhausted op's range: a zero operator has none
-    if dense:  # one eigh of op lifted past the pairs found, as ARPACK sees it
-        ys = found.eigenvectors
-        vals, ys = np.linalg.eigh(operator_matrix(op) + 2.0 * op.norm_bound() * (ys @ ys.T))
-        vals, ys = vals[:missing], ys[:, :missing]
-    order = np.argsort(vals, kind="stable")
-    vals, ys = vals[order], ys[:, order]
-    # one norm per vector, so a pair's residual does not depend on how_many
-    residuals = np.array([np.linalg.norm(op.apply(y) - lam * y)
-                          for lam, y in zip(vals, ys.T)])
-    return EigenResult(eigenvalues=np.concatenate([found.eigenvalues, vals]),
-                       eigenvectors=np.hstack([found.eigenvectors, ys]),
-                       residuals=np.concatenate([found.residuals, residuals]))
-
-
-def _krylov_pairs(op: MatrixFreeOperator, how_many: int,
-                  found: EigenResult) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs extreme_eigs adds to `found`, by Lanczos and ARPACK runs
-    (see there)."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+        found = EigenResult(np.zeros(0), np.zeros((dim, 0)), np.zeros(0))
     known = found.eigenvalues.size
-    dim = op.shape[0]
-    free_dim = dim - op.ground_coords.size
-    rng = np.random.default_rng(_START_SEED)
+    # an extension draws from a stream of its own: on a zero or diagonal op a
+    # found vector is its start's part on one level, so a start drawn again
+    # would hold no further copy of that level
+    rng = np.random.default_rng(_START_SEED + known)
     norm = op.norm_bound()
     lift = 2.0 * norm
     ys = found.eigenvectors
@@ -184,7 +155,7 @@ def _krylov_pairs(op: MatrixFreeOperator, how_many: int,
             # the lifted map's bound: its products round on that scale
             bound = norm + lift if ys.shape[1] else norm
             pair = lanczos_lowest(lifted_matvec, start(), bound, free_dim)
-            if pair is None:  # the cap, or an exhausted Krylov space: one ARPACK run
+            if pair is None:  # the cap: one ARPACK run
                 try:
                     pair = run(1, tol=0)
                 except ArpackNoConvergence as exc:
@@ -211,12 +182,19 @@ def _krylov_pairs(op: MatrixFreeOperator, how_many: int,
             # the lowest Ritz value of op lifted past every pair found
             (nxt,), _ = run(1, tol=_CHECK_TOL, ncv=min(dim, _NCV_FLOOR))
             complete = nxt >= top - _CHECK_SLACK * max(1.0, abs(top))
-        except ArpackNoConvergence:
+        except ArpackError:  # no convergence, or a zero operator's exhausted range
             complete = False
         if not complete:
             vals, ys = before
     one_at_a_time(how_many - ys.shape[1])
-    return vals, ys[:, known:]
+    order = np.argsort(vals, kind="stable")
+    vals, ys = vals[order], ys[:, known:][:, order]
+    # one norm per vector, so a pair's residual does not depend on how_many
+    residuals = np.array([np.linalg.norm(op.apply(y) - lam * y)
+                          for lam, y in zip(vals, ys.T)])
+    return EigenResult(eigenvalues=np.concatenate([found.eigenvalues, vals]),
+                       eigenvectors=np.hstack([found.eigenvectors, ys]),
+                       residuals=np.concatenate([found.residuals, residuals]))
 
 
 def _lanczos_vectors(matvec, v0: np.ndarray, tol: float, coefficients: list):
@@ -261,21 +239,24 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
     the q_j and sums y as they come, holding four vectors (Cullum and
     Willoughby, Lanczos Algorithms for Large Symmetric Eigenvalue
     Computations, 1985).  Both sum in the same order, so they give the same
-    bits.  None when `cap` steps pass without convergence, or when beta falls
-    to the tolerance first: then the Krylov space of v0 is invariant, and it
-    may miss the lowest level, as for a zero operator."""
+    bits.  When beta falls to the tolerance first, the Krylov space of v0 is
+    invariant and T_j's Ritz pairs are exact (Paige 1980; Parlett, The
+    Symmetric Eigenvalue Problem, 1980): the lowest one is returned, having
+    passed the stopping test, as for a zero operator or a diagonal one.  None
+    only when `cap` steps pass without convergence."""
     from scipy.linalg import eigh_tridiagonal  # not at module import, as for ARPACK
     tol = _RITZ_TOL * np.finfo(np.float64).eps * norm
     coefficients: list[tuple[float, float]] = []
     rows: list[np.ndarray] | None = []  # the recurrence's own vectors, not copies
     max_rows = _BLOCK_BUDGET_BYTES // v0.nbytes
-    for q in _lanczos_vectors(matvec, v0, tol, coefficients):
+    # None after the last vector: beta fell to the tolerance, so T_j's pair is exact
+    for q in chain(_lanczos_vectors(matvec, v0, tol, coefficients), [None]):
         steps = len(coefficients)
-        if steps and (steps % _RITZ_CHECK_STEPS == 0 or steps == cap):
+        if q is None or steps and (steps % _RITZ_CHECK_STEPS == 0 or steps == cap):
             alpha, beta = np.array(coefficients).T
             (theta,), s = eigh_tridiagonal(alpha, beta[:-1], select="i",
                                            select_range=(0, 0))
-            if beta[-1] * abs(s[-1, 0]) <= tol:
+            if q is None or beta[-1] * abs(s[-1, 0]) <= tol:
                 break
         if steps == cap:
             return None
@@ -284,8 +265,6 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
                 rows.append(q)
             else:
                 rows = None  # past the budget: a second pass remakes the basis
-    else:  # beta fell to the tolerance first
-        return None
     basis = rows if rows is not None else _lanczos_vectors(matvec, v0, tol, [])
     y = np.zeros_like(v0)
     for s_j, q in zip(s[:, 0], basis):

@@ -198,8 +198,8 @@ def test_simulate_doubles_until_past_the_cutoff(monkeypatch, big_b, k):
     sim = analyze.simulate_algorithm1(a)
     assert asked == asks
     # the second request extends the first solve: one run per pair (a Lanczos
-    # run, which hands the diagonal B = 0 operator's exhausted Krylov space
-    # to ARPACK), and the first solve's pairs are kept bit for bit
+    # run, which exhausts the diagonal B = 0 operator's Krylov space and ends
+    # on an exact pair), and the first solve's pairs are kept bit for bit
     assert len(runs) == 4
     first, second = got[:2]
     for field in ("eigenvalues", "eigenvectors", "residuals"):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -404,6 +405,25 @@ def test_a_non_finite_constant_is_a_one_line_error(tmp_path, caplog):
                     "--constants", consts, "--out", tmp_path / "out.json"]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["constant hassoln_c1=nan must be finite and non-negative"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("n, field", [
+    pytest.param(14, ["--b", 0, "--K", 2], id="N14-b0"),
+    pytest.param(14, ["--B", 1, "--K", 2], id="N14-B1"),
+    pytest.param(10, ["--b", 0, "--K", 2], id="N10-b0"),
+])
+def test_a_term_less_instance_is_a_one_line_error(tmp_path, caplog, n, field):
+    # the two terms cancel, so H_Z = 0 and every basis state is a ground
+    # state: a spectrum would ask for all 2^(N-1) pairs of the block
+    inst = tmp_path / "zero.txt"
+    inst.write_text(f"{n} 2\n0 1 1\n0 1 -1\n")
+    start = time.perf_counter()
+    assert run_cli(["spectrum", "--in", inst, *field, "--out", tmp_path / "out.json"]) == 1
+    assert time.perf_counter() - start < 10
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["the instance has no terms, so H_Z = 0 and every basis state "
+                      "is a ground state; give it at least one term"]
     assert not (tmp_path / "out.json").exists()
 
 

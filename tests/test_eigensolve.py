@@ -109,40 +109,52 @@ def test_extreme_eigs_no_convergence_is_typed(monkeypatch, tmp_path, caplog):
     assert "best residual" in caplog.text
 
 
-def test_a_zero_operator_is_solved_densely_within_the_cap(monkeypatch):
-    # ARPACK stops on an operator with no range ("starting vector is zero"):
-    # H_s at B = 0 of an instance whose terms cancel
+def test_a_zero_operator_is_solved_by_exhausted_lanczos_runs(monkeypatch):
+    # H_s at B = 0 of an instance whose terms cancel: each Lanczos run
+    # exhausts its Krylov space within a few steps and ends on an exact pair,
+    # with no dense solve at any dimension
     op = _hs_op(instances.build_instance(6, 2, [((0, 1), 1.0), ((0, 1), -1.0)]), 0.0, 1)
-    three = extreme_eigs(op, 3)
-    assert np.array_equal(three.eigenvalues, np.zeros(3))
-    five = extreme_eigs(op, 5, three)
-    assert np.array_equal(five.eigenvectors[:, :3], three.eigenvectors)
+
+    def three_then_five():
+        three = extreme_eigs(op, 3)
+        five = extreme_eigs(op, 5, three)
+        for name in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(getattr(five, name)[..., :3], getattr(three, name)), name
+        return five
+
+    five = three_then_five()
+    # the stopping test's bound on the lifted map, |op| + 2 |op|
+    bound = 4 * np.finfo(np.float64).eps * 3 * op.norm_bound()
+    assert np.all(np.abs(five.eigenvalues) <= bound), five.eigenvalues
+    assert np.all(five.residuals <= bound), five.residuals
     np.testing.assert_allclose(five.eigenvectors.T @ five.eigenvectors, np.eye(5),
                                rtol=0, atol=1e-12)
     monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 32)
-    with pytest.raises(EigensolveError, match="ARPACK stopped above the dense cap"):
-        extreme_eigs(op, 1)
+    capped = three_then_five()
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(capped, name), getattr(five, name)), name
 
 
-def test_a_zero_operator_above_the_cap_names_its_cancelled_terms(tmp_path, monkeypatch,
-                                                                 caplog):
-    op = _hs_op(instances.build_instance(6, 2, [((0, 1), 1.0), ((0, 1), -1.0)]), 0.0, 1)
-    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 32)
-    with pytest.raises(EigensolveError, match="ARPACK stopped above the dense cap: "
-                       "the instance's terms cancel, so H_s is zero"):
-        extreme_eigs(op, 1)
-    monkeypatch.undo()
-    # 2^14 is above the real cap
-    inst = tmp_path / "zero.txt"
-    inst.write_text("14 2\n0 1 1\n0 1 -1\n")
-    assert cli.main(["spectrum", "--in", str(inst), "--b", "0", "--K", "2"]) == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "\n" not in errors[0]
-    assert "terms cancel, so H_s is zero and every eigenvalue is 0" in errors[0]
+def test_exhausted_lanczos_runs_need_no_arpack(monkeypatch):
+    # H_s at B = 0 is diagonal: a run's Krylov space holds one vector per
+    # level its start touches, and is exhausted long before the run's cap.
+    # The lowest level has 32 copies; an extension whose starts repeated the
+    # first solve's would, in exact arithmetic, find no new copy in its
+    # Krylov space
+    op = _hs_op(disjoint_pairs(10), 0.0, 1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an exhausted Lanczos run called ARPACK")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refused)
+    want = dense_spectrum(op, want_vectors=False).eigenvalues[:3]
+    for got in (extreme_eigs(op, 3), extreme_eigs(op, 3, extreme_eigs(op, 1))):
+        np.testing.assert_allclose(got.eigenvalues, want, rtol=1e-12, atol=0)
 
 
 def test_extreme_eigs_small_full_spectrum():
-    # N=2: requesting all 4 eigenpairs exercises the krylov-exhaustion path
+    # N=2, all 4 eigenpairs: the lowest pair's run exhausts its Krylov space,
+    # the whole space, and one wide run takes the other 3
     op = _hs_op(hand_single_term(), 1.0, 1)
     it = extreme_eigs(op, 4)
     de = dense_spectrum(op)
@@ -154,9 +166,13 @@ def test_extreme_eigs_small_full_spectrum():
                  id="sk_pm6-even"),
     # Q block diag(1, 1): a solver that keeps the zeroed ground rows returns 0
     pytest.param(hand_single_term, 1.0, 1, None, id="single-term"),
-    # N=1, H_Z = Z: Q keeps basis state 0 alone, the dense eigh path, eigenvalue 1
+    # N=1, H_Z = Z: Q keeps basis state 0 alone, a Lanczos run of one step,
+    # eigenvalue 1
     pytest.param(lambda: instances.build_instance(1, 1, [((0,), 1.0)]), 1.0, 1, None,
                  id="free-dim-1"),
+    # the even block holds basis state 0 alone: an operator of shape (1, 1)
+    pytest.param(lambda: instances.build_instance(1, 1, [((0,), 1.0)]), 1.0, 2, "even",
+                 id="one-coordinate"),
 ])
 def test_extreme_eigs_with_index_deflation(make, big_b, k, block):
     table = hilbert.evaluate_hz(make())
@@ -628,8 +644,8 @@ def test_lanczos_pairs_match_the_dense_spectrum(make, k, monkeypatch):
     # three pairs of H_s and of QH_sQ per flip sector (both, where the flip
     # splits the block): a fresh run, then two runs on the lifted operator.
     # The band instances' ground bands are split at rounding level; on their
-    # 8 to 32 coordinates a run may exhaust its Krylov space and hand the
-    # pair to ARPACK, while at N = 11 and 12 every pair is a Lanczos pair
+    # 8 to 32 coordinates a run may exhaust its Krylov space and end on its
+    # exact pair, while at N = 11 and 12 every run converges before that
     a = _analysis(make, k, b=0.1)
     converged = _record_lanczos(monkeypatch)
     for op in _sector_ops(a):
