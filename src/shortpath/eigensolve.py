@@ -31,6 +31,7 @@ used by the theorem pipelines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -136,10 +137,10 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
         # reads ys at call time, so each run sees every vector found before it
         out = op.apply(y)
         if ys.shape[1]:
-            out += lift * (ys @ (ys.T @ y))
+            part = ys @ (ys.T @ y)
+            part *= lift
+            out += part
         return out
-
-    lifted = LinearOperator(op.shape, dtype=np.float64, matvec=lifted_matvec)
 
     def start():
         v0 = rng.standard_normal(dim)
@@ -147,6 +148,7 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
         return v0
 
     def run(k, tol, ncv=None):
+        lifted = LinearOperator(op.shape, dtype=np.float64, matvec=lifted_matvec)
         return eigsh(lifted, k=k, which="SA", tol=tol, ncv=ncv, v0=start(), rng=rng)
 
     def one_at_a_time(count):
@@ -159,7 +161,7 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
                 try:
                     pair = run(1, tol=0)
                 except ArpackNoConvergence as exc:
-                    best = min((np.linalg.norm(lifted.matvec(v) - mu * v)
+                    best = min((np.linalg.norm(lifted_matvec(v) - mu * v)
                                 for mu, v in zip(exc.eigenvalues, exc.eigenvectors.T)),
                                default=np.inf)
                     raise EigensolveError(
@@ -197,26 +199,69 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
                        residuals=np.concatenate([found.residuals, residuals]))
 
 
-def _lanczos_vectors(matvec, v0: np.ndarray, tol: float, coefficients: list):
+class _Tridiagonal:
+    """T_j of a Lanczos run: alpha_0..alpha_{j-1} and beta_1..beta_j in two
+    float64 arrays that double when full, so a Ritz check reads slices of
+    them and rebuilds nothing."""
+
+    def __init__(self):
+        self.alpha, self.beta, self.size = np.empty(16), np.empty(16), 0
+
+    def append(self, a: float, b: float) -> None:
+        if self.size == self.alpha.size:
+            self.alpha = np.concatenate([self.alpha, np.empty(self.size)])
+            self.beta = np.concatenate([self.beta, np.empty(self.size)])
+        self.alpha[self.size], self.beta[self.size] = a, b
+        self.size += 1
+
+
+def _lanczos_vectors(matvec, v0: np.ndarray, tol: float, coefficients: _Tridiagonal):
     """Yield q_0, q_1, ... of the plain Lanczos recurrence for the symmetric
     map `matvec` from v0, with no reorthogonalization.  The product that makes
     q_{j+1} runs when it is asked for and appends (alpha_j, beta_{j+1}) to
     `coefficients`; the vectors end where beta <= tol, the Krylov space
     being exhausted.  Both passes of lanczos_lowest run this one recurrence,
-    so the second remakes the first's vectors bit for bit."""
+    so the second remakes the first's vectors bit for bit.  Each step works
+    in place on the new array `matvec` returns, which becomes q_{j+1}, and
+    on one scratch vector, in the operation order of w - a q - b q_prev, with
+    norm(w) = sqrt(w . w)."""
     q, q_prev, b = v0 / np.linalg.norm(v0), None, 0.0
+    scratch = np.empty_like(q)
     while True:
         yield q
         w = matvec(q)
         a = float(q @ w)
-        w -= a * q
+        w -= np.multiply(a, q, out=scratch)
         if q_prev is not None:
-            w -= b * q_prev
-        b = float(np.linalg.norm(w))
-        coefficients.append((a, b))
+            w -= np.multiply(b, q_prev, out=scratch)
+        b = math.sqrt(float(w @ w))
+        coefficients.append(a, b)
         if b <= tol:
             return
-        q_prev, q = q, w / b
+        q_prev, q = q, np.divide(w, b, out=w)
+
+
+def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray,
+                      stebz, stein) -> tuple[float, np.ndarray]:
+    """The lowest eigenpair (theta, s) of the symmetric tridiagonal matrix
+    with diagonal alpha and off-diagonal beta, bit for bit what
+    scipy.linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+    returns, as theta and its column: the same two LAPACK calls, bisection
+    (dstebz, range "I" with il = iu = 1, abstol 0, block order) and inverse
+    iteration (dstein), with its 1 x 1 quick exit, its ValueError on a
+    non-finite entry and its LinAlgError on a nonzero info, but none of its
+    other argument checks.  stebz and stein are LAPACK's float64 routines."""
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if alpha.size == 1:
+        return float(alpha[0]), np.ones(1)
+    m, w, iblock, isplit, info = stebz(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info:
+        raise np.linalg.LinAlgError(f"stebz did not converge (LAPACK info={info})")
+    s, info = stein(alpha, beta, w[:m], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
+    return float(w[0]), s[:, 0]
 
 
 def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
@@ -231,8 +276,11 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
     2 still took 180 against 111 on one of them; 4 stagnated on none of 34
     sector solves at N = 10 to 16, and on 5 of 554 runs at N = 9 to 14 with
     K up to 27, all on 256 coordinates.  T_j's lowest pair is checked every 5
-    steps: a check (O(j), LAPACK's bisection and inverse iteration) costs one
-    to three products at 2^10 coordinates, and a late stop at most 4.
+    steps: a check (_lowest_ritz_pair, O(j): LAPACK's bisection and inverse
+    iteration, called directly on T_j's coefficient arrays) took 12, 31 and
+    71 us at j = 20, 60 and 120, half a product to three and a half at 2^10
+    coordinates (21 us, QH_sQ on a flip sector of sk_pm N=12, one BLAS
+    thread on a shared 2-vCPU VM), and a late stop costs at most 4 products.
 
     The basis is kept while (steps + 1) vectors fit _BLOCK_BUDGET_BYTES, and
     y = sum_j s_j q_j is summed from it; above that, a second pass remakes
@@ -244,19 +292,19 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
     Symmetric Eigenvalue Problem, 1980): the lowest one is returned, having
     passed the stopping test, as for a zero operator or a diagonal one.  None
     only when `cap` steps pass without convergence."""
-    from scipy.linalg import eigh_tridiagonal  # not at module import, as for ARPACK
+    from scipy.linalg import get_lapack_funcs  # not at module import, as for ARPACK
+    coefficients = _Tridiagonal()
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (coefficients.alpha,))
     tol = _RITZ_TOL * np.finfo(np.float64).eps * norm
-    coefficients: list[tuple[float, float]] = []
     rows: list[np.ndarray] | None = []  # the recurrence's own vectors, not copies
     max_rows = _BLOCK_BUDGET_BYTES // v0.nbytes
     # None after the last vector: beta fell to the tolerance, so T_j's pair is exact
     for q in chain(_lanczos_vectors(matvec, v0, tol, coefficients), [None]):
-        steps = len(coefficients)
+        steps = coefficients.size
         if q is None or steps and (steps % _RITZ_CHECK_STEPS == 0 or steps == cap):
-            alpha, beta = np.array(coefficients).T
-            (theta,), s = eigh_tridiagonal(alpha, beta[:-1], select="i",
-                                           select_range=(0, 0))
-            if q is None or beta[-1] * abs(s[-1, 0]) <= tol:
+            theta, s = _lowest_ritz_pair(coefficients.alpha[:steps],
+                                         coefficients.beta[:steps - 1], stebz, stein)
+            if q is None or coefficients.beta[steps - 1] * abs(s[-1]) <= tol:
                 break
         if steps == cap:
             return None
@@ -265,11 +313,12 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
                 rows.append(q)
             else:
                 rows = None  # past the budget: a second pass remakes the basis
-    basis = rows if rows is not None else _lanczos_vectors(matvec, v0, tol, [])
-    y = np.zeros_like(v0)
-    for s_j, q in zip(s[:, 0], basis):
-        y += s_j * q
-    return float(theta), y / np.linalg.norm(y)
+    basis = rows if rows is not None else _lanczos_vectors(matvec, v0, tol, _Tridiagonal())
+    y, scratch = np.zeros_like(v0), np.empty_like(v0)
+    for s_j, q in zip(s, basis):
+        y += np.multiply(s_j, q, out=scratch)
+    y /= math.sqrt(float(y @ y))
+    return theta, y
 
 
 def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.ndarray:
@@ -304,8 +353,15 @@ def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.n
         )
     precond = 1.0 / denom
 
+    # the products and updates below work in place on two scratch vectors,
+    # in the operation order of (op - shift) y, x + alpha p, r - alpha ap,
+    # z + beta p and norm(r) = sqrt(r . r), so they give the same bits
+    scratch, z = np.empty_like(b), np.empty_like(b)
+
     def shifted(y: np.ndarray) -> np.ndarray:
-        return op.apply(y) - shift * y
+        out = op.apply(y)
+        out -= np.multiply(shift, y, out=scratch)
+        return out
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -321,13 +377,15 @@ def solve_shifted(op: MatrixFreeOperator, shift: float, rhs: np.ndarray) -> np.n
                 f"which bounds the signed distance lambda_min - shift from above"
             )
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= _CG_REL_TOL * bnorm:
+        x += np.multiply(alpha, p, out=scratch)
+        ap *= alpha
+        r -= ap
+        if math.sqrt(float(r @ r)) <= _CG_REL_TOL * bnorm:
             break
-        z = precond * r
+        np.multiply(precond, r, out=z)
         rz, rz_old = float(r @ z), rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
 
     true_res = np.linalg.norm(b - shifted(x))
     if true_res > _SHIFTED_REL_TOL * bnorm:

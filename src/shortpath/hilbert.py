@@ -16,12 +16,16 @@ halves where that counts fewer multiply-adds than the full Walsh-Hadamard
 transform, a matmul per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.
 X = sum_i X_i is diagonal in the Walsh-Hadamard basis, so X and every (X/N)^K,
 H diag(((N - 2|h|)/N)^K) H / 2^M, are one pair of full transforms, whatever
-K is.
+K is.  Every transform runs one chunk loop, whose blocks and view shapes are
+built on the first transform of each bit count and cached; a product reads a
+vector with no coordinate to zero where it lies, and copies only an input
+with coordinates to zero or one that is not contiguous column-major.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -124,6 +128,36 @@ class OperatorSpec:
                              "no K, parity block or field")
 
 
+@cache
+def _chunk_plan(n_qubits: int) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+    """The chunks of a transform on `n_qubits` bits, 5, 5, ..., then the
+    rest, as (Sylvester block, view shape) pairs: the first chunk's rows of
+    2^b entries, then each later chunk's (2^(N-5j-b), 2^b, 2^(5j)) view.
+    Built on first use for each bit count and kept; the blocks are views of
+    the one 32 x 32 matrix."""
+    b = min(n_qubits, _BLOCK_BITS)
+    plan = [(_HADAMARD[:1 << b, :1 << b], (-1, 1 << b))]
+    for low in range(b, n_qubits, _BLOCK_BITS):
+        b = min(n_qubits - low, _BLOCK_BITS)
+        plan.append((_HADAMARD[:1 << b, :1 << b], (-1, 1 << b, 1 << low)))
+    return tuple(plan)
+
+
+def _walsh_chunks(src: np.ndarray, dst: np.ndarray, spare: np.ndarray,
+                  n_qubits: int) -> np.ndarray:
+    """The chunk loop of every transform, on flat arrays of 2^N entries or
+    of a batch's columns one after another: chunk 0 reads src and writes
+    dst, and each later chunk reads the last one's output and writes the
+    other of dst and spare, which may be src itself.  Returns the one of dst
+    and spare that holds the transform."""
+    (block, rows), *later = _chunk_plan(n_qubits)
+    np.matmul(src.reshape(rows), block, out=dst.reshape(rows))
+    for block, shape in later:
+        np.matmul(block, dst.reshape(shape), out=spare.reshape(shape))
+        dst, spare = spare, dst
+    return dst
+
+
 def walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform c[u] <- sum_m c[m] (-1)^popcount(u & m)
     of a contiguous 2^N vector, or of each column of a column-major (2^N, m)
@@ -132,17 +166,11 @@ def walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
 
     Chunk j transforms bits 5j..5j+4 (b <= 5 of them) by one matmul against
     the Sylvester matrix on the middle axis of the (2^(N-5j-b), 2^b, 2^(5j))
-    view, summed in matmul order.  A batch's columns lie one after another,
-    so its column index is just more high bits of that view."""
+    view, summed in matmul order; the blocks and view shapes are cached per
+    bit count (_chunk_plan).  A batch's columns lie one after another, so
+    its column index is just more high bits of that view."""
     flat = c.reshape(-1, order="F")
-    b = min(n_qubits, _BLOCK_BITS)
-    src, dst = (flat.reshape(-1, 1 << b) @ _HADAMARD[:1 << b, :1 << b]).ravel(), flat
-    for low in range(b, n_qubits, _BLOCK_BITS):
-        b = min(n_qubits - low, _BLOCK_BITS)
-        shape = (-1, 1 << b, 1 << low)
-        np.matmul(_HADAMARD[:1 << b, :1 << b], src.reshape(shape), out=dst.reshape(shape))
-        src, dst = dst, src
-    return src.reshape(c.shape, order="F")
+    return _walsh_chunks(flat, np.empty(flat.size), flat, n_qubits).reshape(c.shape, order="F")
 
 
 def _chunk_cost(bits: int) -> int:
@@ -261,14 +289,24 @@ def _xk_scale(n_qubits: int, k: int, low: int,
 
 def _transform_pair(amps: np.ndarray, scale: np.ndarray, low: int, zero: np.ndarray) -> np.ndarray:
     """H diag(scale) H amps for the Walsh-Hadamard transform H on `low` bits,
-    reading the coordinates in `zero` as 0.  The copy is column-major, so a
-    batch gives the same bits in either layout, and it is dropped once the
-    first transform returns: two arrays of the input's size besides it are the peak."""
-    c = np.array(amps, order="F")
-    c[zero] = 0.0
-    c = walsh_hadamard(c, low)
-    np.multiply(c.T, scale, out=c.T)  # a batch's c.T is (m, 2^M)
-    return walsh_hadamard(c, low)
+    reading the coordinates in `zero` as 0; amps is unchanged.  A contiguous
+    vector or column-major batch with no coordinate to zero is read where it
+    lies; otherwise the first transform reads a column-major copy, so a batch
+    gives the same bits in either layout.  Both transforms ping-pong between two
+    arrays of the input's size, the copy being one of them: those two are
+    the peak besides the input."""
+    if zero.size or not amps.flags.f_contiguous:
+        c = np.array(amps, dtype=np.float64, order="F")
+        c[zero] = 0.0
+        src = spare = c.reshape(-1, order="F")
+    else:
+        src = amps.reshape(-1, order="F")
+        spare = np.empty(src.size)
+    dst = np.empty(src.size)
+    c = _walsh_chunks(src, dst, spare, low)
+    columns = c.reshape(-1, scale.size)  # a batch's columns are its rows here
+    np.multiply(columns, scale, out=columns)
+    return _walsh_chunks(c, spare if c is dst else dst, c, low).reshape(amps.shape, order="F")
 
 
 def xk_over_n(amps: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
@@ -341,8 +379,10 @@ class MatrixFreeOperator:
         out = diag * amps
         if spec.big_b != 0.0:
             xk = self.xk(amps)
-            xk[g] = 0.0
-            out -= spec.big_b * xk
+            if g.size:
+                xk[g] = 0.0
+            xk *= spec.big_b
+            out -= xk
         return out
 
     def norm_bound(self) -> float:

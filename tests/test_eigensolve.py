@@ -854,3 +854,57 @@ def test_a_request_the_memo_answers_solves_and_builds_nothing(make, k, monkeypat
             got = a.lowest(spec, m)
             assert np.array_equal(got.eigenvalues, first[spec].eigenvalues[:m])
     assert solves == [] and builds == []
+
+
+def _lanczos_tridiagonals(steps):
+    """T_j's (alpha, beta) of one Lanczos run per sector operator of sk_pm
+    N=10 at K=2, b=0.1, for j = 1..steps: the matrices the run checks."""
+    a = _analysis(lambda: instances.generate("sk_pm", 10, seed=1), 2, b=0.1)
+    out = []
+    for op in _sector_ops(a):
+        coefficients = eigensolve._Tridiagonal()
+        v0 = np.random.default_rng(op.shape[0]).standard_normal(op.shape[0])
+        v0[op.ground_coords] = 0.0
+        for _q, _j in zip(eigensolve._lanczos_vectors(op.apply, v0, 0.0, coefficients),
+                          range(steps + 1)):
+            pass
+        alpha, beta = coefficients.alpha, coefficients.beta
+        out += [(alpha[:j].copy(), beta[:j - 1].copy()) for j in range(1, steps + 1)]
+    return out
+
+
+def _random_tridiagonals():
+    rng = np.random.default_rng(34)
+    out = [(rng.standard_normal(j), rng.standard_normal(j - 1)) for j in (1, 2, 5, 37, 200)]
+    # a split matrix: beta = 0 cuts it into blocks, each bisected on its own
+    alpha, beta = rng.standard_normal(40), rng.standard_normal(39)
+    beta[[3, 17, 18, 30]] = 0.0
+    return out + [(alpha, beta)]
+
+
+@pytest.mark.parametrize("source", ["lanczos", "random"])
+def test_ritz_check_is_eigh_tridiagonal_bit_for_bit(source):
+    # the direct LAPACK calls must give the wrapper's theta and whole s
+    # column: the stopping step and the Ritz vector depend on both
+    from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+    cases = _lanczos_tridiagonals(40) if source == "lanczos" else _random_tridiagonals()
+    for alpha, beta in cases:
+        stebz, stein = get_lapack_funcs(("stebz", "stein"), (alpha,))
+        theta, s = eigensolve._lowest_ritz_pair(alpha, beta, stebz, stein)
+        (want,), vectors = eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+        assert isinstance(theta, float) and theta == want, (alpha.size, theta - want)
+        assert s.shape == (alpha.size,) and np.array_equal(s, vectors[:, 0]), alpha.size
+
+
+@pytest.mark.parametrize("nan_in", ["alpha", "beta"])
+def test_ritz_check_refuses_a_nan_coefficient(nan_in):
+    # as eigh_tridiagonal did: a NaN from the recurrence is a ValueError,
+    # not a Ritz pair
+    from scipy.linalg import get_lapack_funcs
+    alpha, beta = np.arange(5.0), np.ones(4)
+    {"alpha": alpha, "beta": beta}[nan_in][2] = np.nan
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (alpha,))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigensolve._lowest_ritz_pair(alpha, beta, stebz, stein)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigensolve._lowest_ritz_pair(np.array([np.nan]), np.zeros(0), stebz, stein)

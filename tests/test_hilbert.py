@@ -1,10 +1,12 @@
 """Diagonal tables, ground spaces, matrix-free operators, psi_+."""
 
+import gc
 import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -426,6 +428,102 @@ def test_flip_sector_operator_is_the_projected_block_operator(n):
 def _dense(op):
     return op.apply(np.eye(op.shape[0]))
 
+
+
+_REFERENCE_HADAMARD = (-1.0) ** np.bitwise_count(np.arange(32)[:, None] & np.arange(32))
+
+
+def _reference_walsh_hadamard(c, n_qubits):
+    """walsh_hadamard before its chunk plan was cached: every chunk's block
+    and view are made per call, and the first chunk's output is a new array."""
+    flat = c.reshape(-1, order="F")
+    b = min(n_qubits, 5)
+    src, dst = (flat.reshape(-1, 1 << b) @ _REFERENCE_HADAMARD[:1 << b, :1 << b]).ravel(), flat
+    for low in range(b, n_qubits, 5):
+        b = min(n_qubits - low, 5)
+        shape = (-1, 1 << b, 1 << low)
+        np.matmul(_REFERENCE_HADAMARD[:1 << b, :1 << b], src.reshape(shape),
+                  out=dst.reshape(shape))
+        src, dst = dst, src
+    return src.reshape(c.shape, order="F")
+
+
+def _reference_xk(op, amps):
+    """The transform pair on a column-major copy of amps, whatever it is."""
+    low = op.shape[0].bit_length() - 1
+    c = np.array(amps, order="F")
+    c[op.ground_coords] = 0.0
+    c = _reference_walsh_hadamard(c, low)
+    np.multiply(c.T, op.xk_scale, out=c.T)
+    return _reference_walsh_hadamard(c, low)
+
+
+def _reference_apply(op, amps):
+    diag = op.diagonal if amps.ndim == 1 else op.diagonal[:, None]
+    out = diag * amps
+    if op.spec.big_b != 0.0:
+        xk = _reference_xk(op, amps)
+        xk[op.ground_coords] = 0.0
+        out -= op.spec.big_b * xk
+    return out
+
+
+def _operators_on(m):
+    """HS and QHSQ at K=2, B = 0 and 1.3, on every coordinate space of M = m
+    qubits: the full space of N = m, a parity block or flip sector of N =
+    m + 1, and a flip sector of a block of an even N = m + 2."""
+    layouts = [(m, None, None)]
+    layouts += [(m + 1, block, None) for block in ("even", "odd")]
+    layouts += [(m + 1, None, flip) for flip in (1, -1)]
+    if m % 2 == 0:
+        layouts += [(m + 2, block, flip) for block in ("even", "odd") for flip in (1, -1)]
+    for n, block, flip in layouts:
+        inst = (instances.generate("sk_pm", n, seed=1) if n > 1
+                else instances.build_instance(1, 1, [((0,), -2.0)]))
+        table = evaluate_hz(inst)
+        ground = ground_space(table)
+        for kind, big_b in itertools.product(["HS", "QHSQ"], [0.0, 1.3]):
+            spec = OperatorSpec(kind, big_b=big_b, k=2, parity_block=block, flip_sector=flip)
+            yield MatrixFreeOperator(spec, table, ground)
+
+
+@pytest.mark.parametrize("m", range(1, 14))
+def test_products_keep_the_bits_of_the_copying_transform_pair(m):
+    # a vector read where it lies, its one-column batch, a row-major batch
+    # and a strided view all give the bits of the pair that copied every input
+    rng = np.random.default_rng(m)
+    cases = 0
+    for op in _operators_on(m):
+        dim = op.shape[0]
+        assert dim == 1 << m
+        v = rng.standard_normal(dim)
+        batch = rng.standard_normal((dim, 3))
+        strided = rng.standard_normal((dim, 2))[:, 1]
+        for amps in (v, v[:, None], batch, np.asfortranarray(batch), strided):
+            kept = amps.copy()
+            assert np.array_equal(op.xk(amps), _reference_xk(op, amps)), op.spec
+            assert np.array_equal(op.apply(amps), _reference_apply(op, amps)), op.spec
+            assert np.array_equal(amps, kept), op.spec
+        assert np.array_equal(op.apply(v), op.apply(v[:, None])[:, 0]), op.spec
+        cases += 1
+    assert cases == (36 if m % 2 == 0 else 20)
+
+
+def test_a_dropped_operator_is_freed_at_del():
+    # the chunk plans are shared per bit count and point at no operator, so
+    # an operator is freed by reference counting alone, not by the collector
+    table = evaluate_hz(instances.generate("sk_pm", 8, seed=2))
+    gc.disable()
+    try:
+        op = MatrixFreeOperator(OperatorSpec("QHSQ", big_b=1.3, k=2, parity_block="even",
+                                             flip_sector=1), table, ground_space(table))
+        op.apply(np.ones(op.shape[0]))
+        op.apply(np.ones((op.shape[0], 2)))
+        dropped = weakref.ref(op)
+        del op
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 def test_flip_sectors_need_a_flip_symmetric_coordinate_space():
     table = evaluate_hz(instances.generate("sk_pm", 7, seed=1))
