@@ -221,12 +221,9 @@ SECTIONS = (
 def _write_sections(args, sections) -> int:
     """Load the instance and tabulate H_Z once under --max-qubits; for a
     command that takes a field (--b/--B and --K), build its Analysis with B
-    resolved and multiplied by --s (H_s depends on s and B only through sB)
-    and the --parity choice attached.  Then write the config and instance
-    envelope and each (key, builder) section in order."""
+    resolved and the --parity choice attached.  Then write the config and
+    instance envelope and each (key, builder) section in order."""
     with_field = hasattr(args, "k")
-    if with_field and not 0.0 <= args.s <= 1.0:
-        raise CliError(f"--s {args.s} outside [0, 1]")
     inst = instances.load_instance(args.infile)
     log.info("loaded instance: N=%d D=%d terms=%d", inst.n_qubits, inst.degree,
              len(inst.terms))
@@ -236,7 +233,7 @@ def _write_sections(args, sections) -> int:
     if with_field:
         big_b = (args.big_b if args.big_b is not None
                  else analyze.resolve_big_b(args.b, table.e0))
-        spec = hilbert.OperatorSpec("HS", big_b=args.s * big_b, k=args.k)
+        spec = hilbert.OperatorSpec("HS", big_b=big_b, k=args.k)
         a = Analysis(inst, table, spec, args.parity)
         tree = {"config": _config_record(args, spec), "instance": _instance_record(a)}
     else:
@@ -255,11 +252,8 @@ def _write_sections(args, sections) -> int:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_gen(args) -> int:
-    toy = None
-    if args.model == "toy":
-        toy = instances.ToyModelSpec(n1=args.n1, afm_density=args.afm_density,
-                                     seed=args.toy_seed)
-    inst = instances.generate(args.model, args.n, args.seed, toy=toy)
+    inst = instances.generate(args.model, args.n, args.seed, n1=args.n1,
+                              afm_density=args.afm_density)
     instances.save_instance(inst, args.out)
     log.info("wrote %s: N=%d terms=%d", args.out, inst.n_qubits, len(inst.terms))
     return 0
@@ -318,10 +312,11 @@ def _add_instance_args(p: argparse.ArgumentParser, with_params: bool = True):
         group.add_argument("--B", dest="big_b", type=float,
                            help="absolute field strength B")
         p.add_argument("--K", dest="k", type=int, required=True)
-        p.add_argument("--s", type=float, default=1.0,
-                       help="schedule position in [0, 1]; the field is s*B")
         p.add_argument("--parity", choices=("even", "odd"), default=None,
                        help="parity block override for even K")
+        # H_s depends on s and B only through sB, so --b or --B is the whole
+        # field; s is a constant config key until the references are re-recorded
+        p.set_defaults(s=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n1", type=int, default=1, help="toy: size of the first set")
-    p.add_argument("--afm-density", type=float, default=0.0)
-    p.add_argument("--toy-seed", type=int, default=0)
+    p.add_argument("--afm-density", type=float, default=0.0,
+                   help="toy: antiferromagnetic pair density inside the second set")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

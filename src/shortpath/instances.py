@@ -57,22 +57,6 @@ class Instance:
         return np.array([t.weight for t in self.terms], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ToyModelSpec:
-    """Two-set toy family: S1 = {0..n1-1} ferromagnetic, S1 x S2 ferromagnetic,
-    and a sparse antiferromagnetic coupling inside S2 with density `afm_density`."""
-
-    n1: int
-    afm_density: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.afm_density <= 1.0:
-            raise InstanceError(f"afm_density {self.afm_density} outside [0, 1]")
-        if self.n1 < 1:
-            raise InstanceError(f"n1 must be positive, got {self.n1}")
-
-
 def build_instance(n_qubits: int, degree: int,
                    raw_terms: Iterable[tuple[Iterable[int], float]]) -> Instance:
     """Validate raw (qubit-set, weight) pairs and assemble an Instance.
@@ -106,35 +90,35 @@ def _all_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def generate(model: str, n_qubits: int, seed: int, toy: ToyModelSpec | None = None) -> Instance:
+def generate(model: str, n_qubits: int, seed: int, *, n1: int = 1,
+             afm_density: float = 0.0) -> Instance:
     """Generate a D=2 random or toy instance, deterministically in `seed`.
 
     Models: `sk_pm` (weights +-1 with probability 1/2 each), `sk_gaussian`
-    (standard-normal weights), `toy` (two-set construction per ToyModelSpec;
-    the spec's own seed is used and `seed` is ignored).
+    (standard-normal weights), `toy` (two sets: S1 = {0..n1-1} ferromagnetic,
+    S1 x S2 ferromagnetic, and each pair inside S2 antiferromagnetic with
+    probability `afm_density`).  `n1` and `afm_density` apply to `toy` only.
     """
     if n_qubits < 2:
         raise InstanceError(f"D=2 families need N >= 2, got N={n_qubits}")
     pairs = _all_pairs(n_qubits)
+    rng = np.random.default_rng(seed)
     if model == "sk_pm":
-        rng = np.random.default_rng(seed)
         w = rng.integers(0, 2, size=len(pairs)) * 2 - 1
         raw = [(p, float(wi)) for p, wi in zip(pairs, w)]
     elif model == "sk_gaussian":
-        rng = np.random.default_rng(seed)
         w = rng.standard_normal(len(pairs))
         raw = [(p, float(wi)) for p, wi in zip(pairs, w)]
     elif model == "toy":
-        if toy is None:
-            raise InstanceError("toy model requires a ToyModelSpec")
-        if toy.n1 >= n_qubits:
-            raise InstanceError(f"toy spec n1={toy.n1} must be < N={n_qubits}")
-        rng = np.random.default_rng(toy.seed)
+        if not 0.0 <= afm_density <= 1.0:
+            raise InstanceError(f"afm_density {afm_density} outside [0, 1]")
+        if not 1 <= n1 < n_qubits:
+            raise InstanceError(f"toy n1={n1} must lie in [1, N={n_qubits})")
         raw = []
         for i, j in pairs:
-            if i < toy.n1:  # S1 and S1 x S2 pairs: i < j, so j in S1 puts i there too
+            if i < n1:  # S1 and S1 x S2 pairs: i < j, so j in S1 puts i there too
                 raw.append(((i, j), -1.0))
-            elif rng.random() < toy.afm_density:
+            elif rng.random() < afm_density:
                 raw.append(((i, j), +1.0))
     else:
         raise InstanceError(f"unknown model {model!r}")

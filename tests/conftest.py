@@ -99,9 +99,9 @@ def main_corpus():
             corpus.append((f"sk_pm N={n} seed={seed}",
                            instances.generate("sk_pm", n, seed=seed)))
     corpus.append(("toy N=8", instances.generate(
-        "toy", 8, seed=0, toy=instances.ToyModelSpec(n1=2, afm_density=0.5, seed=3))))
+        "toy", 8, seed=3, n1=2, afm_density=0.5)))
     corpus.append(("toy N=10", instances.generate(
-        "toy", 10, seed=0, toy=instances.ToyModelSpec(n1=3, afm_density=0.3, seed=1))))
+        "toy", 10, seed=1, n1=3, afm_density=0.3)))
     return corpus
 
 

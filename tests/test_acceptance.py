@@ -251,8 +251,7 @@ def test_criterion_8_classical_baseline():
         ("pairs N=12", disjoint_pairs(12)),
         ("pairs N=14", disjoint_pairs(14)),
         ("toy N=12", instances.generate(
-            "toy", 12, seed=0,
-            toy=instances.ToyModelSpec(n1=3, afm_density=0.4, seed=2))),
+            "toy", 12, seed=2, n1=3, afm_density=0.4)),
     ]
     corpus = [(lb, inst) for lb, inst in main_corpus() + extra
               if inst.degree == 2 and inst.n_qubits <= 14]

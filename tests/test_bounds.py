@@ -277,6 +277,33 @@ def test_item2_witness_with_huge_degeneracy():
     assert rep.witness_e == table.e0 + 2.0  # counts[2] = 7 * 2^7 is the witness
 
 
+def test_item2_check_inverts_f_inside_its_range():
+    # with c_err = 0, B = 2 and K = 2 the lift (E - E0) / (2.5 B) lies in
+    # (0, 1) below offset 5, where F^-1 is N tau^-1(lift^(1/K)), and F^-1 is N
+    # from there on.  At offset 2 (count 2) log2 W = 1 lies under F^-1 - log2 N
+    # = 1.06, so the interior branch, not a zero F^-1, rejects that witness
+    inst = instances.generate("sk_pm", 8, seed=0)
+    hist = dos_histogram(evaluate_hz(inst))
+    n, big_b, k = 8, 2.0, 2
+    rep = theorem1_item2_check(hist, inst, OperatorSpec("HS", big_b=big_b, k=k),
+                               TheoremConstants(c_err=0.0))
+    assert rep.err_term == 0.0
+    interior = 0
+    for e, log2w, finv, threshold in rep.rows:
+        lift = (e - hist.e0) / (2.5 * big_b)
+        if lift < 1.0:
+            interior += 1
+            assert 0.0 < finv == n * tau_inverse(lift ** (1.0 / k)) < n
+        else:
+            assert finv == n
+        assert threshold == finv - math.log2(n)
+    assert interior == 2  # offsets 2 and 4; odd offsets are empty
+    witness = next(e for e, log2w, _, threshold in rep.rows if log2w >= threshold)
+    assert rep.witness_e == witness == hist.e0 + 16
+    e, log2w, _, threshold = rep.rows[0]
+    assert e == hist.e0 + 2 and -math.log2(n) <= log2w < threshold
+
+
 def test_thm3_parameter_regimes():
     high = thm3_parameters(2.0, 1.0, 100000, 10.0)
     assert high.regime == "high" and high.exponent == pytest.approx(0.0)
@@ -334,7 +361,7 @@ def test_classical_baseline_matches_brute_force(corpus):
         ("pairs N=12", disjoint_pairs(12)),
         ("pairs N=14", disjoint_pairs(14)),
         ("toy N=12", instances.generate(
-            "toy", 12, seed=0, toy=instances.ToyModelSpec(n1=3, afm_density=0.4, seed=2))),
+            "toy", 12, seed=2, n1=3, afm_density=0.4)),
     ]
     for label, inst in corpus + extra:
         if inst.degree != 2 or inst.n_qubits > 14:

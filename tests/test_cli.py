@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -126,6 +127,7 @@ def test_report_contains_every_module_record(tmp_path):
                 "simulate", "bw", "dos", "baseline"):
         assert key in doc, key
     assert doc["config"]["worker_count"] == 1
+    assert doc["config"]["s"] == {"dec": 1.0, "hex": "0x1.0000000000000p+0"}
     assert doc["dos"]["total"] == 64
 
 
@@ -161,7 +163,7 @@ def test_operational_errors_exit_nonzero(tmp_path):
 def test_dos_command_with_csv_and_fit(tmp_path):
     out = tmp_path / "toy.txt"
     run_cli(["gen", "--model", "toy", "--n", 10, "--n1", 2,
-             "--afm-density", 0.5, "--toy-seed", 3, "--out", out])
+             "--afm-density", 0.5, "--seed", 3, "--out", out])
     rep = tmp_path / "dos.json"
     csv = tmp_path / "dos.csv"
     assert run_cli(["dos", "--in", out, "--fit-window", 1, 8,
@@ -299,18 +301,55 @@ def test_constants_file_flows_through(tmp_path):
     assert doc["mainconst"]["constants_used"]["c_err"]["dec"] == 2.5
 
 
-def test_console_entry_point_runs():
+def _run_module(argv):
+    """`python -m shortpath.cli argv` in a child process, output as bytes."""
     # the child does not inherit pytest's pythonpath setting, so point it at
     # this checkout's src for runs where shortpath is not installed
     src = str(Path(__file__).resolve().parents[1] / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "shortpath.cli", "thm3", "--alpha", "1.5",
-         "--c", "1", "--n", "1000", "--C", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+    return subprocess.run([sys.executable, "-m", "shortpath.cli", *map(str, argv)],
+                          capture_output=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+def test_console_entry_point_runs():
+    proc = _run_module(["thm3", "--alpha", "1.5", "--c", "1", "--n", "1000", "--C", "1"])
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["parameter_choice"]["regime"] == "low"
+
+
+def test_a_report_without_out_prints_the_file_bytes(tmp_path):
+    inst = _gen(tmp_path)
+    argv = ["report", "--in", inst, "--b", 0.1, "--K", 2, "--samples", 100]
+    out = tmp_path / "report.json"
+    printed, written = _run_module(argv), _run_module([*argv, "--out", out])
+    assert printed.returncode == written.returncode == 0
+    assert printed.stdout == out.read_bytes()
+    assert written.stdout == b""
+    # the log lines go to stderr only
+    assert b"INFO loaded instance" in printed.stderr
+    assert b"INFO report written to" in written.stderr
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # a flag removed from the CLI must not survive in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert len(commands) == 10 and all(argv[0] == "shortpath" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+
+
+@pytest.mark.parametrize("verb", ["gen", "spectrum", "qgood", "mainconst",
+                                  "simulate", "walk", "report"])
+def test_help_lists_neither_s_nor_a_toy_seed(verb, capsys):
+    # --b or --B is the whole field sB, and the toy model draws from --seed
+    with pytest.raises(SystemExit):
+        run_cli([verb, "--help"])
+    assert not re.search(r"--s\b|--toy-seed", capsys.readouterr().out)
 
 
 _SCIPY_PROBE = """
@@ -533,29 +572,41 @@ def test_theorem_and_spectrum_sections_are_their_records(sk8_report):
         assert all(set(c) == {"name", "passed", "margin"} for c in checks), key
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_s_folds_into_the_field(tmp_path, sk8_report, k):
-    # H_s depends on s and B only through sB, so --s 0.5 --B 0.4 is --B 0.2
-    # in every leaf but the two config entries that echo the input
-    inst, report = sk8_report(k)
-    out = tmp_path / "half.json"
-    assert run_cli(["report", "--in", inst, "--s", 0.5, "--B", 0.4, "--K", k,
-                    "--samples", 300, "--seed", 5, "--out", out]) == 0
-    half = _load(out)
-    assert (half["config"]["s"]["dec"], half["config"]["big_b"]["dec"]) == (0.5, 0.4)
-
-    def without_input(doc):
-        config = {key: v for key, v in doc["config"].items() if key not in ("s", "big_b")}
-        return {**doc, "config": config}
-
-    assert without_input(half) == without_input(report)
+def test_spectrum_csv_lists_the_band_and_the_next_eigenvalue(tmp_path):
+    inst = _gen(tmp_path, n=8, seed=2)
+    rep, csv = tmp_path / "spectrum.json", tmp_path / "spectrum.csv"
+    assert run_cli(["spectrum", "--in", inst, "--B", 0.2, "--K", 2,
+                    "--csv", csv, "--out", rep]) == 0
+    spectrum = _load(rep)["spectrum"]
+    assert spectrum["next_eigenvalue"] is not None
+    header, *lines = csv.read_text().splitlines()
+    assert header == "index,eigenvalue"
+    rows = [line.split(",") for line in lines]
+    assert [int(i) for i, _ in rows] == list(range(spectrum["n0_eff"] + 1))
+    # .17g round-trips, so each cell parses back to its leaf's exact value
+    leaves = spectrum["band"] + [spectrum["next_eigenvalue"]]
+    assert [float(v).hex() for _, v in rows] == [leaf["hex"] for leaf in leaves]
 
 
-@pytest.mark.parametrize("s", [1.5, -0.1])
-def test_s_outside_the_unit_interval_exits_nonzero(tmp_path, s):
-    inst = _gen(tmp_path)
-    assert run_cli(["spectrum", "--in", inst, "--s", s, "--B", 0.2, "--K", 1,
-                    "--out", tmp_path / "spectrum.json"]) == 1
+def test_an_accepted_parity_choice_picks_its_block(tmp_path):
+    # sk_pm N=9 seed 3 has ground states in both blocks, and the even one is
+    # the default.  For odd N the global flip maps one parity block onto the
+    # other, so the two bands agree, though only to rounding
+    inst = _gen(tmp_path, n=9, seed=3)
+    spectra = {}
+    for choice in (None, "even", "odd"):
+        out = tmp_path / f"{choice}.json"
+        parity = [] if choice is None else ["--parity", choice]
+        assert run_cli(["spectrum", "--in", inst, "--b", 0.1, "--K", 2,
+                        *parity, "--out", out]) == 0
+        spectra[choice] = _load(out)["spectrum"]
+    assert spectra[None] == spectra["even"]
+    assert (spectra["even"]["block"], spectra["odd"]["block"]) == ("even", "odd")
+    even, odd = ([float.fromhex(leaf["hex"]) for leaf in
+                  spectra[b]["band"] + [spectra[b]["next_eigenvalue"]]]
+                 for b in ("even", "odd"))
+    assert len(even) == len(odd) == 3
+    assert np.allclose(odd, even, rtol=1e-12, atol=0.0)
 
 
 def test_simulate_accepts_a_parity_block_it_does_not_use(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shortpath import instances
-from shortpath.instances import InstanceError, Term, ToyModelSpec
+from shortpath.instances import InstanceError, Term
 
 
 def test_term_sorts_qubits_and_exposes_mask():
@@ -59,17 +59,22 @@ def test_sk_gaussian_weights_are_seeded_normals():
 
 def test_toy_model_term_counts_at_zero_density():
     # S1 internal pairs plus S1 x S2 pairs, no AFM terms at density 0
-    inst = instances.generate("toy", 5, seed=0,
-                              toy=ToyModelSpec(n1=2, afm_density=0.0, seed=0))
+    inst = instances.generate("toy", 5, seed=0, n1=2, afm_density=0.0)
     assert len(inst.terms) == 1 + 2 * 3
     assert all(t.weight == -1.0 for t in inst.terms)
 
 
-def test_toy_model_uses_its_own_seed():
-    spec = ToyModelSpec(n1=2, afm_density=0.5, seed=11)
-    a = instances.generate("toy", 8, seed=1, toy=spec)
-    b = instances.generate("toy", 8, seed=2, toy=spec)
-    assert [t.qubits for t in a.terms] == [t.qubits for t in b.terms]
+def test_toy_model_draws_from_its_seed():
+    a, b, c = (instances.generate("toy", 8, seed=s, n1=2, afm_density=0.5)
+               for s in (1, 1, 2))
+    assert a == b
+    assert [t.qubits for t in a.terms] != [t.qubits for t in c.terms]
+
+
+@pytest.mark.parametrize("n1,afm_density", [(0, 0.5), (8, 0.5), (2, -0.1), (2, 1.5)])
+def test_toy_model_rejects_an_out_of_range_parameter(n1, afm_density):
+    with pytest.raises(InstanceError):
+        instances.generate("toy", 8, seed=0, n1=n1, afm_density=afm_density)
 
 
 def test_save_load_round_trip_is_bit_exact():
