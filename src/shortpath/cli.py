@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -320,21 +321,26 @@ def _add_instance_args(p: argparse.ArgumentParser, with_params: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix of an option is an error, not
+    # another option (--s would otherwise be taken for gen's --seed)
     ap = argparse.ArgumentParser(
         prog="shortpath",
         description="Numerical laboratory for the short-path quantum "
                     "optimization algorithm over MAX-D-LIN-2 instances.",
+        allow_abbrev=False,
     )
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen", help="generate an instance file")
+    p = add_parser("gen", help="generate an instance file")
     p.add_argument("--model", choices=("sk_pm", "sk_gaussian", "toy"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n1", type=int, default=1, help="toy: size of the first set")
-    p.add_argument("--afm-density", type=float, default=0.0,
-                   help="toy: antiferromagnetic pair density inside the second set")
+    p.add_argument("--n1", type=int, help="toy: size of the first set (default 1)")
+    p.add_argument("--afm-density", type=float,
+                   help="toy: antiferromagnetic pair density inside the second set "
+                        "(default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("mainconst", _command, None),
         ("simulate", _command, None),
     ):
-        p = sub.add_parser(name)
+        p = add_parser(name)
         _add_instance_args(p)
         if name in ("qgood", "mainconst"):
             p.add_argument("--constants", help="TheoremConstants key-value file")
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("walk", help="BW series, exact resummation, walk estimate")
+    p = add_parser("walk", help="BW series, exact resummation, walk estimate")
     _add_instance_args(p)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
@@ -362,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_walk)
 
-    p = sub.add_parser("dos", help="density-of-states histogram")
+    p = add_parser("dos", help="density-of-states histogram")
     _add_instance_args(p, with_params=False)
     p.add_argument("--fit-window", type=int, nargs=2, metavar=("KMIN", "KMAX"))
     p.add_argument("--csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dos)
 
-    p = sub.add_parser("thm3", help="regime parameter choice and feasibility terms")
+    p = add_parser("thm3", help="regime parameter choice and feasibility terms")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -378,12 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_thm3)
 
-    p = sub.add_parser("baseline", help="classical D=2 per-spin-field counting")
+    p = add_parser("baseline", help="classical D=2 per-spin-field counting")
     _add_instance_args(p, with_params=False)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("report", help="all-in-one analysis report")
+    p = add_parser("report", help="all-in-one analysis report")
     _add_instance_args(p)
     p.add_argument("--constants")
     p.add_argument("--samples", type=int, default=2000, help="walk samples")

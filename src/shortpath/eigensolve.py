@@ -134,12 +134,20 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
     vals = np.zeros(0)
 
     def lifted_matvec(y):
-        # reads ys at call time, so each run sees every vector found before it
+        # reads ys at call time, so each run sees every vector found before it.
+        # With one vector, numpy takes ys.T @ y as the dot product col @ y and
+        # ys @ c entry by entry as 0 + col * c, so col * (col @ y) has the
+        # values of the two matmuls, a zero's sign aside, in a third of the time
         out = op.apply(y)
-        if ys.shape[1]:
+        if ys.shape[1] == 1:
+            col = ys[:, 0]
+            part = col * float(col @ y)
+        elif ys.shape[1]:
             part = ys @ (ys.T @ y)
-            part *= lift
-            out += part
+        else:
+            return out
+        part *= lift
+        out += part
         return out
 
     def start():
@@ -215,17 +223,18 @@ class _Tridiagonal:
         self.size += 1
 
 
-def _lanczos_vectors(matvec, v0: np.ndarray, tol: float, coefficients: _Tridiagonal):
-    """Yield q_0, q_1, ... of the plain Lanczos recurrence for the symmetric
-    map `matvec` from v0, with no reorthogonalization.  The product that makes
-    q_{j+1} runs when it is asked for and appends (alpha_j, beta_{j+1}) to
-    `coefficients`; the vectors end where beta <= tol, the Krylov space
+def _lanczos_vectors(matvec, q: np.ndarray, tol: float, coefficients: _Tridiagonal,
+                     q_prev: np.ndarray | None = None, b: float = 0.0):
+    """Yield q_j, q_{j+1}, ... of the plain Lanczos recurrence for the symmetric
+    map `matvec`, with no reorthogonalization, from q = q_j, q_prev = q_{j-1}
+    and b = beta_j (None and 0 for the unit start q_0).  The product that
+    makes q_{j+1} runs when it is asked for and appends (alpha_j, beta_{j+1})
+    to `coefficients`; the vectors end where beta <= tol, the Krylov space
     being exhausted.  Both passes of lanczos_lowest run this one recurrence,
     so the second remakes the first's vectors bit for bit.  Each step works
     in place on the new array `matvec` returns, which becomes q_{j+1}, and
     on one scratch vector, in the operation order of w - a q - b q_prev, with
     norm(w) = sqrt(w . w)."""
-    q, q_prev, b = v0 / np.linalg.norm(v0), None, 0.0
     scratch = np.empty_like(q)
     while True:
         yield q
@@ -283,23 +292,25 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
     thread on a shared 2-vCPU VM), and a late stop costs at most 4 products.
 
     The basis is kept while (steps + 1) vectors fit _BLOCK_BUDGET_BYTES, and
-    y = sum_j s_j q_j is summed from it; above that, a second pass remakes
-    the q_j and sums y as they come, holding four vectors (Cullum and
-    Willoughby, Lanczos Algorithms for Large Symmetric Eigenvalue
-    Computations, 1985).  Both sum in the same order, so they give the same
-    bits.  When beta falls to the tolerance first, the Krylov space of v0 is
-    invariant and T_j's Ritz pairs are exact (Paige 1980; Parlett, The
-    Symmetric Eigenvalue Problem, 1980): the lowest one is returned, having
-    passed the stopping test, as for a zero operator or a diagonal one.  None
-    only when `cap` steps pass without convergence."""
+    y = sum_j s_j q_j is summed from it.  A longer run keeps the vectors that
+    fit, and a second pass restarts the recurrence from the last two of them
+    and their beta, so it remakes only the q_j past the budget, and sums y as
+    they come (Cullum and Willoughby, Lanczos Algorithms for Large Symmetric
+    Eigenvalue Computations, 1985).  Both sum in the same order, so they give
+    the same bits.  When beta falls to the tolerance first, the Krylov space
+    of v0 is invariant and T_j's Ritz pairs are exact (Paige 1980; Parlett,
+    The Symmetric Eigenvalue Problem, 1980): the lowest one is returned,
+    having passed the stopping test, as for a zero operator or a diagonal
+    one.  None only when `cap` steps pass without convergence."""
     from scipy.linalg import get_lapack_funcs  # not at module import, as for ARPACK
     coefficients = _Tridiagonal()
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (coefficients.alpha,))
     tol = _RITZ_TOL * np.finfo(np.float64).eps * norm
-    rows: list[np.ndarray] | None = []  # the recurrence's own vectors, not copies
+    rows: list[np.ndarray] = []  # the recurrence's own vectors, not copies
     max_rows = _BLOCK_BUDGET_BYTES // v0.nbytes
     # None after the last vector: beta fell to the tolerance, so T_j's pair is exact
-    for q in chain(_lanczos_vectors(matvec, v0, tol, coefficients), [None]):
+    for q in chain(_lanczos_vectors(matvec, v0 / np.linalg.norm(v0), tol, coefficients),
+                   [None]):
         steps = coefficients.size
         if q is None or steps and (steps % _RITZ_CHECK_STEPS == 0 or steps == cap):
             theta, s = _lowest_ritz_pair(coefficients.alpha[:steps],
@@ -308,12 +319,15 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
                 break
         if steps == cap:
             return None
-        if rows is not None:
-            if len(rows) < max_rows:
-                rows.append(q)
-            else:
-                rows = None  # past the budget: a second pass remakes the basis
-    basis = rows if rows is not None else _lanczos_vectors(matvec, v0, tol, _Tridiagonal())
+        if len(rows) < max_rows:
+            rows.append(q)
+    basis = rows
+    if len(rows) < steps:  # the second pass resumes from q_{r-1}, q_{r-2} and beta_{r-1}
+        r = len(rows)
+        tail = _lanczos_vectors(matvec, rows[-1] if r else v0 / np.linalg.norm(v0), tol,
+                                _Tridiagonal(), rows[-2] if r > 1 else None,
+                                coefficients.beta[r - 2] if r > 1 else 0.0)
+        basis = chain(rows[:-1], tail)
     y, scratch = np.zeros_like(v0), np.empty_like(v0)
     for s_j, q in zip(s, basis):
         y += np.multiply(s_j, q, out=scratch)

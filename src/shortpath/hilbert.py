@@ -17,9 +17,14 @@ transform, a matmul per 5 qubits against the 32 x 32 Sylvester Hadamard matrix.
 X = sum_i X_i is diagonal in the Walsh-Hadamard basis, so X and every (X/N)^K,
 H diag(((N - 2|h|)/N)^K) H / 2^M, are one pair of full transforms, whatever
 K is.  Every transform runs one chunk loop, whose blocks and view shapes are
-built on the first transform of each bit count and cached; a product reads a
-vector with no coordinate to zero where it lies, and copies only an input
-with coordinates to zero or one that is not contiguous column-major.
+built on the first transform of each bit count and cached.  A transform pair
+ping-pongs between two work arrays of its input's size: an operator's product
+with a vector runs in the operator's own pair, with their chunk views, made by
+its first vector product and kept as long as the operator; a batch's product,
+xk and xk_over_n run in two new arrays, and xk returns one of them.  A pair
+reads a vector with no coordinate to zero where it lies, and copies only an
+input with coordinates to zero, or one that is not contiguous column-major,
+into its first work array.
 """
 
 from __future__ import annotations
@@ -143,17 +148,28 @@ def _chunk_plan(n_qubits: int) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]
     return tuple(plan)
 
 
-def _walsh_chunks(src: np.ndarray, dst: np.ndarray, spare: np.ndarray,
-                  n_qubits: int) -> np.ndarray:
+def _chunk_views(flat: np.ndarray, n_qubits: int,
+                 shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The views of a flat array that a transform on `n_qubits` bits works
+    in: one per chunk, in _chunk_plan's shapes, then its (m, 2^N) view, a
+    batch's columns as rows or a vector as one row, then its column-major
+    view of `shape`, the batch or vector it holds."""
+    return (*(flat.reshape(view) for _, view in _chunk_plan(n_qubits)),
+            flat.reshape(-1, 1 << n_qubits), flat.reshape(shape, order="F"))
+
+
+def _walsh_chunks(rows: np.ndarray, dst: tuple[np.ndarray, ...], spare: tuple[np.ndarray, ...],
+                  n_qubits: int) -> tuple[np.ndarray, ...]:
     """The chunk loop of every transform, on flat arrays of 2^N entries or
-    of a batch's columns one after another: chunk 0 reads src and writes
-    dst, and each later chunk reads the last one's output and writes the
-    other of dst and spare, which may be src itself.  Returns the one of dst
-    and spare that holds the transform."""
-    (block, rows), *later = _chunk_plan(n_qubits)
-    np.matmul(src.reshape(rows), block, out=dst.reshape(rows))
-    for block, shape in later:
-        np.matmul(block, dst.reshape(shape), out=spare.reshape(shape))
+    of a batch's columns one after another, each given by its _chunk_views:
+    chunk 0 reads `rows`, the source's first view, and writes dst, and each
+    later chunk reads the last one's output and writes the other of dst and
+    spare, which may be the source itself.  Returns the views of the one of
+    dst and spare that holds the transform."""
+    (block, _), *later = _chunk_plan(n_qubits)
+    np.matmul(rows, block, out=dst[0])
+    for j, (block, _) in enumerate(later, 1):
+        np.matmul(block, dst[j], out=spare[j])
         dst, spare = spare, dst
     return dst
 
@@ -169,8 +185,9 @@ def walsh_hadamard(c: np.ndarray, n_qubits: int) -> np.ndarray:
     view, summed in matmul order; the blocks and view shapes are cached per
     bit count (_chunk_plan).  A batch's columns lie one after another, so
     its column index is just more high bits of that view."""
-    flat = c.reshape(-1, order="F")
-    return _walsh_chunks(flat, np.empty(flat.size), flat, n_qubits).reshape(c.shape, order="F")
+    views = _chunk_views(c.T.reshape(-1), n_qubits, c.shape)
+    new = _chunk_views(np.empty(c.size), n_qubits, c.shape)
+    return _walsh_chunks(views[0], new, views, n_qubits)[-1]
 
 
 def _chunk_cost(bits: int) -> int:
@@ -287,32 +304,39 @@ def _xk_scale(n_qubits: int, k: int, low: int,
     return per_weight[weight]
 
 
-def _transform_pair(amps: np.ndarray, scale: np.ndarray, low: int, zero: np.ndarray) -> np.ndarray:
+def _work_arrays(amps: np.ndarray, low: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Two new float64 arrays of amps' shape, as the _chunk_views of a
+    transform pair on `low` bits."""
+    return (_chunk_views(np.empty(amps.size), low, amps.shape),
+            _chunk_views(np.empty(amps.size), low, amps.shape))
+
+
+def _transform_pair(amps: np.ndarray, scale: np.ndarray, low: int, zero: np.ndarray,
+                    work: tuple[tuple[np.ndarray, ...], ...]) -> np.ndarray:
     """H diag(scale) H amps for the Walsh-Hadamard transform H on `low` bits,
-    reading the coordinates in `zero` as 0; amps is unchanged.  A contiguous
-    vector or column-major batch with no coordinate to zero is read where it
-    lies; otherwise the first transform reads a column-major copy, so a batch
-    gives the same bits in either layout.  Both transforms ping-pong between two
-    arrays of the input's size, the copy being one of them: those two are
-    the peak besides the input."""
+    reading the coordinates in `zero` as 0; amps is unchanged.  Both
+    transforms ping-pong between the two arrays of amps' shape in `work`
+    (_work_arrays), and the result is one of them.  A contiguous vector or
+    column-major batch with no coordinate to zero is read where it lies;
+    otherwise the first transform reads a column-major copy in the first
+    work array, so a batch gives the same bits in either layout."""
+    first, second = work
     if zero.size or not amps.flags.f_contiguous:
-        c = np.array(amps, dtype=np.float64, order="F")
-        c[zero] = 0.0
-        src = spare = c.reshape(-1, order="F")
+        first[-1][...] = amps
+        first[-1][zero] = 0.0
+        rows, dst, spare = first[0], second, first
     else:
-        src = amps.reshape(-1, order="F")
-        spare = np.empty(src.size)
-    dst = np.empty(src.size)
-    c = _walsh_chunks(src, dst, spare, low)
-    columns = c.reshape(-1, scale.size)  # a batch's columns are its rows here
-    np.multiply(columns, scale, out=columns)
-    return _walsh_chunks(c, spare if c is dst else dst, c, low).reshape(amps.shape, order="F")
+        rows, dst, spare = amps.T.reshape(first[0].shape), first, second
+    c = _walsh_chunks(rows, dst, spare, low)
+    np.multiply(c[-2], scale, out=c[-2])
+    return _walsh_chunks(c[0], spare if c is dst else dst, c, low)[-1]
 
 
 def xk_over_n(amps: np.ndarray, n_qubits: int, k: int) -> np.ndarray:
     """(X/N)^K on a full-space vector or (2^N, m) batch, amps unchanged: the
     pair of MatrixFreeOperator.xk, with a scale built per call."""
-    return _transform_pair(amps, _xk_scale(n_qubits, k, n_qubits), n_qubits, _NO_COORDS)
+    return _transform_pair(amps, _xk_scale(n_qubits, k, n_qubits), n_qubits, _NO_COORDS,
+                           _work_arrays(amps, n_qubits))
 
 
 class MatrixFreeOperator:
@@ -327,7 +351,9 @@ class MatrixFreeOperator:
     products (`xk`); the X kind's is (N - 2|h|)/2^N, so X is exact on small
     integers.  QHSQ keeps its block's coordinates: the rows and columns of
     its `ground_coords` are zeroed and norm_bound() is put on their diagonal,
-    so they carry no eigenvalue below the spectrum of Q H_s Q.
+    so they carry no eigenvalue below the spectrum of Q H_s Q.  Its vector
+    products share two work arrays of its dimension (see apply), so one
+    operator serves one thread at a time.
     """
 
     def __init__(self, spec: OperatorSpec, table: DiagonalTable,
@@ -356,29 +382,40 @@ class MatrixFreeOperator:
             self.ground_coords = ground.coordinates(block, flip)
             self.diagonal = self.diagonal.copy()
             self.diagonal[self.ground_coords] = self.norm_bound()
-        self.xk_scale = _xk_scale(n, spec.k, coordinate_qubits(n, block, flip), flip)
+        self._low = coordinate_qubits(n, block, flip)  # the transforms' bits
+        self.xk_scale = _xk_scale(n, spec.k, self._low, flip)
         if spec.kind == "X":
             self.xk_scale = (n - 2.0 * np.bitwise_count(np.arange(full))) / full
         self.shape = (dim, dim)
+        self._work = None  # a vector product's work arrays, made by the first one
 
     def xk(self, amps: np.ndarray) -> np.ndarray:
         """(X/N)^K (X for the X kind) on a vector or (2^M, m) batch in the
-        operator's coordinates, reading its ground coordinates as 0.  In a
-        block X_{N-1} keeps every coordinate, so X is the M-qubit X plus the
-        identity; either way (X/N)^K is xk_scale between two transforms."""
-        return _transform_pair(amps, self.xk_scale, self.shape[0].bit_length() - 1,
-                               self.ground_coords)
+        operator's coordinates, reading its ground coordinates as 0, as a new
+        array.  In a block X_{N-1} keeps every coordinate, so X is the
+        M-qubit X plus the identity; either way (X/N)^K is xk_scale between
+        two transforms."""
+        return _transform_pair(amps, self.xk_scale, self._low, self.ground_coords,
+                               _work_arrays(amps, self._low))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Apply to amplitudes in the operator's coordinates, a vector or a
-        (2^M, m) batch."""
+        (2^M, m) batch, as a new array.  A vector's transform pair runs in the
+        operator's own two work arrays, made by its first vector product and
+        kept while it lives; a batch's runs in two new ones."""
         spec, g = self.spec, self.ground_coords
         if spec.kind == "X":
             return self.xk(amps)
         diag = self.diagonal if amps.ndim == 1 else self.diagonal[:, None]
         out = diag * amps
         if spec.big_b != 0.0:
-            xk = self.xk(amps)
+            if amps.ndim > 1:
+                work = _work_arrays(amps, self._low)
+            elif self._work is None:
+                work = self._work = _work_arrays(amps, self._low)
+            else:
+                work = self._work
+            xk = _transform_pair(amps, self.xk_scale, self._low, g, work)
             if g.size:
                 xk[g] = 0.0
             xk *= spec.big_b

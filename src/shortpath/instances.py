@@ -90,17 +90,20 @@ def _all_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def generate(model: str, n_qubits: int, seed: int, *, n1: int = 1,
-             afm_density: float = 0.0) -> Instance:
+def generate(model: str, n_qubits: int, seed: int, *, n1: int | None = None,
+             afm_density: float | None = None) -> Instance:
     """Generate a D=2 random or toy instance, deterministically in `seed`.
 
     Models: `sk_pm` (weights +-1 with probability 1/2 each), `sk_gaussian`
     (standard-normal weights), `toy` (two sets: S1 = {0..n1-1} ferromagnetic,
     S1 x S2 ferromagnetic, and each pair inside S2 antiferromagnetic with
-    probability `afm_density`).  `n1` and `afm_density` apply to `toy` only.
+    probability `afm_density`; 1 and 0 when not given).  `n1` and
+    `afm_density` apply to `toy` only: an SK model given either is an error.
     """
     if n_qubits < 2:
         raise InstanceError(f"D=2 families need N >= 2, got N={n_qubits}")
+    if model in ("sk_pm", "sk_gaussian") and (n1, afm_density) != (None, None):
+        raise InstanceError(f"n1 and afm_density set the toy model only; {model} takes neither")
     pairs = _all_pairs(n_qubits)
     rng = np.random.default_rng(seed)
     if model == "sk_pm":
@@ -110,6 +113,8 @@ def generate(model: str, n_qubits: int, seed: int, *, n1: int = 1,
         w = rng.standard_normal(len(pairs))
         raw = [(p, float(wi)) for p, wi in zip(pairs, w)]
     elif model == "toy":
+        n1 = 1 if n1 is None else n1
+        afm_density = 0.0 if afm_density is None else afm_density
         if not 0.0 <= afm_density <= 1.0:
             raise InstanceError(f"afm_density {afm_density} outside [0, 1]")
         if not 1 <= n1 < n_qubits:

@@ -352,6 +352,43 @@ def test_help_lists_neither_s_nor_a_toy_seed(verb, capsys):
     assert not re.search(r"--s\b|--toy-seed", capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--model", "sk_pm", "--n", 6, "--s", 4], id="gen-s-for-seed"),
+    pytest.param(["gen", "--mod", "sk_pm", "--n", 6], id="gen-mod-for-model"),
+    pytest.param(["-v", "report", "--in", "inst.txt", "--b", 0.1, "--K", 2, "--sam", 10],
+                 id="report-sam-for-samples"),
+])
+def test_an_abbreviated_option_is_an_error(tmp_path, monkeypatch, argv):
+    # argparse took an unambiguous prefix as the option it begins: gen --s 4
+    # exited 0 and wrote the --seed 4 instance
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out", "out.txt"])
+    assert exc.value.code != 0
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("model", ["sk_pm", "sk_gaussian"])
+@pytest.mark.parametrize("options", [["--n1", 9], ["--afm-density", 2], ["--n1", 1]])
+def test_gen_refuses_the_toy_options_for_an_sk_model(tmp_path, caplog, model, options):
+    # an SK model ignored both options, and skipped their range checks
+    out = tmp_path / "inst.txt"
+    assert run_cli(["gen", "--model", model, "--n", 6, *options, "--out", out]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"n1 and afm_density set the toy model only; {model} takes neither"]
+    assert not out.exists()
+
+
+def test_gen_draws_the_toy_model_with_its_defaults(tmp_path):
+    # no --n1 or --afm-density is n1 = 1 and density 0, as when they are given
+    plain, given = tmp_path / "plain.txt", tmp_path / "given.txt"
+    assert run_cli(["gen", "--model", "toy", "--n", 7, "--seed", 2, "--out", plain]) == 0
+    assert run_cli(["gen", "--model", "toy", "--n", 7, "--seed", 2, "--n1", 1,
+                    "--afm-density", 0, "--out", given]) == 0
+    assert plain.read_bytes() == given.read_bytes()
+
+
 _SCIPY_PROBE = """
 import json, sys
 from shortpath import cli

@@ -656,9 +656,10 @@ def test_lanczos_pairs_match_the_dense_spectrum(make, k, monkeypatch):
 
 
 def test_two_passes_give_the_bits_of_the_stored_basis(monkeypatch):
-    # with room for 8 vectors, no run keeps its basis: a second pass remakes
-    # it and sums the same Ritz vector.  A pair of j steps then takes j - 1
-    # more products; the 3 residual products are the same
+    # with room for 8 vectors, no run keeps its whole basis: a second pass
+    # resumes from the last two kept vectors, remakes the rest and sums the
+    # same Ritz vector.  A pair of j steps then takes j - 8 more products; the
+    # 3 residual products are the same
     a = _analysis(lambda: instances.generate("sk_pm", 11, seed=1), 3, b=0.1)
     op = a.operator(a._sectors(a.hs_spec)[0])
     calls = _count_applies(monkeypatch)
@@ -669,9 +670,32 @@ def test_two_passes_give_the_bits_of_the_stored_basis(monkeypatch):
     monkeypatch.setattr(eigensolve, "_BLOCK_BUDGET_BYTES", 8 * op.shape[0] * 8)
     two = extreme_eigs(op, 3)
     assert converged == [True] * 6
-    assert len(calls) == 2 * (products - 3)
+    assert len(calls) == 2 * (products - 3) - 3 * 7
     for name in ("eigenvalues", "eigenvectors", "residuals"):
         assert np.array_equal(getattr(two, name), getattr(stored, name)), name
+
+
+@pytest.mark.parametrize("known", [1, 3])
+def test_the_lifted_product_is_the_lift_of_the_found_vectors(monkeypatch, known):
+    # an extension of `known` pairs runs on op + 2|op| V V^T; with one found
+    # vector the lift is a column times a dot product, with the same bits
+    a = _analysis(lambda: instances.generate("sk_pm", 11, seed=1), 3, b=0.1)
+    op = a.operator(a._sectors(a.hs_spec)[0])
+    found = extreme_eigs(op, known)
+    ys, lift = found.eigenvectors, 2.0 * op.norm_bound()
+    assert ys.shape == (op.shape[0], known)
+    rng = np.random.default_rng(13)
+    lanczos = eigensolve.lanczos_lowest
+    checked = []
+
+    def checking(matvec, v0, norm, cap):
+        for y in (v0, rng.standard_normal(v0.size)):
+            checked.append(np.array_equal(matvec(y), op.apply(y) + lift * (ys @ (ys.T @ y))))
+        return lanczos(matvec, v0, norm, cap)
+
+    monkeypatch.setattr(eigensolve, "lanczos_lowest", checking)
+    extreme_eigs(op, known + 1, found)
+    assert checked == [True, True]
 
 
 def test_a_run_at_its_cap_falls_back_to_arpack(monkeypatch):

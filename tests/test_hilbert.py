@@ -509,6 +509,60 @@ def test_products_keep_the_bits_of_the_copying_transform_pair(m):
     assert cases == (36 if m % 2 == 0 else 20)
 
 
+def _sector_pair_and_hs_qhsq_pair():
+    """Two pairs of operators with the same bit count: the F = +1 and F = -1
+    sectors of sk_pm N=10's odd block, and H_s and QH_sQ on its F = +1 one,
+    where QH_sQ has a ground coordinate to zero."""
+    table = evaluate_hz(instances.generate("sk_pm", 10, seed=3))
+    ground = ground_space(table)
+
+    def make(kind, flip):
+        return MatrixFreeOperator(OperatorSpec(kind, big_b=1.3, k=2, parity_block="odd",
+                                               flip_sector=flip), table, ground)
+    return [lambda: (make("HS", 1), make("HS", -1)), lambda: (make("HS", 1), make("QHSQ", 1))]
+
+
+@pytest.mark.parametrize("make", _sector_pair_and_hs_qhsq_pair(), ids=["sectors", "hs-qhsq"])
+def test_operators_applied_in_turn_give_the_bits_of_each_alone(make):
+    # each operator's vector products run in its own work arrays, so products
+    # of two operators of one bit count, in turn, are those of each alone
+    rng = np.random.default_rng(11)
+    alone = make()
+    vectors = rng.standard_normal((6, alone[0].shape[0]))
+    want = [[op.apply(v) for v in vectors] for op in alone]
+    want_xk = [[op.xk(v) for v in vectors] for op in make()]
+    in_turn = make()
+    got = [[], []]
+    got_xk = [[], []]
+    for v in vectors:
+        for i, op in enumerate(in_turn):
+            got[i].append(op.apply(v))
+            got_xk[i].append(op.xk(v))
+    for i, op in enumerate(in_turn):
+        for g, w, r in zip(got[i], want[i], (_reference_apply(op, v) for v in vectors)):
+            assert np.array_equal(g, w) and np.array_equal(g, r), op.spec
+        for g, w in zip(got_xk[i], want_xk[i]):
+            assert np.array_equal(g, w), op.spec
+
+
+@pytest.mark.parametrize("make", _sector_pair_and_hs_qhsq_pair(), ids=["sectors", "hs-qhsq"])
+def test_a_held_product_is_unchanged_by_later_calls(make):
+    # apply and xk return new arrays: the Lanczos basis keeps each apply
+    # result, and bwpt each xk column, while the operator works on
+    for op in make():
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(op.shape[0])
+        assert op.ground_coords.size == (op.spec.kind == "QHSQ")
+        held = [op.apply(v), op.xk(v), op.apply(v[:, None]), op.xk(v[:, None])]
+        kept = [h.copy() for h in held]
+        for _ in range(3):
+            w = rng.standard_normal(op.shape[0])
+            later = [op.apply(w), op.xk(w), op.apply(w[:, None]), op.xk(w[:, None])]
+        for h, k in zip(held, kept):
+            assert np.array_equal(h, k), op.spec
+            assert not any(np.shares_memory(h, x) for x in later), op.spec
+
+
 def test_a_dropped_operator_is_freed_at_del():
     # the chunk plans are shared per bit count and point at no operator, so
     # an operator is freed by reference counting alone, not by the collector
