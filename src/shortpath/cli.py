@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import math
@@ -98,15 +97,11 @@ def _constants(args) -> bounds.TheoremConstants:
 
 
 def _config_record(args, spec=None) -> dict:
-    rec = {
-        "command": args.command,
-        "worker_count": 1,
-        "max_qubits": getattr(args, "max_qubits", None),
-    }
-    for name in ("infile", "b", "big_b", "k", "s", "parity", "seed", "samples",
-                 "zeta", "alpha", "c", "n", "c_scale", "constants"):
-        if hasattr(args, name):
-            rec[name] = getattr(args, name)
+    """Every parsed setting of the command; output paths and the fit window
+    are not settings."""
+    rec = {"worker_count": 1, "max_qubits": None}
+    rec.update((name, value) for name, value in vars(args).items()
+               if name not in ("func", "verbose", "out", "csv", "fit_window"))
     if spec is not None:
         rec["resolved_big_b"] = spec.big_b
     return rec
@@ -302,38 +297,48 @@ def cmd_report(args) -> int:
 
 # ----------------------------------------------------------------- arg parsing
 
-def _add_instance_args(p: argparse.ArgumentParser, with_params: bool = True):
-    p.add_argument("--in", dest="infile", required=True, help="instance file")
-    p.add_argument("--max-qubits", type=int, default=None,
-                   help="dense budget override")
-    if with_params:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--b", type=float,
-                           help="relative field strength; B = b*|E0|")
-        group.add_argument("--B", dest="big_b", type=float,
-                           help="absolute field strength B")
-        p.add_argument("--K", dest="k", type=int, required=True)
-        p.add_argument("--parity", choices=("even", "odd"), default=None,
-                       help="parity block override for even K")
-        # H_s depends on s and B only through sB, so --b or --B is the whole
-        # field; s is a constant config key until the references are re-recorded
-        p.set_defaults(s=1.0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a prefix of an option is an error, not
     # another option (--s would otherwise be taken for gen's --seed)
-    ap = argparse.ArgumentParser(
-        prog="shortpath",
-        description="Numerical laboratory for the short-path quantum "
-                    "optimization algorithm over MAX-D-LIN-2 instances.",
-        allow_abbrev=False,
-    )
+    def parser(**kw) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(allow_abbrev=False, **kw)
+
+    # one parent parser per option set that several subcommands share
+    table = parser(add_help=False)
+    table.add_argument("--in", dest="infile", required=True, help="instance file")
+    table.add_argument("--max-qubits", type=int, default=None,
+                       help="dense budget override")
+    field = parser(add_help=False)
+    group = field.add_mutually_exclusive_group(required=True)
+    group.add_argument("--b", type=float, help="relative field strength; B = b*|E0|")
+    group.add_argument("--B", dest="big_b", type=float, help="absolute field strength B")
+    field.add_argument("--K", dest="k", type=int, required=True)
+    field.add_argument("--parity", choices=("even", "odd"), default=None,
+                       help="parity block override for even K")
+    # H_s depends on s and B only through sB, so --b or --B is the whole
+    # field; s is a constant config key until the references are re-recorded
+    field.set_defaults(s=1.0)
+    out = parser(add_help=False)
+    out.add_argument("--out", default=None, help="report path (default stdout)")
+    constants = parser(add_help=False)
+    constants.add_argument("--constants", help="TheoremConstants key-value file")
+    walk = parser(add_help=False)
+    walk.add_argument("--seed", type=int, default=0, help="walk seed")
+    walk.add_argument("--zeta", type=float, default=bwpt.DEFAULT_ZETA,
+                      help="BW shift of J0 = H_Z + zeta*P; must be positive to converge")
+
+    ap = parser(prog="shortpath",
+                description="Numerical laboratory for the short-path quantum "
+                            "optimization algorithm over MAX-D-LIN-2 instances.")
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = add_parser("gen", help="generate an instance file")
+    def command(name, func, *parents, help=None) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=parents, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", cmd_gen, help="generate an instance file")
     p.add_argument("--model", choices=("sk_pm", "sk_gaussian", "toy"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -342,63 +347,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="toy: antiferromagnetic pair density inside the second set "
                         "(default 0)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
-
-    for name, fn, csv_help in (
-        ("spectrum", _command, "eigenvalue CSV"),
-        ("qgood", cmd_qgood, None),
-        ("mainconst", _command, None),
-        ("simulate", _command, None),
-    ):
-        p = add_parser(name)
-        _add_instance_args(p)
-        if name in ("qgood", "mainconst"):
-            p.add_argument("--constants", help="TheoremConstants key-value file")
-        if csv_help:
-            p.add_argument("--csv", help=csv_help)
-        p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.set_defaults(func=fn)
-
-    p = add_parser("walk", help="BW series, exact resummation, walk estimate")
-    _add_instance_args(p)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zeta", type=float, default=bwpt.DEFAULT_ZETA,
-                   help="BW shift of J0 = H_Z + zeta*P; must be positive to converge")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_walk)
-
-    p = add_parser("dos", help="density-of-states histogram")
-    _add_instance_args(p, with_params=False)
+    p = command("spectrum", _command, table, field, out)
+    p.add_argument("--csv", help="eigenvalue CSV")
+    command("qgood", cmd_qgood, table, field, constants, out)
+    command("mainconst", _command, table, field, constants, out)
+    command("simulate", _command, table, field, out)
+    p = command("walk", cmd_walk, table, field, walk, out,
+                help="BW series, exact resummation, walk estimate")
+    p.add_argument("--samples", type=int, default=10000, help="walk samples")
+    p = command("dos", cmd_dos, table, out, help="density-of-states histogram")
     p.add_argument("--fit-window", type=int, nargs=2, metavar=("KMIN", "KMAX"))
     p.add_argument("--csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dos)
-
-    p = add_parser("thm3", help="regime parameter choice and feasibility terms")
+    p = command("thm3", cmd_thm3, constants, out,
+                help="regime parameter choice and feasibility terms")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--C", dest="c_scale", type=float, required=True)
-    p.add_argument("--constants")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_thm3)
-
-    p = add_parser("baseline", help="classical D=2 per-spin-field counting")
-    _add_instance_args(p, with_params=False)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_baseline)
-
-    p = add_parser("report", help="all-in-one analysis report")
-    _add_instance_args(p)
-    p.add_argument("--constants")
+    command("baseline", cmd_baseline, table, out,
+            help="classical D=2 per-spin-field counting")
+    p = command("report", cmd_report, table, field, constants, walk, out,
+                help="all-in-one analysis report")
     p.add_argument("--samples", type=int, default=2000, help="walk samples")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zeta", type=float, default=bwpt.DEFAULT_ZETA,
-                   help="BW shift of J0 = H_Z + zeta*P; must be positive to converge")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report, csv=None, fit_window=None)
-
+    p.set_defaults(csv=None, fit_window=None)
     return ap
 
 

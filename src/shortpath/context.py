@@ -150,6 +150,13 @@ class Analysis:
             raise eigensolve.EigensolveError(
                 f"requested {how_many} eigenpairs but the deflated subspace has "
                 f"dimension {sum(free)}")
+        # every pair of a space is its dense spectrum, which the dense cap bounds
+        if how_many == sum(free) and 1 << self.table.n_qubits > eigensolve.DENSE_DIM_CAP:
+            raise eigensolve.EigensolveError(
+                f"{spec.kind} on the {spec.parity_block or 'full'} block was asked for all "
+                f"{how_many} of its eigenpairs, a dense spectrum, but 2^N = "
+                f"{1 << self.table.n_qubits} exceeds the dense cap of "
+                f"{eigensolve.DENSE_DIM_CAP}")
         for i, s in enumerate(sectors):
             if s not in self._solved:
                 self._solve(s, min(-(-how_many // len(sectors)), free[i]))

@@ -207,33 +207,19 @@ def extreme_eigs(op: MatrixFreeOperator, how_many: int,
                        residuals=np.concatenate([found.residuals, residuals]))
 
 
-class _Tridiagonal:
-    """T_j of a Lanczos run: alpha_0..alpha_{j-1} and beta_1..beta_j in two
-    float64 arrays that double when full, so a Ritz check reads slices of
-    them and rebuilds nothing."""
-
-    def __init__(self):
-        self.alpha, self.beta, self.size = np.empty(16), np.empty(16), 0
-
-    def append(self, a: float, b: float) -> None:
-        if self.size == self.alpha.size:
-            self.alpha = np.concatenate([self.alpha, np.empty(self.size)])
-            self.beta = np.concatenate([self.beta, np.empty(self.size)])
-        self.alpha[self.size], self.beta[self.size] = a, b
-        self.size += 1
-
-
-def _lanczos_vectors(matvec, q: np.ndarray, tol: float, coefficients: _Tridiagonal,
-                     q_prev: np.ndarray | None = None, b: float = 0.0):
+def _lanczos_vectors(matvec, q: np.ndarray, tol: float, alpha: np.ndarray,
+                     beta: np.ndarray, j: int = 0, q_prev: np.ndarray | None = None,
+                     b: float = 0.0):
     """Yield q_j, q_{j+1}, ... of the plain Lanczos recurrence for the symmetric
     map `matvec`, with no reorthogonalization, from q = q_j, q_prev = q_{j-1}
     and b = beta_j (None and 0 for the unit start q_0).  The product that
-    makes q_{j+1} runs when it is asked for and appends (alpha_j, beta_{j+1})
-    to `coefficients`; the vectors end where beta <= tol, the Krylov space
-    being exhausted.  Both passes of lanczos_lowest run this one recurrence,
-    so the second remakes the first's vectors bit for bit.  Each step works
-    in place on the new array `matvec` returns, which becomes q_{j+1}, and
-    on one scratch vector, in the operation order of w - a q - b q_prev, with
+    makes q_{j+1} runs when it is asked for and writes alpha_j and beta_{j+1}
+    at index j of `alpha` and `beta`; where beta <= tol, the Krylov space
+    being exhausted, None is yielded in place of q_{j+1} and the vectors end.
+    Both passes of lanczos_lowest run this one recurrence, so the second
+    remakes the first's vectors bit for bit.  Each step works in place on the
+    new array `matvec` returns, which becomes q_{j+1}, and on one scratch
+    vector, in the operation order of w - a q - b q_prev, with
     norm(w) = sqrt(w . w)."""
     scratch = np.empty_like(q)
     while True:
@@ -244,10 +230,11 @@ def _lanczos_vectors(matvec, q: np.ndarray, tol: float, coefficients: _Tridiagon
         if q_prev is not None:
             w -= np.multiply(b, q_prev, out=scratch)
         b = math.sqrt(float(w @ w))
-        coefficients.append(a, b)
+        alpha[j], beta[j] = a, b
         if b <= tol:
+            yield None
             return
-        q_prev, q = q, np.divide(w, b, out=w)
+        q_prev, q, j = q, np.divide(w, b, out=w), j + 1
 
 
 def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray,
@@ -303,19 +290,19 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
     having passed the stopping test, as for a zero operator or a diagonal
     one.  None only when `cap` steps pass without convergence."""
     from scipy.linalg import get_lapack_funcs  # not at module import, as for ARPACK
-    coefficients = _Tridiagonal()
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (coefficients.alpha,))
+    # T_j's coefficients: a run writes at most `cap` of each, and np.empty
+    # commits a page only when it is written
+    alpha, beta = np.empty(cap), np.empty(cap)
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (alpha,))
     tol = _RITZ_TOL * np.finfo(np.float64).eps * norm
     rows: list[np.ndarray] = []  # the recurrence's own vectors, not copies
     max_rows = _BLOCK_BUDGET_BYTES // v0.nbytes
-    # None after the last vector: beta fell to the tolerance, so T_j's pair is exact
-    for q in chain(_lanczos_vectors(matvec, v0 / np.linalg.norm(v0), tol, coefficients),
-                   [None]):
-        steps = coefficients.size
+    # q is None after the last vector: beta fell to the tolerance, so T_j's pair is exact
+    for steps, q in enumerate(_lanczos_vectors(matvec, v0 / np.linalg.norm(v0), tol,
+                                               alpha, beta)):
         if q is None or steps and (steps % _RITZ_CHECK_STEPS == 0 or steps == cap):
-            theta, s = _lowest_ritz_pair(coefficients.alpha[:steps],
-                                         coefficients.beta[:steps - 1], stebz, stein)
-            if q is None or coefficients.beta[steps - 1] * abs(s[-1]) <= tol:
+            theta, s = _lowest_ritz_pair(alpha[:steps], beta[:steps - 1], stebz, stein)
+            if q is None or beta[steps - 1] * abs(s[-1]) <= tol:
                 break
         if steps == cap:
             return None
@@ -324,9 +311,10 @@ def lanczos_lowest(matvec, v0: np.ndarray, norm: float,
     basis = rows
     if len(rows) < steps:  # the second pass resumes from q_{r-1}, q_{r-2} and beta_{r-1}
         r = len(rows)
+        # it rewrites alpha and beta from index r - 1 with the values they hold
         tail = _lanczos_vectors(matvec, rows[-1] if r else v0 / np.linalg.norm(v0), tol,
-                                _Tridiagonal(), rows[-2] if r > 1 else None,
-                                coefficients.beta[r - 2] if r > 1 else 0.0)
+                                alpha, beta, max(r - 1, 0), rows[-2] if r > 1 else None,
+                                beta[r - 2] if r > 1 else 0.0)
         basis = chain(rows[:-1], tail)
     y, scratch = np.zeros_like(v0), np.empty_like(v0)
     for s_j, q in zip(s, basis):

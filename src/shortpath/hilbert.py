@@ -51,7 +51,8 @@ _NO_COORDS = np.zeros(0, dtype=np.int64)
 class BudgetError(RuntimeError):
     """2^N table exceeds the configured memory budget.
 
-    Use energy_of() for streaming per-index energy evaluation instead.
+    Raise the budget (--max-qubits on the CLI), or use energy_of() for
+    streaming per-index energy evaluation instead.
     """
 
 
@@ -239,8 +240,9 @@ def evaluate_hz(instance: Instance, max_qubits: int = DEFAULT_MAX_QUBITS) -> Dia
     n = instance.n_qubits
     if n > max_qubits:
         raise BudgetError(
-            f"N={n} exceeds the dense budget of {max_qubits} qubits; "
-            "use energy_of() for streaming per-index evaluation"
+            f"N={n} exceeds the dense budget of {max_qubits} qubits; give "
+            f"--max-qubits {n} to tabulate it, or use energy_of() for streaming "
+            "per-index evaluation"
         )
     masks = np.array([t.mask for t in instance.terms], dtype=np.int64)
     energies = walsh_table(masks, instance.weights(), n)

@@ -369,6 +369,80 @@ def test_an_abbreviated_option_is_an_error(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "out.txt").exists()
 
 
+# Each subcommand's options as {option string: (dest, default, required)}.
+_TABLE = {"--in": ("infile", None, True), "--max-qubits": ("max_qubits", None, False)}
+_FIELD = {"--b": ("b", None, False), "--B": ("big_b", None, False),
+          "--K": ("k", None, True), "--parity": ("parity", None, False)}
+_OUT = {"--out": ("out", None, False)}
+_CONSTANTS = {"--constants": ("constants", None, False)}
+_WALK = {"--seed": ("seed", 0, False), "--zeta": ("zeta", 0.5, False)}
+_SURFACE = {
+    "gen": {"--model": ("model", None, True), "--n": ("n", None, True),
+            "--seed": ("seed", 0, False), "--n1": ("n1", None, False),
+            "--afm-density": ("afm_density", None, False), "--out": ("out", None, True)},
+    "spectrum": {**_TABLE, **_FIELD, **_OUT, "--csv": ("csv", None, False)},
+    "qgood": {**_TABLE, **_FIELD, **_CONSTANTS, **_OUT},
+    "mainconst": {**_TABLE, **_FIELD, **_CONSTANTS, **_OUT},
+    "simulate": {**_TABLE, **_FIELD, **_OUT},
+    "walk": {**_TABLE, **_FIELD, **_WALK, **_OUT, "--samples": ("samples", 10000, False)},
+    "dos": {**_TABLE, **_OUT, "--csv": ("csv", None, False),
+            "--fit-window": ("fit_window", None, False)},
+    "thm3": {"--alpha": ("alpha", None, True), "--c": ("c", None, True),
+             "--n": ("n", None, True), "--C": ("c_scale", None, True),
+             **_CONSTANTS, **_OUT},
+    "baseline": {**_TABLE, **_OUT},
+    "report": {**_TABLE, **_FIELD, **_CONSTANTS, **_WALK, **_OUT,
+               "--samples": ("samples", 2000, False)},
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert set(sub.choices) == set(_SURFACE)
+    for verb, p in sub.choices.items():
+        got = {opt: (a.dest, a.default, a.required) for a in p._actions
+               for opt in a.option_strings if opt not in ("-h", "--help")}
+        assert got == _SURFACE[verb], verb
+        groups = [sorted(a.dest for a in g._group_actions) + [g.required]
+                  for g in p._mutually_exclusive_groups]
+        assert groups == ([["b", "big_b", True]] if "--K" in got else []), verb
+
+
+_FIELD_KEYS = {"infile", "b", "big_b", "k", "s", "parity", "resolved_big_b"}
+_CONFIG_KEYS = {
+    "spectrum": _FIELD_KEYS,
+    "qgood": _FIELD_KEYS | {"constants"},
+    "mainconst": _FIELD_KEYS | {"constants"},
+    "simulate": _FIELD_KEYS,
+    "walk": _FIELD_KEYS | {"samples", "seed", "zeta"},
+    "dos": {"infile"},
+    "thm3": {"alpha", "c", "n", "c_scale", "constants"},
+    "baseline": {"infile"},
+    "report": _FIELD_KEYS | {"constants", "samples", "seed", "zeta"},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_CONFIG_KEYS))
+def test_each_report_writes_its_config_keys(tmp_path, verb):
+    # the settings of a command, with a constant worker count and a null
+    # max_qubits where the command has no --max-qubits
+    if verb == "thm3":
+        argv = ["--alpha", 2, "--c", 1, "--n", 1000, "--C", 10]
+    else:
+        argv = ["--in", _gen(tmp_path)]
+        if "k" in _CONFIG_KEYS[verb]:
+            argv += ["--b", 0.1, "--K", 2]
+        if "samples" in _CONFIG_KEYS[verb]:
+            argv += ["--samples", 50]
+    assert run_cli([verb, *argv, "--out", tmp_path / "out.json"]) == 0
+    config = _load(tmp_path / "out.json")["config"]
+    assert set(config) == _CONFIG_KEYS[verb] | {"command", "worker_count", "max_qubits"}
+    assert config["command"] == verb and config["worker_count"] == 1
+    if verb == "thm3":
+        assert config["max_qubits"] is None
+
+
 @pytest.mark.parametrize("model", ["sk_pm", "sk_gaussian"])
 @pytest.mark.parametrize("options", [["--n1", 9], ["--afm-density", 2], ["--n1", 1]])
 def test_gen_refuses_the_toy_options_for_an_sk_model(tmp_path, caplog, model, options):
@@ -500,6 +574,68 @@ def test_a_term_less_instance_is_a_one_line_error(tmp_path, caplog, n, field):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["the instance has no terms, so H_Z = 0 and every basis state "
                       "is a ground state; give it at least one term"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "simulate", "report"])
+def test_a_constant_block_is_refused_before_its_solves(tmp_path, caplog, verb):
+    # one degree-14 term: all 8192 states of the odd block are ground states,
+    # and a spectrum asked for every pair, one Lanczos run each, for minutes
+    inst = tmp_path / "parity14.txt"
+    inst.write_text("14 14\n" + " ".join(map(str, range(14))) + " 1\n")
+    start = time.perf_counter()
+    assert run_cli([verb, "--in", inst, "--B", 1, "--K", 2,
+                    "--out", tmp_path / "out.json"]) == 1
+    assert time.perf_counter() - start < 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["HS on the odd block was asked for all 8192 of its eigenpairs, "
+                      "a dense spectrum, but 2^N = 16384 exceeds the dense cap of 8192"]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_the_budget_error_names_the_max_qubits_it_needs(tmp_path, caplog):
+    inst = _gen(tmp_path, n=8)
+    assert run_cli(["dos", "--in", inst, "--max-qubits", 6,
+                    "--out", tmp_path / "out.json"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["N=8 exceeds the dense budget of 6 qubits; give --max-qubits 8 "
+                      "to tabulate it, or use energy_of() for streaming per-index "
+                      "evaluation"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("instance, constants, argv, message", [
+    pytest.param("3\n0 1 1\n", None, [], "line 1: header must be 'N D', got '3'",
+                 id="header-fields"),
+    pytest.param("3 x\n", None, [], "line 1: non-integer header '3 x'",
+                 id="header-integer"),
+    pytest.param("3 2\n0 1\n", None, [], "line 2: expected 2 indices and a weight, got '0 1'",
+                 id="term-fields"),
+    pytest.param("3 2\n0 1 w\n", None, [], "line 2: non-numeric weight 'w'",
+                 id="term-weight"),
+    pytest.param("0 2\n", None, [], "n_qubits must be positive, got 0", id="n-zero"),
+    pytest.param("3 2\n1 1 1\n", None, [], "term (1, 1) repeats a qubit index",
+                 id="term-repeats"),
+    pytest.param("3 2\n0 1 1\n", "c_err\n", [], "{}:1: expected 'name = value', got 'c_err'",
+                 id="constants-line"),
+    pytest.param("3 2\n0 1 1\n", "c_err = x\n", [], "{}:1: non-numeric value 'x'",
+                 id="constants-value"),
+    pytest.param("3 2\n0 1 1\n", None, ["--samples", 0], "samples must be >= 1",
+                 id="walk-samples"),
+])
+def test_an_input_error_is_a_one_line_error(tmp_path, caplog, instance, constants, argv,
+                                            message):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(instance)
+    verb = "walk" if argv else "report"
+    if constants is not None:
+        verb = "qgood"
+        argv = ["--constants", tmp_path / "c.txt"]
+        (tmp_path / "c.txt").write_text(constants)
+    assert run_cli([verb, "--in", inst, "--b", 0.1, "--K", 2, *argv,
+                    "--out", tmp_path / "out.json"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [message.format(tmp_path / "c.txt")]
     assert not (tmp_path / "out.json").exists()
 
 

@@ -886,13 +886,12 @@ def _lanczos_tridiagonals(steps):
     a = _analysis(lambda: instances.generate("sk_pm", 10, seed=1), 2, b=0.1)
     out = []
     for op in _sector_ops(a):
-        coefficients = eigensolve._Tridiagonal()
+        alpha, beta = np.empty(steps + 1), np.empty(steps + 1)
         v0 = np.random.default_rng(op.shape[0]).standard_normal(op.shape[0])
         v0[op.ground_coords] = 0.0
-        for _q, _j in zip(eigensolve._lanczos_vectors(op.apply, v0, 0.0, coefficients),
+        for _q, _j in zip(eigensolve._lanczos_vectors(op.apply, v0, 0.0, alpha, beta),
                           range(steps + 1)):
             pass
-        alpha, beta = coefficients.alpha, coefficients.beta
         out += [(alpha[:j].copy(), beta[:j - 1].copy()) for j in range(1, steps + 1)]
     return out
 
